@@ -107,6 +107,29 @@ def degree_centrality(net: FreightNetwork, normalized: bool = False) -> Centrali
     return CentralityScores("degree", scores, normalized)
 
 
+def _closeness_pass(net: FreightNetwork) -> dict[int, tuple[int, int]]:
+    """(reach, sum of hop distances to the reachable set) per node."""
+    sums = {}
+    for i in net.node_ids:
+        dist, _, _, order = _bfs_counts(net.adjacency, i)
+        sums[i] = (len(order) - 1, sum(dist[v] for v in order))
+    return sums
+
+
+def _closeness_scores(
+    n: int, sums: Mapping[int, tuple[int, int]], normalized: bool
+) -> CentralityScores:
+    scores: dict[int, float] = {}
+    for i, (reach, total) in sums.items():
+        if reach == 0:
+            scores[i] = 0.0
+        elif normalized:
+            scores[i] = float(Fraction(reach * reach, (n - 1) * total))
+        else:
+            scores[i] = float(Fraction(1, total))
+    return CentralityScores("closeness", scores, normalized)
+
+
 def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> CentralityScores:
     """Closeness by proximity to all reachable nodes.
 
@@ -116,20 +139,7 @@ def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> Centra
     disconnected graphs where plain inverse distance is undefined.
     Isolated nodes score 0.
     """
-    n = net.node_count
-    scores: dict[int, float] = {}
-    for i in net.node_ids:
-        dist, _, _, order = _bfs_counts(net.adjacency, i)
-        reach = len(order) - 1
-        if reach == 0:
-            scores[i] = 0.0
-            continue
-        total = sum(dist[v] for v in order)
-        if normalized:
-            scores[i] = float(Fraction(reach * reach, (n - 1) * total)) if n > 1 else 0.0
-        else:
-            scores[i] = float(Fraction(1, total))
-    return CentralityScores("closeness", scores, normalized)
+    return _closeness_scores(net.node_count, _closeness_pass(net), normalized)
 
 
 def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
@@ -149,22 +159,50 @@ def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
     return {i: value / 2 for i, value in bc.items()}
 
 
+def _betweenness_scores(
+    n: int, exact: Mapping[int, Fraction], normalized: bool
+) -> CentralityScores:
+    pairs = (n - 1) * (n - 2)  # == 2 * C(n-1, 2)
+    if normalized:
+        scores = {i: (float(2 * v / pairs) if pairs > 0 else 0.0) for i, v in exact.items()}
+    else:
+        scores = {i: float(v) for i, v in exact.items()}
+    return CentralityScores("betweenness", scores, normalized)
+
+
 def betweenness_centrality(net: FreightNetwork, normalized: bool = False) -> CentralityScores:
     """Shortest-path betweenness over unordered pairs {s, t}, s != t != i.
 
     Pairs with no connecting path contribute 0. The normalized variant
     divides by (n - 1)(n - 2) / 2, the number of pairs excluding i.
     """
+    return _betweenness_scores(net.node_count, betweenness_exact(net), normalized)
+
+
+def all_scores(
+    net: FreightNetwork, exact: Mapping[int, Fraction]
+) -> tuple[tuple[CentralityScores, ...], dict[str, Mapping[int, object]]]:
+    """Raw and normalized scores of every kind, from one closeness pass
+    and ``exact`` (the caller's ``betweenness_exact(net)``), plus the key
+    each kind ranks by: int degree, normalized closeness, exact betweenness.
+    """
     n = net.node_count
-    exact = betweenness_exact(net)
-    if normalized:
-        pairs = (n - 1) * (n - 2)  # == 2 * C(n-1, 2)
-        if pairs <= 0:
-            return CentralityScores("betweenness", {i: 0.0 for i in exact}, True)
-        scores = {i: float(2 * value / pairs) for i, value in exact.items()}
-    else:
-        scores = {i: float(value) for i, value in exact.items()}
-    return CentralityScores("betweenness", scores, normalized)
+    sums = _closeness_pass(net)
+    closeness = _closeness_scores(n, sums, True)
+    score_sets = (
+        degree_centrality(net, normalized=False),
+        degree_centrality(net, normalized=True),
+        _closeness_scores(n, sums, False),
+        closeness,
+        _betweenness_scores(n, exact, False),
+        _betweenness_scores(n, exact, True),
+    )
+    rank_keys = {
+        "degree": {i: net.degree(i) for i in net.node_ids},
+        "closeness": closeness.scores,
+        "betweenness": exact,
+    }
+    return score_sets, rank_keys
 
 
 def rank_mapping(values: Mapping[int, float], k: int, kind: str) -> RankedNodes:

@@ -301,7 +301,7 @@ def read_series_csv(paths: Iterable) -> dict[tuple[str, int], DailyTmaxSeries]:
         p = Path(path)
         if not p.is_file():
             raise DataError("file not found", path=p)
-        with p.open(newline="", encoding="utf-8") as fh:
+        with p.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["model", "node_id", "date", "tmax_c"]:
@@ -339,7 +339,7 @@ def read_gridded_series_csv(
         p = Path(path)
         if not p.is_file():
             raise DataError("file not found", path=p)
-        with p.open(newline="", encoding="utf-8") as fh:
+        with p.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["model", "lat", "lon", "date", "tmax_c"]:
@@ -407,7 +407,7 @@ def read_profiles_csv(path, periods: Mapping[str, PeriodSpec]) -> list[HotDayPro
     if not p.is_file():
         raise DataError("file not found", path=p)
     grouped: dict[tuple[str, str, float], dict[int, int]] = {}
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["model", "period_label", "node_id", "hot_days", "threshold_c"]:
@@ -446,7 +446,7 @@ def read_delta_csv(path) -> dict[str, dict[int, int]]:
     if not p.is_file():
         raise DataError("file not found", path=p)
     out: dict[str, dict[int, int]] = {}
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["model", "node_id", "delta_hot_days"]:

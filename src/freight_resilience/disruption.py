@@ -108,8 +108,8 @@ def random_sequence(net: FreightNetwork, seed: int) -> RemovalSequence:
 
 
 def _scores(net: FreightNetwork, kind: str) -> Mapping[int, object]:
-    # raw (unnormalized) values: rankings are what matter here, and the
-    # raw forms are exact (int degrees, rational betweenness)
+    # exact rank keys: int degrees, normalized closeness floats (exactly
+    # rounded from rationals), rational betweenness
     if kind == "degree":
         return {i: net.degree(i) for i in net.node_ids}
     if kind == "closeness":
@@ -117,6 +117,13 @@ def _scores(net: FreightNetwork, kind: str) -> Mapping[int, object]:
     if kind == "betweenness":
         return betweenness_exact(net)
     raise ValueError(f"unknown centrality kind {kind!r}")
+
+
+def static_sequence(kind: str, scores: Mapping[int, object]) -> RemovalSequence:
+    """Targeted removal order ranked once from exact scores: highest
+    first, ties toward the lower node id."""
+    order = sorted(scores, key=lambda n: (-scores[n], n))
+    return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order), mode="static")
 
 
 def targeted_sequence(
@@ -132,11 +139,8 @@ def targeted_sequence(
         raise ValueError(f"unknown centrality kind {kind!r}")
     if mode not in RANKING_MODES:
         raise ValueError(f"unknown ranking mode {mode!r}")
-    scenario = f"targeted_{kind}"
     if mode == "static":
-        scores = _scores(net, kind)
-        order = sorted(scores, key=lambda n: (-scores[n], n))
-        return RemovalSequence(scenario=scenario, order=tuple(order), mode=mode)
+        return static_sequence(kind, _scores(net, kind))
     order = []
     current = net
     while current.node_count > 0:
@@ -144,7 +148,7 @@ def targeted_sequence(
         victim = min(scores, key=lambda n: (-scores[n], n))
         order.append(victim)
         current = remove_nodes(current, [victim])
-    return RemovalSequence(scenario=scenario, order=tuple(order), mode=mode)
+    return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order), mode=mode)
 
 
 def hot_day_sequence(

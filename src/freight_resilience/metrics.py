@@ -350,7 +350,7 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
     if not p.is_file():
         raise DataError("file not found", path=p)
     groups: dict[tuple[str, str, str], list[CurveStep]] = {}
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CURVE_HEADER:

@@ -181,7 +181,7 @@ def _open_rows(path):
     p = Path(path)
     if not p.is_file():
         raise DataError("file not found", path=p)
-    with p.open(newline="", encoding="utf-8") as fh:
+    with p.open(newline="", encoding="utf-8-sig") as fh:
         return list(csv.reader(fh))
 
 

@@ -18,17 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence
 
 from .centrality import (
-    CentralityScores,
+    all_scores,
     betweenness_exact,
-    closeness_centrality,
-    degree_centrality,
     rank_mapping,
     write_ranking_csv,
     write_scores_csv,
@@ -60,6 +56,7 @@ from .disruption import (
     RemovalSequence,
     hot_day_sequence,
     random_sequence,
+    static_sequence,
     targeted_sequence,
     write_sequences_csv,
 )
@@ -78,13 +75,9 @@ from .metrics import (
 from .network import MODES, filter_mode, load_network, save_network
 from .svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
 
-THREADS_ENV = "FREIGHT_RESILIENCE_THREADS"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "freight-resilience-manifest/1"
 STAGES = ("ingest", "centrality", "climate", "simulate", "report")
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 # ---------------------------------------------------------------------------
@@ -415,34 +408,6 @@ def _digest_of(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV}: expected a positive integer, got {raw!r}")
-    return value
-
-
-def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
-    """Order-preserving map over the worker pool; results do not depend
-    on the pool size."""
-    work = list(items)
-    workers = worker_count()
-    if workers == 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))
-
-
-# ---------------------------------------------------------------------------
 # Output directory and manifest
 
 
@@ -481,14 +446,25 @@ def _prepare_out_dir(out: Path) -> None:
         )
     try:
         doc = json.loads(manifest.read_text(encoding="utf-8"))
-        listed = set(doc["files"])
+        listed = sorted(doc["files"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"out_dir: unreadable {MANIFEST_NAME}: {exc}") from exc
+    # check every entry before deleting any: a manifest must not reach
+    # outside the directory it manages
+    root = out.resolve()
+    targets = []
     for rel in listed:
-        target = out / rel
+        try:
+            target = (out / rel).resolve()
+        except (TypeError, ValueError):  # not a path string, or a NUL inside
+            target = root
+        if root not in target.parents:
+            raise ConfigError(f"out_dir: {MANIFEST_NAME} entry {rel!r} is not a file inside {out}")
+        targets.append(target)
+    for target in targets:
         if target.is_file():
             target.unlink()
-    manifest.unlink()
+    manifest.unlink(missing_ok=True)
     leftovers = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
     if leftovers:
         raise ConfigError(f"out_dir: unmanaged files present: {leftovers}")
@@ -560,38 +536,19 @@ def _stage_ingest(config: RunConfig, rec: _Recorder, state: dict) -> None:
 
 def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     net = state["net"]
-    n = net.node_count
-    deg = degree_centrality(net, normalized=False)
-    deg_norm = degree_centrality(net, normalized=True)
-    clo_raw = closeness_centrality(net, normalized=False)
-    clo = closeness_centrality(net, normalized=True)
-    exact = betweenness_exact(net)
-    bet = CentralityScores("betweenness", {i: float(v) for i, v in exact.items()}, False)
-    pairs = (n - 1) * (n - 2)
-    bet_norm = CentralityScores(
-        "betweenness",
-        {i: (float(2 * v / pairs) if pairs > 0 else 0.0) for i, v in exact.items()},
-        True,
-    )
-    write_scores_csv([deg, deg_norm, clo_raw, clo, bet, bet_norm], rec.path("centrality_scores.csv"))
+    score_sets, rank_keys = all_scores(net, betweenness_exact(net))
+    write_scores_csv(score_sets, rec.path("centrality_scores.csv"))
     rec.add("centrality_scores.csv")
 
     names = {node.id: node.name for node in net.nodes}
-    rankings = {
-        "degree": rank_mapping({i: net.degree(i) for i in net.node_ids}, n, "degree"),
-        "closeness": rank_mapping(clo.scores, n, "closeness"),
-        "betweenness": rank_mapping(exact, n, "betweenness"),
-    }
-    for kind, ranked in rankings.items():
+    for kind, keys in rank_keys.items():
         name = f"ranking_{kind}.csv"
-        write_ranking_csv(ranked, names, rec.path(name))
+        write_ranking_csv(rank_mapping(keys, net.node_count, kind), names, rec.path(name))
         rec.add(name)
-    state["rankings"] = rankings
+    state["rank_keys"] = rank_keys
 
 
-def _profiles_from_series(
-    cc: ClimateConfig, net, state: dict
-) -> dict[tuple[str, str], HotDayProfile]:
+def _profiles_from_series(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDayProfile]:
     if cc.series:
         series = read_series_csv(cc.series)
     else:
@@ -604,16 +561,11 @@ def _profiles_from_series(
     missing = sorted(set(models) - set(found))
     if missing:
         raise DataError(f"no daily series for model(s) {missing}")
-    periods = [cc.baseline, *cc.futures]
-
-    def build(model: str) -> list[HotDayProfile]:
-        per_node = {nid: s for (m, nid), s in series.items() if m == model}
-        return [build_hot_day_profile(per_node, p, cc.threshold_c) for p in periods]
-
     out: dict[tuple[str, str], HotDayProfile] = {}
-    for model, profs in zip(models, parallel_map(build, models)):
-        for prof in profs:
-            out[(model, prof.period.label)] = prof
+    for model in models:
+        per_node = {nid: s for (m, nid), s in series.items() if m == model}
+        for period in (cc.baseline, *cc.futures):
+            out[(model, period.label)] = build_hot_day_profile(per_node, period, cc.threshold_c)
     return out
 
 
@@ -640,7 +592,7 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
                 f"no profiles for model(s) {missing} at threshold {cc.threshold_c}"
             )
     else:
-        profiles = _profiles_from_series(cc, net, state)
+        profiles = _profiles_from_series(cc, net)
         models = sorted({model for model, _ in profiles})
 
     ordered = [profiles[key] for key in sorted(profiles) if key[0] in models]
@@ -701,7 +653,10 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
             ]
         elif scenario in TARGETED_SCENARIOS:
             kind = scenario.removeprefix("targeted_")
-            seqs = [targeted_sequence(net, kind, config.ranking)]
+            if config.ranking == "static" and "rank_keys" in state:
+                seqs = [static_sequence(kind, state["rank_keys"][kind])]
+            else:  # centrality stage skipped: score only this kind
+                seqs = [targeted_sequence(net, kind, config.ranking)]
         else:  # hot_days; climate stage ran earlier per config validation
             if "deltas" not in state:
                 raise DataError("hot_days scenario requires climate inputs")
@@ -710,7 +665,7 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
                 hot_day_sequence(net, deltas[m], m) for m in state["climate_models"]
             ]
         sequences.extend(seqs)
-        by_scenario[scenario] = parallel_map(lambda s: replay(net, s), seqs)
+        by_scenario[scenario] = [replay(net, s) for s in seqs]
     write_sequences_csv(sequences, rec.path("sequences.csv"))
     rec.add("sequences.csv")
     all_curves = [curve for scenario in config.scenarios for curve in by_scenario[scenario]]

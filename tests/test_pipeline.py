@@ -1,30 +1,38 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from freight_resilience import centrality
+from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
     FUTURE_NEAR,
     HotDayProfile,
+    read_delta_csv,
+    read_gridded_series_csv,
+    read_profiles_csv,
+    read_series_csv,
+    write_delta_csv,
     write_profiles_csv,
 )
+from freight_resilience.disruption import targeted_sequence
 from freight_resilience.errors import ConfigError, DataError, PipelineError, exit_code_for
 from freight_resilience.pipeline import (
     MANIFEST_NAME,
     STAGES,
-    THREADS_ENV,
     ClimateConfig,
     RunConfig,
     config_digest_dict,
     load_config,
-    parallel_map,
     report_from_curves,
     run,
-    worker_count,
 )
+from freight_resilience.metrics import read_curves_csv, replay, write_curves_csv
+from freight_resilience.network import load_network
 from freight_resilience.synth import SynthSpec, generate_synthetic
 
 ALL_PERIODS = {p.label: p for p in (BASELINE, FUTURE_NEAR, FUTURE_FAR)}
@@ -234,27 +242,6 @@ class TestLoadConfig:
         assert config_digest_dict(a) == config_digest_dict(b)
 
 
-class TestWorkerPool:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert worker_count() >= 1
-
-    def test_env_respected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert worker_count() == 3
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "abc", ""])
-    def test_bad_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(THREADS_ENV, bad)
-        with pytest.raises(ConfigError, match="positive integer"):
-            worker_count()
-
-    def test_order_preserved(self, monkeypatch):
-        for workers in ("1", "4"):
-            monkeypatch.setenv(THREADS_ENV, workers)
-            assert parallel_map(lambda x: x * x, range(40)) == [x * x for x in range(40)]
-
-
 EXPECTED_FULL_RUN_FILES = {
     "network_nodes.csv",
     "network_edges.csv",
@@ -312,14 +299,6 @@ class TestRun:
         for rel in a.files:
             assert (a.out_dir / rel).read_bytes() == (b.out_dir / rel).read_bytes()
 
-    def test_deterministic_across_worker_counts(self, demo, tmp_path, monkeypatch):
-        config = load_config(demo)
-        monkeypatch.setenv(THREADS_ENV, "1")
-        a = run(config)
-        monkeypatch.setenv(THREADS_ENV, "4")
-        b = run(replace(config, out_dir=str(tmp_path / "out4")))
-        assert a.manifest_sha256 == b.manifest_sha256
-
     def test_managed_rerun_reproduces(self, demo):
         config = load_config(demo)
         first = run(config)
@@ -360,6 +339,23 @@ class TestRun:
         with pytest.raises(ConfigError, match="unmanaged files"):
             run(config)
         assert stray.read_text() == "mine"
+
+    @pytest.mark.parametrize("escape", ["relative", "absolute", "nul"])
+    def test_manifest_entries_outside_out_dir_rejected(self, demo, tmp_path, escape):
+        config = load_config(demo)
+        run(config)
+        victim = tmp_path / "victim.txt"
+        victim.write_text("not ours")
+        manifest = Path(config.out_dir) / MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        entry = {"relative": "../victim.txt", "absolute": str(victim), "nul": "a\0b"}[escape]
+        doc["files"][entry] = {"sha256": "0" * 64, "bytes": 8}
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="is not a file inside"):
+            run(config)
+        assert victim.read_text() == "not ours"
+        # the check runs before any listed file is deleted
+        assert (Path(config.out_dir) / "curves.csv").is_file()
 
     def test_out_dir_is_a_file(self, demo):
         config = load_config(demo)
@@ -403,6 +399,84 @@ class TestRun:
         assert scenarios == set(config.scenarios)
         # hot_days appears once per climate model
         assert sum(1 for l in lines[1:] if l.startswith("hot_days,")) == 2
+
+
+def count_searches(monkeypatch) -> list[int]:
+    """Record the source of every single-source search from here on."""
+    sources: list[int] = []
+    search = centrality._bfs_counts
+
+    def counted(adj, source):
+        sources.append(source)
+        return search(adj, source)
+
+    monkeypatch.setattr(centrality, "_bfs_counts", counted)
+    return sources
+
+
+class TestSharedCentrality:
+    def test_full_run_sweeps_closeness_and_betweenness_once(self, demo, monkeypatch):
+        config = load_config(demo)
+        sources = count_searches(monkeypatch)
+        run(config)
+        n = load_network(config.nodes, config.edges).node_count
+        assert len(sources) == 2 * n
+
+    def test_static_orders_match_targeted_sequence(self, demo):
+        bundle = run(load_config(demo))
+        out = bundle.out_dir
+        net = load_network(out / "network_nodes.csv", out / "network_edges.csv")
+        with (out / "sequences.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for kind in CENTRALITY_KINDS:
+            order = tuple(int(r["node_id"]) for r in rows if r["scenario"] == f"targeted_{kind}")
+            assert order == targeted_sequence(net, kind, "static").order
+
+    def test_simulate_alone_scores_only_what_it_needs(self, demo, monkeypatch):
+        config = replace(load_config(demo), scenarios=("random", "targeted_degree"))
+        sources = count_searches(monkeypatch)
+        run(config, stages=("ingest", "simulate"))
+        assert sources == []
+
+
+class TestBomHeaders:
+    """CSV inputs saved with a UTF-8 byte-order mark (as Excel writes
+    them) load exactly like the same files without one."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        generate_synthetic(
+            SynthSpec(n_nodes=6, avg_degree=2.0, seed=3, models=("mA",),
+                      start_year=1995, end_year=1996),
+            tmp_path,
+        )
+        (tmp_path / "grid.csv").write_text(
+            "model,lat,lon,date,tmax_c\nmA,40.0,-90.0,1995-01-01,31.5\n"
+            "mA,40.0,-90.0,1995-01-02,29.0\n"
+        )
+        write_demo_profiles(tmp_path / "profiles.csv", n=6)
+        write_delta_csv({"mA": {1: 3, 2: -1}}, tmp_path / "deltas.csv")
+        net = load_network(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        write_curves_csv([replay(net, targeted_sequence(net, "degree"))], tmp_path / "curves.csv")
+        return tmp_path
+
+    LOADERS = {
+        "network": (("nodes.csv", "edges.csv"), load_network),
+        "series": (("tmax_mA.csv",), lambda path: read_series_csv([path])),
+        "grid": (("grid.csv",), lambda path: read_gridded_series_csv([path])),
+        "profiles": (("profiles.csv",), lambda path: read_profiles_csv(path, ALL_PERIODS)),
+        "deltas": (("deltas.csv",), read_delta_csv),
+        "curves": (("curves.csv",), read_curves_csv),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_bom_prefixed_file_loads(self, inputs, loader):
+        names, load = self.LOADERS[loader]
+        paths = [inputs / name for name in names]
+        plain = load(*paths)
+        for path in paths:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load(*paths) == plain
 
 
 class TestReportFromCurves:

@@ -14,14 +14,13 @@ appear only once, in the final conversion of each score.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .network import FreightNetwork
+from .tables import write_table
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness")
 RANKING_KINDS = CENTRALITY_KINDS + ("hot_days",)
@@ -223,18 +222,15 @@ def rank_nodes(scores: CentralityScores, k: int) -> RankedNodes:
 
 def write_scores_csv(all_scores: Sequence[CentralityScores], path) -> None:
     """Export score sets as ``node_id,kind,score,normalized`` rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "kind", "score", "normalized"])
-        for cs in all_scores:
-            for node in sorted(cs.scores):
-                writer.writerow([node, cs.kind, repr(cs.scores[node]), str(cs.normalized).lower()])
+    rows = (
+        [node, cs.kind, cs.scores[node], "true" if cs.normalized else "false"]
+        for cs in all_scores
+        for node in sorted(cs.scores)
+    )
+    write_table(path, ("node_id", "kind", "score", "normalized"), rows)
 
 
 def write_ranking_csv(ranked: RankedNodes, names: Mapping[int, str], path) -> None:
     """Export a ranking as ``rank,node_id,name,score`` rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "node_id", "name", "score"])
-        for rank, node, score in ranked.entries:
-            writer.writerow([rank, node, names.get(node, ""), repr(score)])
+    rows = ([rank, node, names.get(node, ""), score] for rank, node, score in ranked.entries)
+    write_table(path, ("rank", "node_id", "name", "score"), rows)

@@ -15,16 +15,15 @@ and models with shortened calendars are compared via period totals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .centrality import RankedNodes
 from .errors import DataError
 from .network import NodeRecord
+from .tables import read_table, write_table
 
 DEFAULT_THRESHOLD_C = 35.0
 
@@ -290,6 +289,9 @@ def map_nodes_to_grid(
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+_PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c")
+_DELTA_HEADER = ("model", "node_id", "delta_hot_days")
+
 
 def read_series_csv(paths: Iterable) -> dict[tuple[str, int], DailyTmaxSeries]:
     """Read per-node daily series files (``model,node_id,date,tmax_c``).
@@ -298,23 +300,14 @@ def read_series_csv(paths: Iterable) -> dict[tuple[str, int], DailyTmaxSeries]:
     """
     buckets: dict[tuple[str, int], list[tuple[date, float]]] = {}
     for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            raise DataError("file not found", path=p)
-        with p.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["model", "node_id", "date", "tmax_c"]:
-                raise DataError(f"unexpected header {header}", path=p, line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
+        with read_table(path, ("model", "node_id", "date", "tmax_c")) as records:
+            for lineno, row in records:
                 try:
                     key = (row[0], int(row[1]))
                     day = date.fromisoformat(row[2])
                     value = float(row[3])
                 except (ValueError, IndexError) as exc:
-                    raise DataError(str(exc), path=p, line=lineno) from exc
+                    raise DataError(str(exc), path=path, line=lineno) from exc
                 buckets.setdefault(key, []).append((day, value))
     out = {}
     for (model, node_id), rows in buckets.items():
@@ -335,31 +328,28 @@ def read_gridded_series_csv(
     cells: dict[tuple[str, float, float], list[tuple[date, float]]] = {}
     lats: set[float] = set()
     lons: set[float] = set()
+    names = []
     for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            raise DataError("file not found", path=p)
-        with p.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["model", "lat", "lon", "date", "tmax_c"]:
-                raise DataError(f"unexpected header {header}", path=p, line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
+        names.append(str(path))
+        with read_table(path, ("model", "lat", "lon", "date", "tmax_c")) as records:
+            for lineno, row in records:
                 try:
                     lat, lon = float(row[1]), float(row[2])
                     key = (row[0], lat, lon)
                     day = date.fromisoformat(row[3])
                     value = float(row[4])
                 except (ValueError, IndexError) as exc:
-                    raise DataError(str(exc), path=p, line=lineno) from exc
+                    raise DataError(str(exc), path=path, line=lineno) from exc
                 lats.add(lat)
                 lons.add(lon)
                 cells.setdefault(key, []).append((day, value))
     for rows in cells.values():
         rows.sort(key=lambda r: r[0])
-    return RegularGrid(tuple(sorted(lats)), tuple(sorted(lons))), cells
+    try:
+        grid = RegularGrid(tuple(sorted(lats)), tuple(sorted(lons)))
+    except ValueError as exc:
+        raise DataError(str(exc), path=", ".join(names)) from exc
+    return grid, cells
 
 
 def node_series_from_grid(
@@ -385,45 +375,33 @@ def node_series_from_grid(
 
 def write_profiles_csv(profiles: Sequence[HotDayProfile], path) -> None:
     """Export hot-day profiles (``model,period_label,node_id,hot_days,threshold_c``)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "period_label", "node_id", "hot_days", "threshold_c"])
-        for profile in profiles:
-            for node in sorted(profile.counts):
-                writer.writerow(
-                    [
-                        profile.model,
-                        profile.period.label,
-                        node,
-                        profile.counts[node],
-                        repr(profile.threshold_c),
-                    ]
-                )
+    rows = (
+        [p.model, p.period.label, node, p.counts[node], p.threshold_c]
+        for p in profiles
+        for node in sorted(p.counts)
+    )
+    write_table(path, _PROFILE_HEADER, rows)
 
 
 def read_profiles_csv(path, periods: Mapping[str, PeriodSpec]) -> list[HotDayProfile]:
     """Read precomputed profiles; ``periods`` maps labels to year windows."""
-    p = Path(path)
-    if not p.is_file():
-        raise DataError("file not found", path=p)
     grouped: dict[tuple[str, str, float], dict[int, int]] = {}
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "period_label", "node_id", "hot_days", "threshold_c"]:
-            raise DataError(f"unexpected header {header}", path=p, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with read_table(path, _PROFILE_HEADER) as records:
+        for lineno, row in records:
             try:
                 model, label = row[0], row[1]
                 node = int(row[2])
                 count = int(row[3])
                 threshold = float(row[4])
             except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=p, line=lineno) from exc
+                raise DataError(str(exc), path=path, line=lineno) from exc
             if label not in periods:
-                raise DataError(f"unknown period label {label!r}", path=p, line=lineno)
+                raise DataError(f"unknown period label {label!r}", path=path, line=lineno)
+            limit = periods[label].n_days()
+            if not 0 <= count <= limit:
+                raise DataError(
+                    f"{count} hot days outside [0, {limit}] for {label}", path=path, line=lineno
+                )
             grouped.setdefault((model, label, threshold), {})[node] = count
     return [
         HotDayProfile(model, periods[label], counts, threshold)
@@ -433,41 +411,23 @@ def read_profiles_csv(path, periods: Mapping[str, PeriodSpec]) -> list[HotDayPro
 
 def write_delta_csv(deltas: Mapping[str, Mapping[int, int]], path) -> None:
     """Export per-model deltas (``model,node_id,delta_hot_days``)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "node_id", "delta_hot_days"])
-        for model in sorted(deltas):
-            for node in sorted(deltas[model]):
-                writer.writerow([model, node, deltas[model][node]])
+    rows = ([m, node, deltas[m][node]] for m in sorted(deltas) for node in sorted(deltas[m]))
+    write_table(path, _DELTA_HEADER, rows)
 
 
 def read_delta_csv(path) -> dict[str, dict[int, int]]:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError("file not found", path=p)
     out: dict[str, dict[int, int]] = {}
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "node_id", "delta_hot_days"]:
-            raise DataError(f"unexpected header {header}", path=p, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with read_table(path, _DELTA_HEADER) as records:
+        for lineno, row in records:
             try:
                 out.setdefault(row[0], {})[int(row[1])] = int(row[2])
             except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=p, line=lineno) from exc
+                raise DataError(str(exc), path=path, line=lineno) from exc
     return out
 
 
 def write_ensemble_csv(summary: EnsembleSummary, path, key_name: str = "node_id") -> None:
     """Export an ensemble summary (``<key>,mean,sd,min,max,n_models``)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([key_name, "mean", "sd", "min", "max", "n_models"])
-        for key in sorted(summary.stats):
-            s = summary.stats[key]
-            writer.writerow(
-                [key, repr(s.mean), repr(s.sd), repr(s.min), repr(s.max), summary.n_models]
-            )
+    stats = sorted(summary.stats.items())
+    rows = ([key, s.mean, s.sd, s.min, s.max, summary.n_models] for key, s in stats)
+    write_table(path, (key_name, "mean", "sd", "min", "max", "n_models"), rows)

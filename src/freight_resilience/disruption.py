@@ -11,14 +11,13 @@ the criterion-driven prefix.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .centrality import CENTRALITY_KINDS, betweenness_exact, closeness_centrality
 from .network import FreightNetwork, remove_nodes
+from .tables import write_table
 
 TARGETED_SCENARIOS = ("targeted_degree", "targeted_closeness", "targeted_betweenness")
 
@@ -195,18 +194,16 @@ def build_sequence(
 
 def write_sequences_csv(sequences: Sequence[RemovalSequence], path) -> None:
     """Export removal orders, one row per step, steps numbered from 1."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "node_id", "scenario", "model", "seed", "beyond_criterion"])
-        for seq in sequences:
-            for step, node in enumerate(seq.order, start=1):
-                writer.writerow(
-                    [
-                        step,
-                        node,
-                        seq.scenario,
-                        seq.model if seq.model is not None else "",
-                        seq.seed if seq.seed is not None else "",
-                        "true" if node in seq.beyond_criterion else "false",
-                    ]
-                )
+    rows = (
+        [
+            step,
+            node,
+            seq.scenario,
+            seq.model,
+            seq.seed,
+            "true" if node in seq.beyond_criterion else "false",
+        ]
+        for seq in sequences
+        for step, node in enumerate(seq.order, start=1)
+    )
+    write_table(path, ("step", "node_id", "scenario", "model", "seed", "beyond_criterion"), rows)

@@ -17,16 +17,15 @@ form 1 - removed/total.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
+from .tables import read_table, write_table
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -322,42 +321,31 @@ _CURVE_HEADER = [
 
 
 def write_curves_csv(curves: Sequence[RobustnessCurve], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CURVE_HEADER)
-        for curve in curves:
-            for step in curve.steps:
-                writer.writerow(
-                    [
-                        curve.scenario,
-                        curve.model if curve.model is not None else "",
-                        curve.seed if curve.seed is not None else "",
-                        step.step,
-                        step.node_id if step.node_id is not None else "",
-                        repr(step.fraction_removed),
-                        step.ff,
-                        repr(step.scf),
-                        repr(step.tonnage_fraction),
-                        repr(step.tonnage_fraction_gcc),
-                    ]
-                )
+    rows = (
+        [
+            curve.scenario,
+            curve.model,
+            curve.seed,
+            step.step,
+            step.node_id,
+            step.fraction_removed,
+            step.ff,
+            step.scf,
+            step.tonnage_fraction,
+            step.tonnage_fraction_gcc,
+        ]
+        for curve in curves
+        for step in curve.steps
+    )
+    write_table(path, _CURVE_HEADER, rows)
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:
     """Rebuild curves from a curves CSV (rows grouped per curve, in step
     order, as written by write_curves_csv)."""
-    p = Path(path)
-    if not p.is_file():
-        raise DataError("file not found", path=p)
     groups: dict[tuple[str, str, str], list[CurveStep]] = {}
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CURVE_HEADER:
-            raise DataError(f"unexpected header {header}", path=p, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with read_table(path, _CURVE_HEADER) as records:
+        for lineno, row in records:
             try:
                 key = (row[0], row[1], row[2])
                 step = CurveStep(
@@ -370,19 +358,19 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
                     tonnage_fraction_gcc=float(row[9]),
                 )
             except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=p, line=lineno) from exc
+                raise DataError(str(exc), path=path, line=lineno) from exc
             groups.setdefault(key, []).append(step)
     curves = []
     for (scenario, model, seed), steps in groups.items():
         if not steps or steps[0].step != 0 or steps[0].fraction_removed != 0.0:
-            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r} lacks a step-0 row", path=p)
+            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r} lacks a step-0 row", path=path)
         if len(steps) > 1:
             if steps[1].fraction_removed <= 0.0:
                 raise DataError(
                     f"curve {scenario!r}/{model!r}/{seed!r}: step 1 fraction_removed must be positive",
-                    path=p,
+                    path=path,
                 )
-            n_nodes = round(1 / steps[1].fraction_removed)
+            n_nodes = 1 / steps[1].fraction_removed
         else:
             n_nodes = steps[0].ff
         try:
@@ -391,26 +379,16 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
                     scenario=scenario,
                     model=model or None,
                     seed=int(seed) if seed else None,
-                    n_nodes=n_nodes,
+                    n_nodes=round(n_nodes),
                     tf=steps[0].ff,
                     steps=tuple(steps),
                 )
             )
-        except ValueError as exc:
-            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r}: {exc}", path=p) from exc
+        except (ValueError, OverflowError) as exc:  # overflow: a subnormal step-1 fraction
+            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r}: {exc}", path=path) from exc
     return curves
 
 
 def write_collapse_csv(rows: Sequence[CollapseRow], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "model", "threshold", "collapse_fraction"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scenario,
-                    row.model if row.model is not None else "",
-                    repr(row.threshold),
-                    repr(row.collapse_fraction) if row.collapse_fraction is not None else "",
-                ]
-            )
+    cells = ([r.scenario, r.model, r.threshold, r.collapse_fraction] for r in rows)
+    write_table(path, ("scenario", "model", "threshold", "collapse_fraction"), cells)

@@ -4,8 +4,7 @@ Networks are undirected, unweighted graphs whose nodes are freight
 facilities (rail stations, water ports) carrying a projected tonnage.
 Edges are stored exactly once per unordered pair; inputs that list both
 directions of a link are collapsed. Network values are immutable after
-construction, so they can be shared freely between workers; every
-mutating-style operation returns a new value.
+construction; every mutating-style operation returns a new value.
 
 CSV schemas:
     nodes: ``id,name,mode,lat,lon,tonnage``   (UTF-8, mode in {rail, water})
@@ -18,14 +17,13 @@ a freshly loaded canonical file reproduces it byte for byte.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .tables import read_rows, write_table
 
 MODES = ("rail", "water")
 
@@ -177,30 +175,24 @@ def filter_mode(net: FreightNetwork, mode: str) -> FreightNetwork:
     return FreightNetwork(keep, edges)
 
 
-def _open_rows(path):
-    p = Path(path)
-    if not p.is_file():
-        raise DataError("file not found", path=p)
-    with p.open(newline="", encoding="utf-8-sig") as fh:
-        return list(csv.reader(fh))
-
-
-def _header_index(rows, columns, column_map, path):
+def _header_index(first, columns, column_map, path):
     """Map canonical column names to positions in the file header.
 
-    ``column_map`` renames canonical -> actual header names, which lets the
-    loader consume exports whose tonnage/coordinate columns vary by tool
-    version. Extra columns are ignored.
+    ``first`` is the file's first ``(line, row)`` record, or None for an
+    empty file. ``column_map`` renames canonical -> actual header names,
+    which lets the loader consume exports whose tonnage/coordinate
+    columns vary by tool version. Extra columns are ignored.
     """
-    if not rows:
+    if first is None:
         raise DataError("empty file, expected header row", path=path, line=1)
-    header = [h.strip() for h in rows[0]]
+    line, row = first
+    header = [h.strip() for h in row]
     mapping = dict(column_map or {})
     index = {}
     for name in columns:
         actual = mapping.get(name, name)
         if actual not in header:
-            raise DataError(f"missing column {actual!r} in header {header}", path=path, line=1)
+            raise DataError(f"missing column {actual!r} in header {header}", path=path, line=line)
         index[name] = header.index(actual)
     return index, len(header)
 
@@ -216,74 +208,65 @@ def load_network(
     link) are collapsed; row order never affects the result. Errors are
     reported as DataError with the offending file and line number.
     """
-    node_rows = _open_rows(nodes_table)
-    idx, width = _header_index(node_rows, NODE_COLUMNS, column_map, nodes_table)
     nodes: list[NodeRecord] = []
     seen: dict[int, int] = {}
-    for lineno, row in enumerate(node_rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise DataError(
-                f"expected {width} fields, got {len(row)}", path=nodes_table, line=lineno
-            )
-        try:
-            rec = NodeRecord(
-                id=int(row[idx["id"]]),
-                name=row[idx["name"]],
-                mode=row[idx["mode"]].strip(),
-                lat=float(row[idx["lat"]]),
-                lon=float(row[idx["lon"]]),
-                tonnage=float(row[idx["tonnage"]]),
-            )
-        except ValueError as exc:
-            raise DataError(str(exc), path=nodes_table, line=lineno) from exc
-        if rec.id in seen:
-            raise DataError(
-                f"duplicate node id {rec.id} (first seen on line {seen[rec.id]})",
-                path=nodes_table,
-                line=lineno,
-            )
-        seen[rec.id] = lineno
-        nodes.append(rec)
+    with read_rows(nodes_table) as records:
+        idx, width = _header_index(next(records, None), NODE_COLUMNS, column_map, nodes_table)
+        for lineno, row in records:
+            if len(row) != width:
+                raise DataError(
+                    f"expected {width} fields, got {len(row)}", path=nodes_table, line=lineno
+                )
+            try:
+                rec = NodeRecord(
+                    id=int(row[idx["id"]]),
+                    name=row[idx["name"]],
+                    mode=row[idx["mode"]].strip(),
+                    lat=float(row[idx["lat"]]),
+                    lon=float(row[idx["lon"]]),
+                    tonnage=float(row[idx["tonnage"]]),
+                )
+            except ValueError as exc:
+                raise DataError(str(exc), path=nodes_table, line=lineno) from exc
+            if rec.id in seen:
+                raise DataError(
+                    f"duplicate node id {rec.id} (first seen on line {seen[rec.id]})",
+                    path=nodes_table,
+                    line=lineno,
+                )
+            seen[rec.id] = lineno
+            nodes.append(rec)
 
-    edge_rows = _open_rows(edges_table)
-    eidx, ewidth = _header_index(edge_rows, EDGE_COLUMNS, column_map, edges_table)
     known = set(seen)
     edges: set[tuple[int, int]] = set()
-    for lineno, row in enumerate(edge_rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != ewidth:
-            raise DataError(
-                f"expected {ewidth} fields, got {len(row)}", path=edges_table, line=lineno
-            )
-        try:
-            a = int(row[eidx["src"]])
-            b = int(row[eidx["dst"]])
-        except ValueError as exc:
-            raise DataError(str(exc), path=edges_table, line=lineno) from exc
-        if a == b:
-            raise DataError(f"self-loop at node {a}", path=edges_table, line=lineno)
-        for endpoint in (a, b):
-            if endpoint not in known:
+    with read_rows(edges_table) as records:
+        eidx, ewidth = _header_index(next(records, None), EDGE_COLUMNS, column_map, edges_table)
+        for lineno, row in records:
+            if len(row) != ewidth:
                 raise DataError(
-                    f"edge references unknown node id {endpoint}", path=edges_table, line=lineno
+                    f"expected {ewidth} fields, got {len(row)}", path=edges_table, line=lineno
                 )
-        edges.add((a, b) if a < b else (b, a))
+            try:
+                a = int(row[eidx["src"]])
+                b = int(row[eidx["dst"]])
+            except ValueError as exc:
+                raise DataError(str(exc), path=edges_table, line=lineno) from exc
+            if a == b:
+                raise DataError(f"self-loop at node {a}", path=edges_table, line=lineno)
+            for endpoint in (a, b):
+                if endpoint not in known:
+                    message = f"edge references unknown node id {endpoint}"
+                    raise DataError(message, path=edges_table, line=lineno)
+            edges.add((a, b) if a < b else (b, a))
 
     return FreightNetwork(tuple(sorted(nodes, key=lambda n: n.id)), tuple(sorted(edges)))
 
 
 def save_network(net: FreightNetwork, nodes_path, edges_path) -> None:
     """Export to the canonical CSV form (sorted, round-trip stable)."""
-    with Path(nodes_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(NODE_COLUMNS)
-        for n in net.nodes:
-            writer.writerow([n.id, n.name, n.mode, repr(n.lat), repr(n.lon), repr(n.tonnage)])
-    with Path(edges_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGE_COLUMNS)
-        for a, b in net.edges:
-            writer.writerow([a, b])
+    write_table(
+        nodes_path,
+        NODE_COLUMNS,
+        ([n.id, n.name, n.mode, n.lat, n.lon, n.tonnage] for n in net.nodes),
+    )
+    write_table(edges_path, EDGE_COLUMNS, net.edges)

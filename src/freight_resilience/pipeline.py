@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -74,6 +75,7 @@ from .metrics import (
 )
 from .network import MODES, filter_mode, load_network, save_network
 from .svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
+from .tables import write_table
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "freight-resilience-manifest/1"
@@ -309,7 +311,9 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> RunConfi
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError: not UTF-8, not JSON, or an over-long integer literal;
+    # RecursionError: arrays or objects nested too deeply to decode
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config: top level must be an object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -447,7 +451,7 @@ def _prepare_out_dir(out: Path) -> None:
     try:
         doc = json.loads(manifest.read_text(encoding="utf-8"))
         listed = sorted(doc["files"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:  # as in load_config
         raise ConfigError(f"out_dir: unreadable {MANIFEST_NAME}: {exc}") from exc
     # check every entry before deleting any: a manifest must not reach
     # outside the directory it manages
@@ -461,13 +465,16 @@ def _prepare_out_dir(out: Path) -> None:
         if root not in target.parents:
             raise ConfigError(f"out_dir: {MANIFEST_NAME} entry {rel!r} is not a file inside {out}")
         targets.append(target)
+    # a refused run deletes nothing
+    managed = {*targets, manifest.resolve()}
+    files = [p for p in out.rglob("*") if p.is_file() and p.resolve() not in managed]
+    leftovers = sorted(str(p.relative_to(out)) for p in files)
+    if leftovers:
+        raise ConfigError(f"out_dir: unmanaged files present: {leftovers}")
     for target in targets:
         if target.is_file():
             target.unlink()
     manifest.unlink(missing_ok=True)
-    leftovers = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-    if leftovers:
-        raise ConfigError(f"out_dir: unmanaged files present: {leftovers}")
 
 
 def _write_manifest(
@@ -631,10 +638,12 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
     ]
     k = min(cc.top_k, n)
     freq = top_k_frequency(rankings, k)
-    with rec.path("hotday_topk.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write("node_id,appearances,k,n_models\n")
-        for node in sorted(freq, key=lambda i: (-freq[i], i)):
-            fh.write(f"{node},{freq[node]},{k},{len(models)}\n")
+    top = sorted(freq, key=lambda i: (-freq[i], i))
+    write_table(
+        rec.path("hotday_topk.csv"),
+        ("node_id", "appearances", "k", "n_models"),
+        ([node, freq[node], k, len(models)] for node in top),
+    )
     rec.add("hotday_topk.csv")
 
     state["deltas"] = deltas
@@ -773,25 +782,23 @@ def emit_report(
     write_collapse_csv(rows, rec.path("collapse.csv"))
     rec.add("collapse.csv")
 
-    with rec.path("collapse_ensemble.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write("scenario,threshold,mean,sd,min,max,n_curves\n")
-        for scenario in scenario_order:
-            curves = by_scenario[scenario]
-            ens = aggregate_curves(curves, threshold)
-            if ens.collapse is None:
-                fh.write(f"{scenario},{threshold!r},,,,,{ens.n_curves}\n")
-            else:
-                s = ens.collapse
-                fh.write(
-                    f"{scenario},{threshold!r},{s.mean!r},{s.sd!r},{s.min!r},{s.max!r},"
-                    f"{ens.n_curves}\n"
-                )
-            if ens.n_curves > 1:
-                for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
-                    name = f"ensemble_{target}_{scenario}.csv"
-                    summary = EnsembleSummary(target=target, stats=stats, n_models=ens.n_curves)
-                    write_ensemble_csv(summary, rec.path(name), key_name="step")
-                    rec.add(name)
+    ensemble_rows = []
+    for scenario in scenario_order:
+        ens = aggregate_curves(by_scenario[scenario], threshold)
+        s = ens.collapse
+        spread = [None] * 4 if s is None else [s.mean, s.sd, s.min, s.max]
+        ensemble_rows.append([scenario, threshold, *spread, ens.n_curves])
+        if ens.n_curves > 1:
+            for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
+                name = f"ensemble_{target}_{scenario}.csv"
+                summary = EnsembleSummary(target=target, stats=stats, n_models=ens.n_curves)
+                write_ensemble_csv(summary, rec.path(name), key_name="step")
+                rec.add(name)
+    write_table(
+        rec.path("collapse_ensemble.csv"),
+        ("scenario", "threshold", "mean", "sd", "min", "max", "n_curves"),
+        ensemble_rows,
+    )
     rec.add("collapse_ensemble.csv")
 
     limits = _plot_limits(sequences)
@@ -859,6 +866,31 @@ _STAGE_FNS = {
 }
 
 
+def _emit(
+    out: Path, digest: str, stages: Sequence[tuple[str, Callable[[_Recorder], None]]]
+) -> ReportBundle:
+    """Prepare ``out``, run the named stages into it in order, and seal it
+    with a manifest; a failing stage is handled as ``run`` describes."""
+    _prepare_out_dir(out)
+    rec = _Recorder(out)
+    for name, stage in stages:
+        try:
+            stage(rec)
+        except Exception as exc:
+            _write_manifest(out, digest, rec.relpaths, "incomplete", name)
+            if isinstance(exc, PipelineError):
+                raise
+            raise PipelineError(name, exc) from exc
+    manifest_path, manifest_sha = _write_manifest(out, digest, rec.relpaths, "complete", None)
+    _verify_managed(out, rec.relpaths)
+    return ReportBundle(
+        out_dir=out,
+        files=tuple(rec.relpaths),
+        manifest_path=manifest_path,
+        manifest_sha256=manifest_sha,
+    )
+
+
 def run(config: RunConfig, stages: Sequence[str] = STAGES) -> ReportBundle:
     """Execute the pipeline and return the emitted bundle.
 
@@ -870,30 +902,11 @@ def run(config: RunConfig, stages: Sequence[str] = STAGES) -> ReportBundle:
     if unknown:
         raise ConfigError(f"unknown stage(s) {unknown}")
     config.validate()
-    out = Path(config.out_dir)
-    _prepare_out_dir(out)
-    rec = _Recorder(out)
     state: dict = {}
-    digest = _digest_of(config_digest_dict(config))
-    current = "setup"
-    try:
-        for name in STAGES:
-            if name not in stages:
-                continue
-            current = name
-            _STAGE_FNS[name](config, rec, state)
-    except Exception as exc:
-        _write_manifest(out, digest, rec.relpaths, "incomplete", current)
-        if isinstance(exc, PipelineError):
-            raise
-        raise PipelineError(current, exc) from exc
-    manifest_path, manifest_sha = _write_manifest(out, digest, rec.relpaths, "complete", None)
-    _verify_managed(out, rec.relpaths)
-    return ReportBundle(
-        out_dir=out,
-        files=tuple(rec.relpaths),
-        manifest_path=manifest_path,
-        manifest_sha256=manifest_sha,
+    return _emit(
+        Path(config.out_dir),
+        _digest_of(config_digest_dict(config)),
+        [(s, partial(_STAGE_FNS[s], config, state=state)) for s in STAGES if s in stages],
     )
 
 
@@ -910,20 +923,8 @@ def report_from_curves(curves_csv, out_dir, threshold: float = DEFAULT_COLLAPSE_
         if curve.scenario not in by_scenario:
             order.append(curve.scenario)
         by_scenario.setdefault(curve.scenario, []).append(curve)
-    out = Path(out_dir)
-    _prepare_out_dir(out)
-    rec = _Recorder(out)
-    digest = _digest_of({"curves_csv": str(curves_csv), "collapse_threshold": threshold})
-    try:
-        emit_report(by_scenario, order, threshold, rec)
-    except Exception as exc:
-        _write_manifest(out, digest, rec.relpaths, "incomplete", "report")
-        raise PipelineError("report", exc) from exc
-    manifest_path, manifest_sha = _write_manifest(out, digest, rec.relpaths, "complete", None)
-    _verify_managed(out, rec.relpaths)
-    return ReportBundle(
-        out_dir=out,
-        files=tuple(rec.relpaths),
-        manifest_path=manifest_path,
-        manifest_sha256=manifest_sha,
+    return _emit(
+        Path(out_dir),
+        _digest_of({"curves_csv": str(curves_csv), "collapse_threshold": threshold}),
+        [("report", partial(emit_report, by_scenario, order, threshold))],
     )

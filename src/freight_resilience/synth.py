@@ -14,7 +14,6 @@ emitted files is pinned by this module, not by stdlib internals.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import random
@@ -24,6 +23,7 @@ from pathlib import Path
 
 from .disruption import _rand_below, _shuffled
 from .network import MODES, FreightNetwork, NodeRecord, save_network
+from .tables import write_table
 
 DEFAULT_MODELS = ("synth-a", "synth-b", "synth-c")
 
@@ -150,9 +150,8 @@ def write_series_for_model(
     first = date(spec.start_year, 1, 1)
     last = date(spec.end_year, 12, 31)
     n_days = (last - first).days + 1
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "node_id", "date", "tmax_c"])
+
+    def rows():
         for node in net.nodes:
             # hash-derived sub-seed: stable across processes, unlike
             # seeding Random with a tuple (which goes through hash())
@@ -165,7 +164,9 @@ def write_series_for_model(
                 seasonal = -12.0 * math.cos(2.0 * math.pi * (doy - 15) / 365.25)
                 trend = spec.trend_c_per_year * (day.year - spec.start_year)
                 value = peak - 12.0 + seasonal + trend + bias + spec.noise_sd_c * _gauss(rng)
-                writer.writerow([model, node.id, day.isoformat(), f"{value:.2f}"])
+                yield [model, node.id, day.isoformat(), f"{value:.2f}"]
+
+    write_table(path, ("model", "node_id", "date", "tmax_c"), rows())
 
 
 def generate_synthetic(spec: SynthSpec, out_dir) -> dict[str, Path]:

@@ -55,6 +55,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "nodes.csv:3" in err
 
+    def test_undecodable_data_is_data_error(self, demo, capsys):
+        nodes = demo.parent / "data" / "nodes.csv"
+        nodes.write_bytes(nodes.read_bytes().replace(b"rail", b"r\xffil", 1))
+        assert main(["run", "--config", str(demo)]) == 3
+        assert "nodes.csv:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_config_is_config_error(self, demo, capsys):
+        demo.write_bytes(b"\xff" + demo.read_bytes())
+        assert main(["run", "--config", str(demo)]) == 2
+        assert "error: config: invalid JSON" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "freight-resilience" in capsys.readouterr().out

@@ -375,6 +375,12 @@ class TestGriddedCsv:
         with pytest.raises(DataError, match="no series for model"):
             node_series_from_grid([node], grid, cells)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("model,lat,lon,date,tmax_c\n")
+        with pytest.raises(DataError, match=r"grid\.csv: grid axes must be non-empty"):
+            read_gridded_series_csv([path])
+
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
@@ -392,6 +398,17 @@ class TestProfileCsv:
         path = tmp_path / "profiles.csv"
         path.write_text("model,period_label,node_id,hot_days,threshold_c\nm,zap,1,3,35.0\n")
         with pytest.raises(DataError, match="unknown period label 'zap'"):
+            read_profiles_csv(path, {"p": PeriodSpec("p", 2000, 2000)})
+
+    @pytest.mark.parametrize("count", [-1, 367])
+    def test_hot_days_outside_period_rejected(self, tmp_path, count):
+        path = tmp_path / "profiles.csv"
+        path.write_text(
+            "model,period_label,node_id,hot_days,threshold_c\n"
+            f"m,p,1,3,35.0\nm,p,2,{count},35.0\n"
+        )
+        message = rf"profiles\.csv:3: {count} hot days outside \[0, 366\]"
+        with pytest.raises(DataError, match=message):
             read_profiles_csv(path, {"p": PeriodSpec("p", 2000, 2000)})
 
 

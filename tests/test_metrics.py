@@ -339,6 +339,17 @@ class TestCurvesCsv:
         with pytest.raises(DataError, match=r"curves\.csv:3"):
             read_curves_csv(path)
 
+    def test_subnormal_step_fraction_rejected(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        write_curves_csv(self.sample_curves()[:1], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "1e-320"  # 1 / fraction_removed overflows to infinity
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="curve 'random'"):
+            read_curves_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             read_curves_csv(tmp_path / "none.csv")

@@ -1,10 +1,15 @@
+import ast
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import freight_resilience
 from freight_resilience import centrality
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
@@ -100,6 +105,17 @@ class TestLoadConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff{}", b'{"seeds": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+        ids=["not-utf8", "integer-past-digit-limit", "nested-too-deep"],
+    )
+    def test_unparseable_json(self, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
@@ -334,11 +350,24 @@ class TestRun:
     def test_refuses_unmanaged_leftovers(self, demo):
         config = load_config(demo)
         run(config)
-        stray = Path(config.out_dir) / "notes.txt"
+        out = Path(config.out_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        stray = out / "notes.txt"
         stray.write_text("mine")
         with pytest.raises(ConfigError, match="unmanaged files"):
             run(config)
         assert stray.read_text() == "mine"
+        # the refused run deleted none of the previous results
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p != stray} == before
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+    def test_unparseable_manifest_rejected(self, demo, content):
+        config = load_config(demo)
+        run(config)
+        manifest = Path(config.out_dir) / MANIFEST_NAME
+        manifest.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"unreadable {MANIFEST_NAME}"):
+            run(config)
 
     @pytest.mark.parametrize("escape", ["relative", "absolute", "nul"])
     def test_manifest_entries_outside_out_dir_rejected(self, demo, tmp_path, escape):
@@ -439,44 +468,138 @@ class TestSharedCentrality:
         assert sources == []
 
 
+def write_loader_inputs(root):
+    """One small valid input file for every CSV loader, plus a config."""
+    generate_synthetic(
+        SynthSpec(n_nodes=6, avg_degree=2.0, seed=3, models=("mA",),
+                  start_year=1995, end_year=1996),
+        root,
+    )
+    (root / "grid.csv").write_text(
+        "model,lat,lon,date,tmax_c\nmA,40.0,-90.0,1995-01-01,31.5\n"
+        "mA,40.0,-90.0,1995-01-02,29.0\n"
+    )
+    write_demo_profiles(root / "profiles.csv", n=6)
+    write_delta_csv({"mA": {1: 3, 2: -1}}, root / "deltas.csv")
+    net = load_network(root / "nodes.csv", root / "edges.csv")
+    write_curves_csv([replay(net, targeted_sequence(net, "degree"))], root / "curves.csv")
+    config = {"nodes": "nodes.csv", "edges": "edges.csv", "out_dir": "out", "seeds": 2}
+    (root / "config.json").write_text(json.dumps(config))
+    return root
+
+
+# every input loader, with the files it reads
+LOADERS = {
+    "network": (("nodes.csv", "edges.csv"), load_network),
+    "series": (("tmax_mA.csv",), lambda path: read_series_csv([path])),
+    "grid": (("grid.csv",), lambda path: read_gridded_series_csv([path])),
+    "profiles": (("profiles.csv",), lambda path: read_profiles_csv(path, ALL_PERIODS)),
+    "deltas": (("deltas.csv",), read_delta_csv),
+    "curves": (("curves.csv",), read_curves_csv),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    return write_loader_inputs(tmp_path)
+
+
 class TestBomHeaders:
     """CSV inputs saved with a UTF-8 byte-order mark (as Excel writes
     them) load exactly like the same files without one."""
 
-    @pytest.fixture
-    def inputs(self, tmp_path):
-        generate_synthetic(
-            SynthSpec(n_nodes=6, avg_degree=2.0, seed=3, models=("mA",),
-                      start_year=1995, end_year=1996),
-            tmp_path,
-        )
-        (tmp_path / "grid.csv").write_text(
-            "model,lat,lon,date,tmax_c\nmA,40.0,-90.0,1995-01-01,31.5\n"
-            "mA,40.0,-90.0,1995-01-02,29.0\n"
-        )
-        write_demo_profiles(tmp_path / "profiles.csv", n=6)
-        write_delta_csv({"mA": {1: 3, 2: -1}}, tmp_path / "deltas.csv")
-        net = load_network(tmp_path / "nodes.csv", tmp_path / "edges.csv")
-        write_curves_csv([replay(net, targeted_sequence(net, "degree"))], tmp_path / "curves.csv")
-        return tmp_path
-
-    LOADERS = {
-        "network": (("nodes.csv", "edges.csv"), load_network),
-        "series": (("tmax_mA.csv",), lambda path: read_series_csv([path])),
-        "grid": (("grid.csv",), lambda path: read_gridded_series_csv([path])),
-        "profiles": (("profiles.csv",), lambda path: read_profiles_csv(path, ALL_PERIODS)),
-        "deltas": (("deltas.csv",), read_delta_csv),
-        "curves": (("curves.csv",), read_curves_csv),
-    }
-
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_bom_prefixed_file_loads(self, inputs, loader):
-        names, load = self.LOADERS[loader]
+        names, load = LOADERS[loader]
         paths = [inputs / name for name in names]
         plain = load(*paths)
         for path in paths:
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert load(*paths) == plain
+
+
+@pytest.fixture(scope="module")
+def shared_inputs(tmp_path_factory):
+    return write_loader_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+# the CSV loaders and the config loader, each with every file it reads
+INPUT_LOADERS = {**LOADERS, "config": (("config.json",), load_config)}
+INPUT_FILES = [
+    (loader, name) for loader, (names, _) in sorted(INPUT_LOADERS.items()) for name in names
+]
+
+CSV_LIKE_BYTES = st.text(alphabet='0123456789-+.,:"\n\r eEinfaT\ufeff', max_size=300).map(
+    str.encode
+)
+
+
+class TestMalformedInputs:
+    """Malformed input files end in DataError (exit 3) naming the file
+    and line, or ConfigError (exit 2) for the config: never exit 4."""
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_undecodable_byte_names_its_line(self, inputs, loader):
+        names, load = LOADERS[loader]
+        paths = [inputs / name for name in names]
+        for path in paths:
+            good = path.read_bytes()
+            # far beyond the text layer's read-ahead, so the csv reader
+            # is on another line when the decoder meets the bad byte
+            path.write_bytes(good + b"\n" * 10_000 + b"caf\xff\n")
+            line = good.count(b"\n") + 10_001
+            with pytest.raises(DataError, match=rf"{re.escape(str(path))}:{line}: not valid UTF-8"):
+                load(*paths)
+            path.write_bytes(good)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_oversized_field_names_its_line(self, inputs, loader):
+        names, load = LOADERS[loader]
+        paths = [inputs / name for name in names]
+        for path in paths:
+            good = path.read_bytes()
+            path.write_bytes(good + b"x" * 200_000 + b"\n")
+            line = good.count(b"\n") + 1
+            with pytest.raises(DataError, match=rf"{re.escape(str(path))}:{line}: field larger"):
+                load(*paths)
+            path.write_bytes(good)
+
+    @pytest.mark.parametrize("loader, name", INPUT_FILES)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.sampled_from(["", "header", "file"]),
+        body=st.one_of(st.binary(max_size=300), CSV_LIKE_BYTES),
+    )
+    def test_arbitrary_bytes_raise_only_input_errors(
+        self, shared_inputs, loader, name, prefix, body
+    ):
+        names, load = INPUT_LOADERS[loader]
+        paths = [shared_inputs / n for n in names]
+        good = (shared_inputs / name).read_bytes()
+        head = {"": b"", "header": good.split(b"\n")[0] + b"\n", "file": good}[prefix]
+        fuzzed = shared_inputs / f"fuzzed-{name}"
+        fuzzed.unlink(missing_ok=True)  # rewriting in place can flush to disk each time
+        fuzzed.write_bytes(head + body)
+        paths[names.index(name)] = fuzzed
+        try:
+            load(*paths)
+        except (DataError, ConfigError):
+            pass
+
+
+def test_only_tables_imports_csv():
+    importers = []
+    for path in sorted(Path(freight_resilience.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "csv" for m in modules):
+                importers.append(path.name)
+    assert importers == ["tables.py"]
 
 
 class TestReportFromCurves:

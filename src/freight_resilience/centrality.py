@@ -6,17 +6,18 @@ pair {s, t} contributes once. Summing over ordered pairs, as some
 definitions do, exactly doubles every score on an undirected graph and
 leaves all rankings and removal orders unchanged.
 
-Path counts are exact integers and Brandes' accumulation runs in exact
-rational arithmetic, so scores are independent of node iteration order
-and safe to compare exactly against pairwise path-count oracles. Floats
-appear only once, in the final conversion of each score.
+Path counts are exact integers. Brandes' accumulation runs in integers
+over one common denominator, and one exact ``Fraction`` per node is built
+at the end, so scores are independent of node iteration order and safe
+to compare exactly against pairwise path-count oracles. Floats appear
+only once, in the final conversion of each score.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .network import FreightNetwork
@@ -72,27 +73,22 @@ class RankedNodes:
 
 
 def _bfs_counts(adj: Mapping[int, tuple[int, ...]], source: int):
-    """Hop distances, shortest-path counts, predecessor lists, and BFS order."""
+    """Hop distances, shortest-path counts, and BFS order from ``source``."""
     dist = {source: 0}
     sigma = {source: 1}
-    preds: dict[int, list[int]] = {source: []}
-    order = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    order = [source]
+    for v in order:  # the order list is its own queue
         dv1 = dist[v] + 1
         sv = sigma[v]
         for w in adj[v]:
-            if w not in dist:
+            dw = dist.get(w)
+            if dw is None:
                 dist[w] = dv1
-                sigma[w] = 0
-                preds[w] = []
-                queue.append(w)
-            if dist[w] == dv1:
+                sigma[w] = sv
+                order.append(w)
+            elif dw == dv1:
                 sigma[w] += sv
-                preds[w].append(v)
-    return dist, sigma, preds, order
+    return dist, sigma, order
 
 
 def degree_centrality(net: FreightNetwork, normalized: bool = False) -> CentralityScores:
@@ -110,7 +106,7 @@ def _closeness_pass(net: FreightNetwork) -> dict[int, tuple[int, int]]:
     """(reach, sum of hop distances to the reachable set) per node."""
     sums = {}
     for i in net.node_ids:
-        dist, _, _, order = _bfs_counts(net.adjacency, i)
+        dist, _, order = _bfs_counts(net.adjacency, i)
         sums[i] = (len(order) - 1, sum(dist[v] for v in order))
     return sums
 
@@ -142,20 +138,43 @@ def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> Centra
 
 
 def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
-    """Unordered-pair betweenness as exact rationals (Brandes' accumulation)."""
-    bc = {i: Fraction(0) for i in net.node_ids}
+    """Unordered-pair betweenness as exact rationals (Brandes' accumulation).
+
+    For one source s, let sigma(v) count the shortest s-v paths, delta(v)
+    be the dependency of s on v, and l be the lcm of sigma over the nodes
+    s reaches. Then omega(v) = l * delta(v) / sigma(v) is an integer:
+
+        omega(v) = sum over successors w of v of (l / sigma(w) + omega(w))
+
+    where w succeeds v when they are neighbours and dist(w) = dist(v) + 1.
+    Each node keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
+    over a common denominator g; when a source's l does not divide g, g
+    grows to lcm(g, l) and every accumulator is rescaled.
+    """
     adj = net.adjacency
+    acc = dict.fromkeys(net.node_ids, 0)
+    g = 1
     for s in net.node_ids:
-        _, sigma, preds, order = _bfs_counts(adj, s)
-        delta = {v: Fraction(0) for v in order}
-        for w in reversed(order):
-            coeff = (1 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
+        dist, sigma, order = _bfs_counts(adj, s)
+        l = lcm(*sigma.values())
+        if g % l:
+            scale = l // gcd(g, l)
+            g *= scale
+            for v in acc:
+                acc[v] *= scale
+        step = g // l
+        omega = dict.fromkeys(order, 0)
+        for w in order[:0:-1]:  # every node but s, farthest first
+            sw = sigma[w]
+            ow = omega[w]
+            acc[w] += sw * ow * step
+            ow += l // sw
+            dv = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dv:  # v precedes w
+                    omega[v] += ow
     # each unordered pair was counted from both endpoints
-    return {i: value / 2 for i, value in bc.items()}
+    return {i: Fraction(value, 2 * g) for i, value in acc.items()}
 
 
 def _betweenness_scores(

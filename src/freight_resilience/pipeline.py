@@ -310,7 +310,7 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> RunConfi
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(p.read_text(encoding="utf-8-sig"))
     # ValueError: not UTF-8, not JSON, or an over-long integer literal;
     # RecursionError: arrays or objects nested too deeply to decode
     except (ValueError, RecursionError) as exc:

@@ -3,9 +3,12 @@
 The oracles deliberately take different routes than the library code:
 closeness distances come from a numpy min-plus Floyd-Warshall instead of
 per-source BFS, betweenness from pairwise path counting instead of
-dependency accumulation, and component sizes from per-state flood fill
-instead of incremental union-find. Agreement between routes is the
-point; none of them may be "simplified" to call the code under test.
+dependency accumulation (and, for graphs too large for that, from
+Brandes' accumulation with one Fraction per predecessor edge instead of
+integers over a common denominator), and component sizes from per-state
+flood fill instead of incremental union-find. Agreement between routes
+is the point; none of them may be "simplified" to call the code under
+test.
 """
 
 from __future__ import annotations
@@ -55,6 +58,31 @@ def star_net(n: int, tons=None) -> FreightNetwork:
 
 def path_net(n: int, tons=None) -> FreightNetwork:
     return make_net(n, [(i, i + 1) for i in range(1, n)], tons=tons)
+
+
+def grid_net(rows: int, cols: int) -> FreightNetwork:
+    """rows x cols lattice, ids 1.. row by row."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append((i, i + 1))
+            if r + 1 < rows:
+                edges.append((i, i + cols))
+    return make_net(rows * cols, edges)
+
+
+def hypercube_net(dim: int) -> FreightNetwork:
+    """The dim-cube: ids 1 + bit pattern, neighbours differ in one bit."""
+    n = 1 << dim
+    edges = [(v + 1, (v ^ (1 << b)) + 1) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
+    return make_net(n, edges)
+
+
+def complete_bipartite_net(a: int, b: int) -> FreightNetwork:
+    """K(a, b): ids 1..a on one side, a+1..a+b on the other."""
+    return make_net(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
 
 
 @pytest.fixture
@@ -155,6 +183,26 @@ def oracle_betweenness(net: FreightNetwork) -> dict[int, Fraction]:
         v: sum((Fraction(num, den) for den, num in sorted(bucket.items())), Fraction(0))
         for v, bucket in buckets.items()
     }
+
+
+def oracle_brandes_fractions(net: FreightNetwork) -> dict[int, Fraction]:
+    """Unordered-pair betweenness by Brandes' accumulation in Fractions:
+    one division and one addition per predecessor edge."""
+    adj = net.adjacency
+    bc = {i: Fraction(0) for i in net.node_ids}
+    for s in net.node_ids:
+        dist, sigma = _bfs_dist_sigma(adj, s)
+        order = list(dist)  # discovery order is BFS order
+        preds = {w: [v for v in adj[w] if dist[v] == dist[w] - 1] for w in order}
+        delta = {v: Fraction(0) for v in order}
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    # each unordered pair was counted from both endpoints
+    return {i: value / 2 for i, value in bc.items()}
 
 
 def oracle_degree(net: FreightNetwork) -> dict[int, int]:

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complete_bipartite_net,
     er_edges,
+    grid_net,
+    hypercube_net,
     make_net,
     make_node,
     oracle_betweenness,
+    oracle_brandes_fractions,
     oracle_closeness,
     oracle_degree,
     path_net,
@@ -27,7 +31,8 @@ from freight_resilience.centrality import (
     write_ranking_csv,
     write_scores_csv,
 )
-from freight_resilience.network import FreightNetwork
+from freight_resilience.network import FreightNetwork, load_network
+from freight_resilience.synth import SynthSpec, generate_synthetic
 
 
 class TestDegree:
@@ -117,6 +122,66 @@ def test_oracle_agreement_on_er_graphs(n, p, seed):
     got = closeness_centrality(net).scores
     assert all(abs(got[v] - expected[v]) <= 1e-9 for v in got)
     assert betweenness_exact(net) == oracle_betweenness(net)
+
+
+def disconnected_net() -> FreightNetwork:
+    """A 6x6 grid, a 3-cube, a 3-node path and three isolated nodes."""
+    cube = [(a + 36, b + 36) for a, b in hypercube_net(3).edges]
+    return make_net(50, list(grid_net(6, 6).edges) + cube + [(45, 46), (46, 47)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: grid_net(7, 7), lambda: hypercube_net(4), lambda: complete_bipartite_net(3, 4),
+     disconnected_net],
+    ids=["grid-7x7", "4-cube", "K(3,4)", "disconnected"],
+)
+def test_oracle_agreement_on_lattices(build):
+    """Many equal-length paths: large path counts and common denominators."""
+    net = build()
+    assert betweenness_exact(net) == oracle_betweenness(net)
+
+
+def test_lattice_values_by_hand():
+    # the 4-cube is vertex-transitive: sum over pairs of (d - 1) is
+    # 8 * (6*1 + 4*2 + 1*3) = 136, shared by 16 nodes
+    assert set(betweenness_exact(hypercube_net(4)).values()) == {Fraction(17, 2)}
+    # K(3,4): each of the 6 pairs on the 4-side splits over 3 middles,
+    # each of the 3 pairs on the 3-side over 4 middles
+    expected = {v: Fraction(2) if v <= 3 else Fraction(3, 4) for v in range(1, 8)}
+    assert betweenness_exact(complete_bipartite_net(3, 4)) == expected
+
+
+class TestFractionOracle:
+    """Integer accumulation against Brandes' accumulation in Fractions, on
+    graphs too large for pairwise path counting."""
+
+    def test_grid_20x20(self):
+        net = grid_net(20, 20)
+        assert betweenness_exact(net) == oracle_brandes_fractions(net)
+
+    def test_synthetic_500(self, tmp_path):
+        paths = generate_synthetic(SynthSpec(500, 4.0, 1, models=()), tmp_path)
+        net = load_network(paths["nodes"], paths["edges"])
+        assert betweenness_exact(net) == oracle_brandes_fractions(net)
+
+    def test_disconnected(self):
+        net = disconnected_net()
+        assert betweenness_exact(net) == oracle_brandes_fractions(net)
+
+
+@pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
+def test_networkx_agreement_on_er_graphs(n, p, seed):
+    """Float betweenness and normalized closeness vs networkx."""
+    nx = pytest.importorskip("networkx")
+    net = make_net(n, er_edges(n, p, random.Random(seed)))
+    graph = nx.Graph()
+    graph.add_nodes_from(net.node_ids)
+    graph.add_edges_from(net.edges)
+    exact = {v: float(x) for v, x in betweenness_exact(net).items()}
+    assert exact == pytest.approx(nx.betweenness_centrality(graph, normalized=False), rel=1e-9)
+    closeness = nx.closeness_centrality(graph, wf_improved=True)
+    assert closeness_centrality(net).scores == pytest.approx(closeness, rel=1e-9)
 
 
 def test_betweenness_pair_sum_identity():

@@ -108,6 +108,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    def test_bom_prefixed_config_loads(self, demo):
+        # Windows Notepad saves UTF-8 with a leading byte-order mark
+        plain = load_config(demo)
+        demo.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+        assert load_config(demo) == plain
+
     @pytest.mark.parametrize(
         "content",
         [b"\xff{}", b'{"seeds": ' + b"1" * 5000 + b"}", b"[" * 100_000],

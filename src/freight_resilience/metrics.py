@@ -9,16 +9,17 @@ threshold (0.10 by default).
 
 Replay runs backwards: start from the fully disrupted state and re-add
 nodes in reverse order under a union-find, so the whole curve costs
-near-linear time instead of one component sweep per step. Tonnage sums
-are kept as exact rationals until the final float conversion, which
-makes the remaining-tonnage column agree bit-for-bit with the closed
-form 1 - removed/total.
+near-linear time instead of one component sweep per step. Tonnages
+are integers over one common power-of-two denominator (a finite float is
+m / 2^k), so tonnage sums are exact; each float column is one correctly
+rounded int / int division, which makes the remaining-tonnage column
+agree bit-for-bit with the closed form 1 - removed/total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .climate import SummaryStats, summarize
@@ -122,9 +123,9 @@ class _UnionFind:
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.size: dict[int, int] = {}
-        self.tons: dict[int, Fraction] = {}
+        self.tons: dict[int, int] = {}
         self.max_size = 0
-        self.max_tons = Fraction(0)
+        self.max_tons = 0
 
     def find(self, v: int) -> int:
         root = v
@@ -134,7 +135,7 @@ class _UnionFind:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def add(self, v: int, tonnage: Fraction, neighbors: Iterable[int]) -> None:
+    def add(self, v: int, tonnage: int, neighbors: Iterable[int]) -> None:
         self.parent[v] = v
         self.size[v] = 1
         self.tons[v] = tonnage
@@ -175,8 +176,11 @@ def replay(net: FreightNetwork, seq: RemovalSequence) -> RobustnessCurve:
     if unknown:
         raise ValueError(f"sequence removes nodes not in the network: {unknown}")
 
-    tons = {v: Fraction(known[v].tonnage) for v in net.node_ids}
-    total = sum(tons.values(), Fraction(0))
+    # each d is a power of two, so tonnage m / d is exactly m * (den // d) / den
+    ratios = [rec.tonnage.as_integer_ratio() for rec in net.nodes]
+    den = max(d for _, d in ratios)
+    tons = {v: m * (den // d) for v, (m, d) in zip(net.node_ids, ratios)}
+    total = sum(tons.values())
     adj = net.adjacency
     removed = set(seq.order)
 
@@ -186,24 +190,20 @@ def replay(net: FreightNetwork, seq: RemovalSequence) -> RobustnessCurve:
             uf.add(v, tons[v], adj[v])
 
     # walk backwards from the fully disrupted state, re-adding nodes
-    states: list[tuple[int, Fraction]] = [(uf.max_size, uf.max_tons)]
+    states: list[tuple[int, int]] = [(uf.max_size, uf.max_tons)]
     for v in reversed(seq.order):
         uf.add(v, tons[v], adj[v])
         states.append((uf.max_size, uf.max_tons))
     states.reverse()  # states[k] = after k removals
 
-    removed_cum = Fraction(0)
-    cum: list[Fraction] = [removed_cum]
-    for v in seq.order:
-        removed_cum += tons[v]
-        cum.append(removed_cum)
+    cum = [0, *accumulate(tons[v] for v in seq.order)]  # removed tonnage
 
     tf = states[0][0]
     steps = []
     for k, (ff, gcc_tons) in enumerate(states):
         if total > 0:
-            ton_frac = float(1 - cum[k] / total)
-            ton_frac_gcc = float(gcc_tons / total)
+            ton_frac = (total - cum[k]) / total
+            ton_frac_gcc = gcc_tons / total
         else:
             ton_frac = 1.0
             ton_frac_gcc = 1.0 if ff > 0 else 0.0

@@ -721,36 +721,17 @@ def _plot_series(
     for i, scenario in enumerate(scenario_order):
         curves = by_scenario[scenario]
         color = PALETTE[i % len(PALETTE)]
-        cut = limits.get(scenario, len(curves[0].steps) - 1)
-        steps = range(cut + 1)
+        steps = range(limits.get(scenario, len(curves[0].steps) - 1) + 1)
+        xs = [curves[0].steps[k].fraction_removed for k in steps]
+        # one value list per step, shared by the mean and the band
+        columns = [[value_of(c.steps[k]) for c in curves] for k in steps]
         if len(curves) == 1:
-            pts = tuple(
-                (curves[0].steps[k].fraction_removed, value_of(curves[0].steps[k]))
-                for k in steps
-            )
+            pts = tuple(zip(xs, (column[0] for column in columns)))
             label = scenario
         else:
-            pts = tuple(
-                (
-                    curves[0].steps[k].fraction_removed,
-                    _mean([value_of(c.steps[k]) for c in curves]),
-                )
-                for k in steps
-            )
-            lo = tuple(
-                (
-                    curves[0].steps[k].fraction_removed,
-                    min(value_of(c.steps[k]) for c in curves),
-                )
-                for k in steps
-            )
-            hi = tuple(
-                (
-                    curves[0].steps[k].fraction_removed,
-                    max(value_of(c.steps[k]) for c in curves),
-                )
-                for k in steps
-            )
+            pts = tuple(zip(xs, map(_mean, columns)))
+            lo = tuple(zip(xs, map(min, columns)))
+            hi = tuple(zip(xs, map(max, columns)))
             bands.append(Band(lo=lo, hi=hi, color=color))
             label = f"{scenario} (mean of {len(curves)})"
         series.append(LineSeries(label=label, points=pts, color=color))
@@ -918,13 +899,20 @@ def report_from_curves(curves_csv, out_dir, threshold: float = DEFAULT_COLLAPSE_
     if not curves:
         raise DataError("curves file contains no curves", path=curves_csv)
     by_scenario: dict[str, list[RobustnessCurve]] = {}
-    order: list[str] = []
     for curve in curves:
-        if curve.scenario not in by_scenario:
-            order.append(curve.scenario)
-        by_scenario.setdefault(curve.scenario, []).append(curve)
+        group = by_scenario.setdefault(curve.scenario, [])
+        head = group[0] if group else curve
+        # the ensembles and plots compare curves of one scenario step by step
+        if (curve.n_nodes, len(curve.steps)) != (head.n_nodes, len(head.steps)):
+            raise DataError(
+                f"scenario {curve.scenario!r}: curves have mismatched shapes "
+                f"({head.n_nodes} nodes, {len(head.steps)} steps vs "
+                f"{curve.n_nodes} nodes, {len(curve.steps)} steps)",
+                path=curves_csv,
+            )
+        group.append(curve)
     return _emit(
         Path(out_dir),
         _digest_of({"curves_csv": str(curves_csv), "collapse_threshold": threshold}),
-        [("report", partial(emit_report, by_scenario, order, threshold))],
+        [("report", partial(emit_report, by_scenario, list(by_scenario), threshold))],
     )

@@ -51,6 +51,12 @@ def er_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < p]
 
 
+# (n, p, seed) of seeded Erdos-Renyi test graphs, 5 to 30 nodes
+SEEDED_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
+    (5 + (s * 7) % 26, p) for s in range(40) for p in (0.1, 0.3, 0.6)
+)]
+
+
 def star_net(n: int, tons=None) -> FreightNetwork:
     """Hub id 1 with n - 1 leaves."""
     return make_net(n, [(1, i) for i in range(2, n + 1)], tons=tons)

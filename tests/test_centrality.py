@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SEEDED_GRAPHS,
     complete_bipartite_net,
     er_edges,
     grid_net,
@@ -104,11 +105,6 @@ class TestBetweenness:
         for n in (1, 2):
             net = make_net(n, [(1, 2)] if n == 2 else [])
             assert set(betweenness_centrality(net, normalized=True).scores.values()) == {0.0}
-
-
-SEEDED_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
-    (5 + (s * 7) % 26, p) for s in range(40) for p in (0.1, 0.3, 0.6)
-)]
 
 
 @pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])

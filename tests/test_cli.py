@@ -6,7 +6,7 @@ import pytest
 from freight_resilience.cli import main
 from freight_resilience.pipeline import MANIFEST_NAME
 
-from test_pipeline import write_demo_profiles
+from test_pipeline import write_demo_profiles, write_mismatched_curves
 from freight_resilience.synth import SynthSpec, generate_synthetic
 
 
@@ -177,6 +177,13 @@ class TestReportCommand:
         assert main(["report", "--curves", str(curves), "--out", str(report_dir)]) == 0
         assert (report_dir / "robustness.svg").is_file()
         assert (report_dir / "collapse.csv").is_file()
+
+    def test_mismatched_curve_shapes_exit_three(self, tmp_path, capsys):
+        curves = write_mismatched_curves(tmp_path / "curves.csv")
+        code = main(["report", "--curves", str(curves), "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "curves.csv" in err and "mismatched shapes" in err
 
     def test_missing_curves_file(self, tmp_path, capsys):
         code = main(

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import er_edges, make_net, oracle_curve_states, path_net, star_net
+from conftest import (
+    SEEDED_GRAPHS,
+    er_edges,
+    make_net,
+    oracle_curve_states,
+    path_net,
+    star_net,
+)
 from freight_resilience.disruption import (
     RemovalSequence,
     hot_day_sequence,
@@ -53,8 +60,12 @@ def assert_matches_oracle(net, seq):
     for step, (ff, gcc_tons, remaining) in zip(curve.steps, states):
         assert step.ff == ff
         assert step.scf == ff / tf
-        assert step.tonnage_fraction == float(remaining / total)
-        assert step.tonnage_fraction_gcc == float(gcc_tons / total)
+        if total:
+            assert step.tonnage_fraction == float(remaining / total)
+            assert step.tonnage_fraction_gcc == float(gcc_tons / total)
+        else:  # no tonnage at all: everything counts as still carried
+            assert step.tonnage_fraction == 1.0
+            assert step.tonnage_fraction_gcc == (1.0 if ff else 0.0)
 
 
 class TestGccSize:
@@ -376,3 +387,62 @@ def test_replay_matches_oracle_property(seed, n):
     rng = random.Random(seed)
     net = make_net(n, er_edges(n, 0.3, rng), tons={i: rng.uniform(0, 10) for i in range(1, n + 1)})
     assert_matches_oracle(net, random_sequence(net, seed))
+
+
+# non-negative doubles from the subnormals up to 1e308, so the node
+# tonnages of one network mix binary exponents
+EXTREME_TONS = st.floats(0, 1e308, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(EXTREME_TONS, min_size=1, max_size=12), st.integers(min_value=0, max_value=10**6))
+def test_replay_exact_on_extreme_tonnages_property(tons, seed):
+    n = len(tons)
+    net = make_net(n, er_edges(n, 0.4, random.Random(seed)), tons=dict(enumerate(tons, 1)))
+    assert_matches_oracle(net, random_sequence(net, seed))
+    assert_matches_oracle(net, targeted_sequence(net, "degree"))
+
+
+@pytest.mark.parametrize(
+    "tons",
+    [
+        [5e-324, 1e308, 2.2250738585072014e-308, 1.0, 0.0, 5e-324],
+        [5e-324, 5e-324, 1e-323, 5e-324, 5e-324],
+        [2.2250738585072014e-308, 5e-324, 2.2250738585072014e-308, 0.0],
+        [1e308] * 6,  # the total is past the largest double
+        [0.0, 0.0, 0.0, 0.0],
+        [5e-324],
+        [1e308],
+        [0.0],
+    ],
+    ids=[
+        "mixed",
+        "subnormal",
+        "smallest-normal",
+        "huge-total",
+        "all-zero",
+        "one-min",
+        "one-max",
+        "one-zero",
+    ],
+)
+def test_replay_exact_on_extreme_tonnages(tons):
+    n = len(tons)
+    net = make_net(n, er_edges(n, 0.5, random.Random(n)), tons=dict(enumerate(tons, 1)))
+    for seq in (random_sequence(net, 3), targeted_sequence(net, "degree")):
+        assert_matches_oracle(net, seq)
+
+
+@pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
+def test_replay_ff_matches_networkx(n, p, seed):
+    """FF after every removal vs networkx components of the survivors."""
+    nx = pytest.importorskip("networkx")
+    net = make_net(n, er_edges(n, p, random.Random(seed)))
+    graph = nx.Graph()
+    graph.add_nodes_from(net.node_ids)
+    graph.add_edges_from(net.edges)
+    for seq in (random_sequence(net, seed), targeted_sequence(net, "degree")):
+        for step in replay(net, seq).steps:
+            survivors = set(net.node_ids).difference(seq.order[: step.step])
+            sizes = [len(c) for c in nx.connected_components(graph.subgraph(survivors))]
+            assert step.ff == max(sizes, default=0)

@@ -57,6 +57,19 @@ def write_demo_profiles(path, models=("mA", "mB"), n=10):
     write_profiles_csv(profiles, path)
 
 
+def write_mismatched_curves(path) -> Path:
+    """Two random curves of one 2-node network, the second cut after its
+    intact row (as in a truncated file)."""
+    path.write_text(
+        "scenario,model,seed,step,node_id,fraction_removed,ff,scf,"
+        "tonnage_fraction,tonnage_fraction_gcc\n"
+        "random,,0,0,,0.0,2,1.0,1.0,1.0\n"
+        "random,,0,1,1,0.5,1,0.5,0.5,0.5\n"
+        "random,,1,0,,0.0,2,1.0,1.0,1.0\n"
+    )
+    return path
+
+
 @pytest.fixture
 def demo(tmp_path):
     """A config file plus the tiny dataset it points at (paths relative
@@ -593,8 +606,14 @@ class TestMalformedInputs:
             pass
 
 
-def test_only_tables_imports_csv():
-    importers = []
+# module -> the only package files that may import it: every CSV table
+# goes through one dialect module, and exact rationals stay in the one
+# kernel that needs them (replay and the per-step paths use plain ints)
+IMPORT_OWNERS = {"csv": ["tables.py"], "fractions": ["centrality.py"]}
+
+
+def test_only_owners_import_guarded_modules():
+    importers: dict[str, list[str]] = {module: [] for module in IMPORT_OWNERS}
     for path in sorted(Path(freight_resilience.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -603,9 +622,9 @@ def test_only_tables_imports_csv():
                 modules = [node.module]
             else:
                 continue
-            if any(m.split(".")[0] == "csv" for m in modules):
-                importers.append(path.name)
-    assert importers == ["tables.py"]
+            for top in {m.split(".")[0] for m in modules} & importers.keys():
+                importers[top].append(path.name)
+    assert importers == IMPORT_OWNERS
 
 
 class TestReportFromCurves:
@@ -632,6 +651,13 @@ class TestReportFromCurves:
         bundle = run(load_config(demo))
         with pytest.raises(ConfigError, match=r"in \(0, 1\)"):
             report_from_curves(bundle.out_dir / "curves.csv", tmp_path / "r", threshold=0.0)
+
+    def test_mismatched_shapes_rejected(self, tmp_path):
+        curves = write_mismatched_curves(tmp_path / "curves.csv")
+        shapes = r"curves\.csv: scenario 'random': .*\(2 nodes, 2 steps vs 2 nodes, 1 steps\)"
+        with pytest.raises(DataError, match=shapes):
+            report_from_curves(curves, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_empty_curves_rejected(self, tmp_path):
         empty = tmp_path / "curves.csv"

@@ -9,8 +9,9 @@ the model ensemble.
 Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
-distance. Calendars are taken at face value: no leap-day normalization,
-and models with shortened calendars are compared via period totals.
+distance. They are counted as they are read, never held as rows.
+Calendars are taken at face value: no leap-day normalization, and
+models with shortened calendars are compared via period totals.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class PeriodSpec:
     end_year: int
 
     def __post_init__(self):
-        if self.start_year > self.end_year:
-            raise ValueError(f"period {self.label!r}: start_year > end_year")
+        if not 1 <= self.start_year <= self.end_year <= 9998:  # n_days builds 1 Jan end_year + 1
+            raise ValueError(f"period {self.label!r}: need 1 <= start_year <= end_year <= 9998")
 
     def n_days(self) -> int:
         return (date(self.end_year + 1, 1, 1) - date(self.start_year, 1, 1)).days
@@ -136,21 +137,6 @@ def count_hot_days(
         if period.contains(day) and value > threshold_c:
             count += 1
     return count
-
-
-def build_hot_day_profile(
-    series_by_node: Mapping[int, DailyTmaxSeries],
-    period: PeriodSpec,
-    threshold_c: float = DEFAULT_THRESHOLD_C,
-) -> HotDayProfile:
-    """Profile for one model from its per-node series (all same model)."""
-    models = {s.model for s in series_by_node.values()}
-    if len(models) != 1:
-        raise ValueError(f"series must share one model, got {sorted(models)}")
-    counts = {
-        node: count_hot_days(s, period, threshold_c) for node, s in series_by_node.items()
-    }
-    return HotDayProfile(models.pop(), period, counts, threshold_c)
 
 
 def hot_day_delta(future: HotDayProfile, baseline: HotDayProfile) -> dict[int, int]:
@@ -293,83 +279,92 @@ _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c"
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 
-def read_series_csv(paths: Iterable) -> dict[tuple[str, int], DailyTmaxSeries]:
-    """Read per-node daily series files (``model,node_id,date,tmax_c``).
-
-    Rows may arrive in any order; they are sorted by date per series.
-    """
-    buckets: dict[tuple[str, int], list[tuple[date, float]]] = {}
+def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
+    """Hot days per period for each series in the files; ``key_of`` makes a
+    row's series key from the columns before the last two (date, tmax).
+    A date text is parsed once, into its year, day-of-year bit and the
+    periods holding it (they may overlap). A series keeps its counts and,
+    per year, a bitmask of the days seen."""
+    if not math.isfinite(threshold_c):
+        raise ValueError("threshold must be finite")
+    periods = tuple(periods)
+    date_col = len(header) - 2
+    days: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+    series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     for path in paths:
-        with read_table(path, ("model", "node_id", "date", "tmax_c")) as records:
-            for lineno, row in records:
+        with read_table(path, header) as records:
+            for line, row in records:
                 try:
-                    key = (row[0], int(row[1]))
-                    day = date.fromisoformat(row[2])
-                    value = float(row[3])
+                    key = key_of(row)
+                    state = series.get(key)
+                    if state is None:
+                        state = series[key] = ([0] * len(periods), {})
+                    when = row[date_col]
+                    day = days.get(when)
+                    if day is None:
+                        parsed = date.fromisoformat(when)
+                        hits = tuple(k for k, p in enumerate(periods) if p.contains(parsed))
+                        day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday, hits)
+                    value = float(row[date_col + 1])
                 except (ValueError, IndexError) as exc:
-                    raise DataError(str(exc), path=path, line=lineno) from exc
-                buckets.setdefault(key, []).append((day, value))
-    out = {}
-    for (model, node_id), rows in buckets.items():
-        rows.sort(key=lambda r: r[0])
-        try:
-            out[(model, node_id)] = DailyTmaxSeries(
-                model, node_id, tuple(r[0] for r in rows), tuple(r[1] for r in rows)
-            )
-        except ValueError as exc:
-            raise DataError(f"series ({model}, {node_id}): {exc}") from exc
-    return out
+                    raise DataError(str(exc), path=path, line=line) from exc
+                if value - value != 0.0:  # nan or infinite, without a call per row
+                    raise DataError(f"tmax {row[date_col + 1]} is not finite", path=path, line=line)
+                counts, seen = state
+                year, bit, hits = day
+                mask = seen.get(year, 0)
+                if mask & bit:
+                    raise DataError(f"date {when} repeated in series {key}", path=path, line=line)
+                seen[year] = mask | bit
+                if value > threshold_c:
+                    for k in hits:
+                        counts[k] += 1
+    return {key: tuple(counts) for key, (counts, _) in series.items()}
 
 
-def read_gridded_series_csv(
+def _cell_key(row: list[str]) -> tuple[str, float, float]:
+    lat, lon = float(row[1]), float(row[2])
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"cell ({row[1]}, {row[2]}) is not finite")
+    return row[0], lat, lon
+
+
+def count_series_csv(
+    paths: Iterable, periods: Sequence[PeriodSpec], threshold_c: float = DEFAULT_THRESHOLD_C
+) -> dict[tuple[str, int], tuple[int, ...]]:
+    """Hot days per period, in ``periods`` order, for each (model, node_id)
+    series in per-node files (``model,node_id,date,tmax_c``). Rows may come
+    in any order, a series may span files, and memory grows with series and
+    the years they span, not rows. A malformed or non-finite value, or a
+    date repeated within a series, raises DataError at its file:line."""
+    header = ("model", "node_id", "date", "tmax_c")
+    return _count_rows(paths, header, lambda row: (row[0], int(row[1])), periods, threshold_c)
+
+
+def count_gridded_series_csv(
     paths: Iterable,
-) -> tuple[RegularGrid, dict[tuple[str, float, float], list[tuple[date, float]]]]:
-    """Read grid-form series (``model,lat,lon,date,tmax_c``)."""
-    cells: dict[tuple[str, float, float], list[tuple[date, float]]] = {}
-    lats: set[float] = set()
-    lons: set[float] = set()
-    names = []
-    for path in paths:
-        names.append(str(path))
-        with read_table(path, ("model", "lat", "lon", "date", "tmax_c")) as records:
-            for lineno, row in records:
-                try:
-                    lat, lon = float(row[1]), float(row[2])
-                    key = (row[0], lat, lon)
-                    day = date.fromisoformat(row[3])
-                    value = float(row[4])
-                except (ValueError, IndexError) as exc:
-                    raise DataError(str(exc), path=path, line=lineno) from exc
-                lats.add(lat)
-                lons.add(lon)
-                cells.setdefault(key, []).append((day, value))
-    for rows in cells.values():
-        rows.sort(key=lambda r: r[0])
-    try:
-        grid = RegularGrid(tuple(sorted(lats)), tuple(sorted(lons)))
-    except ValueError as exc:
-        raise DataError(str(exc), path=", ".join(names)) from exc
-    return grid, cells
-
-
-def node_series_from_grid(
     nodes: Sequence[NodeRecord],
-    grid: RegularGrid,
-    cells: Mapping[tuple[str, float, float], list[tuple[date, float]]],
-) -> dict[tuple[str, int], DailyTmaxSeries]:
-    """Join grid-form series onto nodes via nearest-cell assignment."""
-    mapping = map_nodes_to_grid(nodes, grid)
+    periods: Sequence[PeriodSpec],
+    threshold_c: float = DEFAULT_THRESHOLD_C,
+) -> dict[tuple[str, int], tuple[int, ...]]:
+    """``count_series_csv`` for grid-form files (``model,lat,lon,date,tmax_c``):
+    each node takes, for every model, the counts of its nearest cell."""
+    paths = list(paths)
+    cells = _count_rows(paths, ("model", "lat", "lon", "date", "tmax_c"), _cell_key, periods, threshold_c)
+    try:  # an empty or irregular grid, or a node outside it
+        grid = RegularGrid(*(tuple(sorted({key[i] for key in cells})) for i in (1, 2)))
+        mapping = map_nodes_to_grid(nodes, grid)
+    except ValueError as exc:
+        raise DataError(str(exc), path=", ".join(map(str, paths))) from exc
     models = sorted({model for model, _, _ in cells})
     out = {}
     for node in nodes:
         lat, lon = mapping[node.id]
         for model in models:
-            rows = cells.get((model, lat, lon))
-            if rows is None:
+            counts = cells.get((model, lat, lon))
+            if counts is None:
                 raise DataError(f"no series for model {model!r} at grid cell ({lat}, {lon})")
-            out[(model, node.id)] = DailyTmaxSeries(
-                model, node.id, tuple(r[0] for r in rows), tuple(r[1] for r in rows)
-            )
+            out[(model, node.id)] = counts
     return out
 
 

@@ -38,13 +38,11 @@ from .climate import (
     EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
-    build_hot_day_profile,
+    count_gridded_series_csv,
+    count_series_csv,
     ensemble_stats,
     hot_day_delta,
-    node_series_from_grid,
-    read_gridded_series_csv,
     read_profiles_csv,
-    read_series_csv,
     top_k_frequency,
     write_delta_csv,
     write_ensemble_csv,
@@ -556,12 +554,12 @@ def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
 
 
 def _profiles_from_series(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDayProfile]:
+    periods = (cc.baseline, *cc.futures)
     if cc.series:
-        series = read_series_csv(cc.series)
+        counts = count_series_csv(cc.series, periods, cc.threshold_c)
     else:
-        grid, cells = read_gridded_series_csv(cc.grid_series)
-        series = node_series_from_grid(net.nodes, grid, cells)
-    found = sorted({model for model, _ in series})
+        counts = count_gridded_series_csv(cc.grid_series, net.nodes, periods, cc.threshold_c)
+    found = sorted({model for model, _ in counts})
     if not found:
         raise DataError("no daily series found in the climate inputs")
     models = list(cc.models) if cc.models else found
@@ -570,9 +568,9 @@ def _profiles_from_series(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDa
         raise DataError(f"no daily series for model(s) {missing}")
     out: dict[tuple[str, str], HotDayProfile] = {}
     for model in models:
-        per_node = {nid: s for (m, nid), s in series.items() if m == model}
-        for period in (cc.baseline, *cc.futures):
-            out[(model, period.label)] = build_hot_day_profile(per_node, period, cc.threshold_c)
+        for i, period in enumerate(periods):
+            by_node = {nid: c[i] for (m, nid), c in counts.items() if m == model}
+            out[(model, period.label)] = HotDayProfile(model, period, by_node, cc.threshold_c)
     return out
 
 

@@ -142,14 +142,23 @@ def _summer_peak_c(lat: float) -> float:
     return 36.0 - 0.45 * (lat - 25.0)
 
 
-def write_series_for_model(
-    spec: SynthSpec, net: FreightNetwork, model: str, model_index: int, path
-) -> None:
-    """One model's daily series for every node, seeded independently."""
-    bias = (model_index - (len(spec.models) - 1) / 2) * 0.4
+def _day_terms(spec: SynthSpec) -> list[tuple[str, float, float]]:
+    """Each day's ISO date, seasonal term and trend term, for every node and model."""
     first = date(spec.start_year, 1, 1)
-    last = date(spec.end_year, 12, 31)
-    n_days = (last - first).days + 1
+    out = []
+    for k in range((date(spec.end_year, 12, 31) - first).days + 1):
+        day = first + timedelta(days=k)
+        seasonal = -12.0 * math.cos(2.0 * math.pi * (day.timetuple().tm_yday - 15) / 365.25)
+        out.append((day.isoformat(), seasonal, spec.trend_c_per_year * (day.year - spec.start_year)))
+    return out
+
+
+def write_series_for_model(
+    spec: SynthSpec, net: FreightNetwork, model: str, model_index: int, days: list, path
+) -> None:
+    """One model's daily series for every node, seeded independently;
+    ``days`` is ``_day_terms(spec)``."""
+    bias = (model_index - (len(spec.models) - 1) / 2) * 0.4
 
     def rows():
         for node in net.nodes:
@@ -157,14 +166,11 @@ def write_series_for_model(
             # seeding Random with a tuple (which goes through hash())
             digest = hashlib.sha256(f"{spec.seed}:{model}:{node.id}".encode()).digest()
             rng = random.Random(int.from_bytes(digest[:8], "big"))
-            peak = _summer_peak_c(node.lat)
-            for k in range(n_days):
-                day = first + timedelta(days=k)
-                doy = day.timetuple().tm_yday
-                seasonal = -12.0 * math.cos(2.0 * math.pi * (doy - 15) / 365.25)
-                trend = spec.trend_c_per_year * (day.year - spec.start_year)
-                value = peak - 12.0 + seasonal + trend + bias + spec.noise_sd_c * _gauss(rng)
-                yield [model, node.id, day.isoformat(), f"{value:.2f}"]
+            base = _summer_peak_c(node.lat) - 12.0
+            for iso, seasonal, trend in days:
+                # summed left to right, as the pinned series bytes were made
+                value = base + seasonal + trend + bias + spec.noise_sd_c * _gauss(rng)
+                yield [model, node.id, iso, f"{value:.2f}"]
 
     write_table(path, ("model", "node_id", "date", "tmax_c"), rows())
 
@@ -182,8 +188,9 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> dict[str, Path]:
     edges_path = out / "edges.csv"
     save_network(net, nodes_path, edges_path)
     paths = {"nodes": nodes_path, "edges": edges_path}
+    days = _day_terms(spec) if spec.models else []
     for k, model in enumerate(spec.models):
         path = out / f"tmax_{model}.csv"
-        write_series_for_model(spec, net, model, k, path)
+        write_series_for_model(spec, net, model, k, days, path)
         paths[f"series:{model}"] = path
     return paths

@@ -6,19 +6,24 @@ per-source BFS, betweenness from pairwise path counting instead of
 dependency accumulation (and, for graphs too large for that, from
 Brandes' accumulation with one Fraction per predecessor edge instead of
 integers over a common denominator), and component sizes from per-state
-flood fill instead of incremental union-find. Agreement between routes
+flood fill instead of incremental union-find, and hot-day counts from
+whole series held in memory and scanned once per period instead of rows
+counted as they stream past. Agreement between routes
 is the point; none of them may be "simplified" to call the code under
 test.
 """
 
 from __future__ import annotations
 
+import csv
 import random
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from freight_resilience.climate import DailyTmaxSeries
 from freight_resilience.network import FreightNetwork, NodeRecord
 
 
@@ -269,3 +274,25 @@ def oracle_curve_states(net: FreightNetwork, order) -> list[tuple[int, Fraction,
         remaining = sum((tons[v] for v in ids), Fraction(0))
         states.append((ff, gcc_ton, remaining))
     return states
+
+
+# ---------------------------------------------------------------------------
+# Climate oracle
+
+
+def oracle_read_series(paths) -> dict[tuple[str, int], DailyTmaxSeries]:
+    """Per-node daily series files (``model,node_id,date,tmax_c``) held
+    whole, each series sorted by date, for ``count_hot_days`` to scan."""
+    rows: dict[tuple[str, int], list[tuple[date, float]]] = {}
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["model", "node_id", "date", "tmax_c"]
+            for model, node, day, value in reader:
+                rows.setdefault((model, int(node)), []).append(
+                    (date.fromisoformat(day), float(value))
+                )
+    return {
+        key: DailyTmaxSeries(key[0], key[1], *map(tuple, zip(*sorted(r))))
+        for key, r in rows.items()
+    }

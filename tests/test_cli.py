@@ -78,6 +78,60 @@ class TestExitCodes:
     def test_bad_flag_value_exits_two(self, demo):
         assert main(["run", "--config", str(demo), "--scenario", "meteor"]) == 2
 
+    @pytest.mark.parametrize("start, end", [(2000, 9999), (0, 2000)])
+    def test_period_year_beyond_the_calendar_exits_two(self, demo, capsys, start, end):
+        doc = json.loads(demo.read_text())
+        doc["climate"]["baseline"] = {"label": "b", "start_year": start, "end_year": end}
+        demo.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(demo)]) == 2
+        assert r"error: climate.baseline: period 'b': need 1 <= start_year <= end_year <= 9998" in (
+            capsys.readouterr().err
+        )
+
+
+# series keys for the demo network's ten nodes, or for the four corner
+# cells of a grid around them
+SERIES_FORMS = {
+    "series": ("model,node_id,date,tmax_c", [f"m,{i}" for i in range(1, 11)]),
+    "grid": (
+        "model,lat,lon,date,tmax_c",
+        [f"m,{lat},{lon}" for lat in (25.0, 49.0) for lon in (-124.0, -67.0)],
+    ),
+}
+
+
+def use_daily_series(config: Path, form: str, fault: str | None = None) -> None:
+    """Point the config at two days of rows for every key of ``form``;
+    ``fault`` (date and tmax for the first key) becomes line 4."""
+    header, keys = SERIES_FORMS[form]
+    rows = [f"{key},2000-01-0{d},36.0" for d in (1, 2) for key in keys]
+    if fault is not None:
+        rows.insert(2, f"{keys[0]},{fault}")
+    (config.parent / "data" / "tmax.csv").write_text("\n".join([header, *rows]) + "\n")
+    doc = json.loads(config.read_text())
+    doc["climate"] = {
+        "series" if form == "series" else "grid_series": ["data/tmax.csv"],
+        "baseline": {"label": "b", "start_year": 2000, "end_year": 2000},
+        "futures": [{"label": "f", "start_year": 2001, "end_year": 2001}],
+    }
+    config.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("form", sorted(SERIES_FORMS))
+class TestMalformedSeriesValues:
+    def test_well_formed_rows_run(self, demo, form):
+        use_daily_series(demo, form)
+        assert main(["run", "--config", str(demo)]) == 0
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("2000-01-01,31.0", "date 2000-01-01 repeated"), ("2000-01-02,nan", "tmax nan is not finite")],
+    )
+    def test_exit_three_at_the_row(self, demo, capsys, form, fault, message):
+        use_daily_series(demo, form, fault)
+        assert main(["run", "--config", str(demo)]) == 3
+        assert f"tmax.csv:4: {message}" in capsys.readouterr().err
+
 
 class TestFlags:
     def test_scenario_subset(self, demo, capsys):

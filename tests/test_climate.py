@@ -1,12 +1,15 @@
 import math
 import random
+import tempfile
+import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_node
+from conftest import make_node, oracle_read_series
 from freight_resilience.centrality import rank_mapping
 from freight_resilience.climate import (
     BASELINE,
@@ -17,17 +20,15 @@ from freight_resilience.climate import (
     HotDayProfile,
     PeriodSpec,
     RegularGrid,
-    build_hot_day_profile,
+    count_gridded_series_csv,
     count_hot_days,
+    count_series_csv,
     ensemble_stats,
     haversine_km,
     hot_day_delta,
     map_nodes_to_grid,
-    node_series_from_grid,
     read_delta_csv,
-    read_gridded_series_csv,
     read_profiles_csv,
-    read_series_csv,
     summarize,
     top_k_frequency,
     write_delta_csv,
@@ -66,6 +67,14 @@ class TestPeriodSpec:
     def test_reversed_years_rejected(self):
         with pytest.raises(ValueError):
             PeriodSpec("bad", 2000, 1999)
+
+    @pytest.mark.parametrize("start, end", [(0, 2000), (-5, 10), (2000, 9999), (1, 10**6)])
+    def test_years_beyond_the_calendar_rejected(self, start, end):
+        with pytest.raises(ValueError, match=r"need 1 <= start_year <= end_year <= 9998"):
+            PeriodSpec("bad", start, end)
+
+    def test_calendar_edge_years_accepted(self):
+        assert PeriodSpec("edge", 1, 9998).n_days() == (date(9999, 1, 1) - date(1, 1, 1)).days
 
 
 class TestSeriesValidation:
@@ -127,24 +136,16 @@ class TestCountHotDays:
 
 
 class TestProfilesAndDeltas:
-    def test_profile_from_node_series(self):
+    def test_profile_from_node_series(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "model,node_id,date,tmax_c\n"
+            "m1,1,2000-07-01,36.0\nm1,1,2000-07-02,36.0\nm1,1,2000-07-03,30.0\n"
+            "m1,2,2000-07-01,30.0\n"
+        )
         period = PeriodSpec("p", 2000, 2000)
-        series = {
-            1: make_series(date(2000, 7, 1), [36.0, 36.0, 30.0], node_id=1),
-            2: make_series(date(2000, 7, 1), [30.0], node_id=2),
-        }
-        profile = build_hot_day_profile(series, period)
-        assert profile.counts == {1: 2, 2: 0}
-        assert profile.model == "m1"
-
-    def test_mixed_models_rejected(self):
-        period = PeriodSpec("p", 2000, 2000)
-        series = {
-            1: make_series(date(2000, 7, 1), [36.0], model="a", node_id=1),
-            2: make_series(date(2000, 7, 1), [36.0], model="b", node_id=2),
-        }
-        with pytest.raises(ValueError, match="share one model"):
-            build_hot_day_profile(series, period)
+        counts = count_series_csv([path], [period])
+        assert counts == {("m1", 1): (2,), ("m1", 2): (0,)}
 
     def test_count_bounds_enforced(self):
         period = PeriodSpec("p", 2000, 2000)  # 366 days
@@ -306,25 +307,33 @@ class TestGridMapping:
         assert map_nodes_to_grid([node], self.GRID)[1] == (32.0, -99.0)
 
 
+TWO_PERIODS = (PeriodSpec("p", 2000, 2000), PeriodSpec("q", 2000, 2001))
+
+
 class TestSeriesCsv:
-    def test_round_trip_sorts_dates(self, tmp_path):
+    def test_unsorted_rows_counted(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(
             "model,node_id,date,tmax_c\n"
-            "m1,1,2000-07-02,36.5\n"
+            "m1,1,2001-07-02,36.5\n"
             "m1,1,2000-07-01,30.0\n"
             "m1,2,2000-07-01,31.25\n"
+            "m1,1,2000-07-02,40.0\n"
         )
-        series = read_series_csv([path])
-        assert set(series) == {("m1", 1), ("m1", 2)}
-        assert series[("m1", 1)].dates == (date(2000, 7, 1), date(2000, 7, 2))
-        assert series[("m1", 1)].tmax == (30.0, 36.5)
+        counts = count_series_csv([path], TWO_PERIODS)
+        assert counts == {("m1", 1): (1, 2), ("m1", 2): (0, 0)}
+
+    def test_series_split_across_files(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("model,node_id,date,tmax_c\nm1,1,2000-07-01,36.0\n")
+        b.write_text("model,node_id,date,tmax_c\nm1,01,2001-07-01,36.0\nm1,1,2002-07-01,36.0\n")
+        assert count_series_csv([a, b], TWO_PERIODS) == {("m1", 1): (1, 2)}
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("model,node,date,tmax\nm1,1,2000-07-01,30.0\n")
         with pytest.raises(DataError, match=r"series\.csv:1"):
-            read_series_csv([path])
+            count_series_csv([path], TWO_PERIODS)
 
     def test_malformed_row_carries_line_number(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -332,36 +341,83 @@ class TestSeriesCsv:
             "model,node_id,date,tmax_c\nm1,1,2000-07-01,30.0\nm1,one,2000-07-02,30.0\n"
         )
         with pytest.raises(DataError, match=r"series\.csv:3"):
-            read_series_csv([path])
+            count_series_csv([path], TWO_PERIODS)
 
     def test_duplicate_date_rejected(self, tmp_path):
+        # a repeat is caught in any year, after rows from other years,
+        # and when the two rows spell the node id differently
+        path = tmp_path / "series.csv"
+        for first, second in [
+            ("m1,1,2000-07-01,30.0", "m1,1,2000-07-01,31.0"),
+            ("m1,1,2000-07-01,30.0", "m1,01,2000-07-01,31.0"),
+            ("m1,1,1990-01-01,30.0\nm1,1,2030-12-31,30.0", "m1,1,1990-01-01,31.0"),
+            ("m1,1,2030-12-31,30.0\nm1,1,1990-01-01,30.0", "m1,1,2030-12-31,31.0"),
+        ]:
+            path.write_text(f"model,node_id,date,tmax_c\n{first}\n{second}\n")
+            line = 2 + first.count("\n") + 1
+            with pytest.raises(DataError, match=rf"series\.csv:{line}: date \S+ repeated"):
+                count_series_csv([path], TWO_PERIODS)
+
+    def test_duplicate_date_in_another_file_rejected(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("model,node_id,date,tmax_c\nm1,1,2000-07-01,36.0\n")
+        b.write_text("model,node_id,date,tmax_c\nm1,2,2000-07-01,36.0\nm1,1,2000-07-01,36.0\n")
+        with pytest.raises(DataError, match=r"b\.csv:3: date 2000-07-01 repeated in series \(.m1., 1\)"):
+            count_series_csv([a, b], TWO_PERIODS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
         path = tmp_path / "series.csv"
         path.write_text(
-            "model,node_id,date,tmax_c\nm1,1,2000-07-01,30.0\nm1,1,2000-07-01,31.0\n"
+            f"model,node_id,date,tmax_c\nm1,1,2000-07-01,30.0\nm1,1,1950-07-02,{value}\n"
         )
-        with pytest.raises(DataError, match="strictly increasing"):
-            read_series_csv([path])
+        with pytest.raises(DataError, match=r"series\.csv:3: tmax \S+ is not finite"):
+            count_series_csv([path], TWO_PERIODS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            read_series_csv([tmp_path / "absent.csv"])
+            count_series_csv([tmp_path / "absent.csv"], TWO_PERIODS)
+
+    def test_non_finite_threshold_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            count_series_csv([tmp_path / "absent.csv"], TWO_PERIODS, math.inf)
+
+    def test_memory_independent_of_rows(self, tmp_path):
+        # 40 series x 10 years = 146,120 rows; holding them as dates and
+        # floats would take about 19 MB at 130 B per row
+        path = tmp_path / "series.csv"
+        first = date(2000, 1, 1)
+        days = [(first + timedelta(days=k)).isoformat() for k in range(3653)]
+        with path.open("w") as fh:
+            fh.write("model,node_id,date,tmax_c\n")
+            for node in range(1, 41):
+                fh.writelines(f"m1,{node},{d},{30 + (k * node) % 11}.5\n" for k, d in enumerate(days))
+        tracemalloc.start()
+        try:
+            counts = count_series_csv([path], (BASELINE, PeriodSpec("p", 2000, 2004)), 35.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 40
+        assert peak < 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MB"
+
+
+GRID_CSV = (
+    "model,lat,lon,date,tmax_c\n"
+    "m1,30.0,-100.0,2000-07-01,36.0\n"
+    "m1,30.0,-98.0,2000-07-01,30.0\n"
+    "m1,32.0,-100.0,2000-07-01,31.0\n"
+    "m1,32.0,-98.0,2000-07-01,32.0\n"
+)
 
 
 class TestGriddedCsv:
     def test_grid_join(self, tmp_path):
         path = tmp_path / "grid.csv"
-        path.write_text(
-            "model,lat,lon,date,tmax_c\n"
-            "m1,30.0,-100.0,2000-07-01,36.0\n"
-            "m1,30.0,-98.0,2000-07-01,30.0\n"
-            "m1,32.0,-100.0,2000-07-01,31.0\n"
-            "m1,32.0,-98.0,2000-07-01,32.0\n"
-        )
-        grid, cells = read_gridded_series_csv([path])
-        assert grid == RegularGrid((30.0, 32.0), (-100.0, -98.0))
-        node = make_node(7, lat=30.2, lon=-99.9)
-        series = node_series_from_grid([node], grid, cells)
-        assert series[("m1", 7)].tmax == (36.0,)
+        path.write_text(GRID_CSV)
+        nodes = [make_node(7, lat=30.2, lon=-99.9), make_node(8, lat=31.9, lon=-98.0)]
+        counts = count_gridded_series_csv([path], nodes, TWO_PERIODS)
+        assert counts == {("m1", 7): (1, 1), ("m1", 8): (0, 0)}
 
     def test_missing_cell_for_model(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -370,16 +426,136 @@ class TestGriddedCsv:
             "m1,30.0,-100.0,2000-07-01,36.0\n"
             "m2,32.0,-100.0,2000-07-01,30.0\n"
         )
-        grid, cells = read_gridded_series_csv([path])
         node = make_node(7, lat=30.0, lon=-100.0)
         with pytest.raises(DataError, match="no series for model"):
-            node_series_from_grid([node], grid, cells)
+            count_gridded_series_csv([path], [node], TWO_PERIODS)
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("model,lat,lon,date,tmax_c\n")
         with pytest.raises(DataError, match=r"grid\.csv: grid axes must be non-empty"):
-            read_gridded_series_csv([path])
+            count_gridded_series_csv([path], [], TWO_PERIODS)
+
+    def test_node_outside_the_grid_names_the_files(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(GRID_CSV)
+        node = make_node(7, lat=34.0, lon=-100.0)
+        with pytest.raises(DataError, match=r"grid\.csv: node 7 at \(34.0, -100.0\) outside grid"):
+            count_gridded_series_csv([path], [node], TWO_PERIODS)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("m1,32.0,-98.0,2000-07-01,33.0", r"date 2000-07-01 repeated in series \(.m1., 32.0, -98.0\)"),
+            ("m1,32.0,-98.0,2000-07-02,nan", "tmax nan is not finite"),
+            ("m1,nan,-98.0,2000-07-02,30.0", r"cell \(nan, -98.0\) is not finite"),
+        ],
+    )
+    def test_bad_value_in_unmapped_cell_names_its_line(self, tmp_path, row, message):
+        # no node maps to (32, -98), and the fault is still reported
+        path = tmp_path / "grid.csv"
+        path.write_text(GRID_CSV + row + "\n")
+        with pytest.raises(DataError, match=rf"grid\.csv:6: {message}"):
+            count_gridded_series_csv([path], [], TWO_PERIODS)
+
+
+# a few years around one leap day, periods drawn inside and around them
+YEARS = (1999, 2002)
+THRESHOLD = 30.0
+ALL_DAYS = [
+    date(YEARS[0], 1, 1) + timedelta(days=k)
+    for k in range((date(YEARS[1] + 1, 1, 1) - date(YEARS[0], 1, 1)).days)
+]
+period_st = st.tuples(st.integers(1998, 2003), st.integers(0, 3)).map(
+    lambda t: PeriodSpec(f"{t[0]}+{t[1]}", t[0], t[0] + t[1])
+)
+# values on, just above and just below the threshold, and anywhere
+value_st = st.one_of(
+    st.sampled_from([THRESHOLD, math.nextafter(THRESHOLD, math.inf), 29.99, 30.01]),
+    st.floats(-50, 60),
+)
+series_st = st.lists(
+    st.tuples(st.sampled_from(ALL_DAYS + [date(2000, 2, 29)] * 50), value_st),
+    min_size=1,
+    max_size=40,
+    unique_by=lambda r: r[0],
+)
+
+
+def write_rows(directory: Path, header: str, rows: list[str], cut: int) -> list[Path]:
+    """``rows`` split at ``cut`` over two files."""
+    paths = [directory / "a.csv", directory / "b.csv"]
+    for path, part in zip(paths, (rows[:cut], rows[cut:])):
+        path.write_text(header + "".join(part))
+    return paths
+
+
+class TestCountersMatchOracle:
+    """The streaming counters against ``count_hot_days`` over whole
+    in-memory series, on shuffled rows split across two files."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        series=st.dictionaries(
+            st.tuples(st.sampled_from(["mA", "mB"]), st.integers(1, 4)), series_st, min_size=1
+        ),
+        periods=st.lists(period_st, min_size=1, max_size=3),
+        rng=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_per_node_series(self, series, periods, rng, data):
+        rows = [
+            f"{model},{node},{day.isoformat()},{value!r}\n"
+            for (model, node), values in series.items()
+            for day, value in values
+        ]
+        rng.shuffle(rows)
+        cut = data.draw(st.integers(0, len(rows)))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_rows(Path(tmp), "model,node_id,date,tmax_c\n", rows, cut)
+            counts = count_series_csv(paths, periods, THRESHOLD)
+            oracle = oracle_read_series(paths)
+        assert counts.keys() == oracle.keys() == series.keys()
+        for key, whole in oracle.items():
+            assert counts[key] == tuple(count_hot_days(whole, p, THRESHOLD) for p in periods)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(series_st, min_size=8, max_size=8),
+        periods=st.lists(period_st, min_size=1, max_size=3),
+        rng=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_gridded_series(self, values, periods, rng, data):
+        # 2 models x a 2 x 2 grid; several nodes share each cell
+        cells = [(m, lat, lon) for m in ("mA", "mB") for lat in (30.0, 32.0) for lon in (-100.0, -98.0)]
+        rows = [
+            f"{m},{lat},{lon},{day.isoformat()},{value!r}\n"
+            for (m, lat, lon), cell_values in zip(cells, values)
+            for day, value in cell_values
+        ]
+        rng.shuffle(rows)
+        cut = data.draw(st.integers(0, len(rows)))
+        nodes = [
+            make_node(i, lat=lat, lon=lon)
+            for i, (lat, lon) in enumerate(
+                [(29.5, -100.5), (30.4, -99.2), (31.9, -98.1), (32.5, -97.5), (30.9, -97.0)],
+                start=1,
+            )
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_rows(Path(tmp), "model,lat,lon,date,tmax_c\n", rows, cut)
+            by_node = count_gridded_series_csv(paths, nodes, periods, THRESHOLD)
+        nearest = map_nodes_to_grid(nodes, RegularGrid((30.0, 32.0), (-100.0, -98.0)))
+        assert by_node.keys() == {(m, node.id) for m in ("mA", "mB") for node in nodes}
+        for node in nodes:
+            for (m, lat, lon), cell_values in zip(cells, values):
+                if (lat, lon) != nearest[node.id]:
+                    continue
+                days, tmax = zip(*sorted(cell_values))
+                whole = DailyTmaxSeries(m, node.id, days, tmax)
+                expected = tuple(count_hot_days(whole, p, THRESHOLD) for p in periods)
+                assert by_node[(m, node.id)] == expected
 
 
 class TestProfileCsv:

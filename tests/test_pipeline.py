@@ -1,8 +1,11 @@
 import ast
 import csv
+import hashlib
 import json
+import math
 import re
 from dataclasses import replace
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freight_resilience
+from conftest import make_node
 from freight_resilience import centrality
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
@@ -17,10 +21,10 @@ from freight_resilience.climate import (
     FUTURE_FAR,
     FUTURE_NEAR,
     HotDayProfile,
+    count_gridded_series_csv,
+    count_series_csv,
     read_delta_csv,
-    read_gridded_series_csv,
     read_profiles_csv,
-    read_series_csv,
     write_delta_csv,
     write_profiles_csv,
 )
@@ -507,11 +511,17 @@ def write_loader_inputs(root):
     return root
 
 
+# the grid loader maps one node, at the cell of write_loader_inputs' grid.csv
+GRID_NODES = [make_node(1, lat=40.0, lon=-90.0)]
+
 # every input loader, with the files it reads
 LOADERS = {
     "network": (("nodes.csv", "edges.csv"), load_network),
-    "series": (("tmax_mA.csv",), lambda path: read_series_csv([path])),
-    "grid": (("grid.csv",), lambda path: read_gridded_series_csv([path])),
+    "series": (("tmax_mA.csv",), lambda path: count_series_csv([path], ALL_PERIODS.values())),
+    "grid": (
+        ("grid.csv",),
+        lambda path: count_gridded_series_csv([path], GRID_NODES, ALL_PERIODS.values()),
+    ),
     "profiles": (("profiles.csv",), lambda path: read_profiles_csv(path, ALL_PERIODS)),
     "deltas": (("deltas.csv",), read_delta_csv),
     "curves": (("curves.csv",), read_curves_csv),
@@ -669,6 +679,34 @@ class TestReportFromCurves:
             report_from_curves(empty, tmp_path / "r")
 
 
+GRID_LATS = (25.0, 37.0, 49.0)
+GRID_LONS = (-124.0, -95.5, -67.0)
+
+
+def write_grid_series(directory: Path, models=("mA", "mB"), years=(1995, 2003)) -> list[str]:
+    """Daily tmax for each model on a 3 x 3 grid spanning the synthetic
+    networks' bounding box. Each cell's days come in a scrambled order,
+    the first half of them in one file and the rest in another."""
+    first = date(years[0], 1, 1)
+    n_days = (date(years[1] + 1, 1, 1) - first).days
+    order = [(k * 7919) % n_days for k in range(n_days)]  # a permutation: 7919 is prime
+    halves: list[list[str]] = [["model,lat,lon,date,tmax_c\n"], ["model,lat,lon,date,tmax_c\n"]]
+    for m, model in enumerate(models):
+        for lat in GRID_LATS:
+            for lon in GRID_LONS:
+                for j, k in enumerate(order):
+                    season = 8.0 * math.sin(2.0 * math.pi * (k - 100) / 365.25)
+                    noise = ((k * 2654435761 + int(lat * lon)) % 1000) / 250.0
+                    value = 22.0 + 0.2 * (49.0 - lat) + season + m + noise
+                    day = (first + timedelta(days=k)).isoformat()
+                    halves[2 * j >= n_days].append(f"{model},{lat},{lon},{day},{value:.2f}\n")
+    names = []
+    for i, lines in enumerate(halves):
+        names.append(f"grid_{i}.csv")
+        (directory / names[-1]).write_text("".join(lines))
+    return names
+
+
 class TestClimateSourcesThroughRun:
     def seed_config(self, tmp_path, climate: dict, n=6) -> Path:
         data = tmp_path / "data"
@@ -708,6 +746,41 @@ class TestClimateSourcesThroughRun:
         assert profile_lines[0] == "model,period_label,node_id,hot_days,threshold_c"
         # both models, both periods, all six nodes
         assert len(profile_lines) == 1 + 2 * 2 * 6
+
+    # sha256 of hotday_profiles.csv and hotday_deltas.csv, recorded from the
+    # reader that held every row and sorted each series before counting
+    RECORDED = {
+        "series": (
+            "c42997d26df01f7395e537decf0a612140ca740020cc2539ee9902a504196cda",
+            "c82c1393d195c4302694c076620bee3623725863ff7597f743e296f121b22de8",
+        ),
+        "grid": (
+            "a03be626a1a56d6514abbd7f20fe7fcdef6feb610ef1d173a37031abbacf6a1e",
+            "003e2418fdeb3e3e1db3e30746f8aa02d56ce4a7e5a09f908622c111b122a309",
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(RECORDED))
+    def test_outputs_match_recorded_bytes(self, tmp_path, form):
+        periods = {
+            "baseline": {"label": "b", "start_year": 1995, "end_year": 1997},
+            "futures": [
+                {"label": "f1", "start_year": 1998, "end_year": 2000},
+                {"label": "f2", "start_year": 1999, "end_year": 2003},
+            ],
+        }
+        if form == "series":
+            climate = {"series": ["data/tmax_mA.csv", "data/tmax_mB.csv"], "threshold_c": 28.0}
+        else:
+            (tmp_path / "data").mkdir()
+            names = write_grid_series(tmp_path / "data")
+            climate = {"grid_series": [f"data/{n}" for n in names], "threshold_c": 30.0}
+        bundle = run(load_config(self.seed_config(tmp_path, {**climate, **periods})))
+        digests = tuple(
+            hashlib.sha256((bundle.out_dir / name).read_bytes()).hexdigest()
+            for name in ("hotday_profiles.csv", "hotday_deltas.csv")
+        )
+        assert digests == self.RECORDED[form]
 
     def test_model_filter(self, tmp_path):
         climate = {

@@ -1,13 +1,11 @@
+import hashlib
 import random
 from datetime import date
 
 import pytest
 
-from freight_resilience.climate import (
-    PeriodSpec,
-    count_hot_days,
-    read_series_csv,
-)
+from conftest import oracle_read_series
+from freight_resilience.climate import PeriodSpec, count_hot_days, count_series_csv
 from freight_resilience.metrics import gcc_size
 from freight_resilience.network import average_degree, load_network
 from freight_resilience.synth import (
@@ -89,6 +87,21 @@ class TestDeterminism:
         for role in a:
             assert a[role].read_bytes() == b[role].read_bytes()
 
+    def test_recorded_bytes(self, tmp_path):
+        # sha256 of every file, recorded before the per-day terms were
+        # shared across nodes and models: that change must move no byte
+        spec = SynthSpec(
+            n_nodes=5, avg_degree=2.0, seed=11, models=("m1", "m2"), start_year=1999, end_year=2001
+        )
+        paths = generate_synthetic(spec, tmp_path)
+        digests = {role: hashlib.sha256(p.read_bytes()).hexdigest() for role, p in paths.items()}
+        assert digests == {
+            "nodes": "dbc666807c75ce33dd7c26ad34d2a66f7f8f877113989b6ba63e09bff251cca7",
+            "edges": "1c3d67bb9b52c0ba1723d1793548ee7aea07dc68bddaa6faa2bb43e66e5fd5c9",
+            "series:m1": "99d06bbcf7e589bb8b620cb15fb21a5eb6f2b8f735ec110e6d03b58557924821",
+            "series:m2": "425200ac55dd417b4f8f87470c50db75242135c235b27625699fa0f037ba1137",
+        }
+
     def test_seed_changes_network(self):
         nets = {build_network(SynthSpec(n_nodes=15, avg_degree=3.0, seed=s)).edges for s in range(5)}
         assert len(nets) == 5
@@ -101,7 +114,7 @@ class TestEmittedFiles:
         assert set(paths) == {"nodes", "edges"} | {f"series:{m}" for m in DEFAULT_MODELS}
         net = load_network(paths["nodes"], paths["edges"])
         assert net.node_count == 6
-        series = read_series_csv([paths["series:synth-a"]])
+        series = oracle_read_series([paths["series:synth-a"]])
         assert set(series) == {("synth-a", i) for i in range(1, 7)}
         one = series[("synth-a", 1)]
         assert len(one.dates) == 366  # year 2000 alone
@@ -138,12 +151,14 @@ class TestWarmingTrend:
             noise_sd_c=0.8,
         )
         paths = generate_synthetic(spec, tmp_path)
-        series = read_series_csv([paths["series:m1"]])
+        series = oracle_read_series([paths["series:m1"]])
         early = PeriodSpec("early", 2000, 2019)
         late = PeriodSpec("late", 2040, 2059)
+        threshold = 30.0
+        counts = count_series_csv([paths["series:m1"]], (early, late), threshold)
+        assert counts.keys() == series.keys()
         improvements = []
         for (model, node_id), s in sorted(series.items()):
-            threshold = 30.0
             # direct scan, bypassing the counting helper
             n_early = sum(
                 1 for d, v in zip(s.dates, s.tmax) if early.contains(d) and v > threshold
@@ -153,6 +168,7 @@ class TestWarmingTrend:
             )
             assert count_hot_days(s, early, threshold) == n_early
             assert count_hot_days(s, late, threshold) == n_late
+            assert counts[(model, node_id)] == (n_early, n_late)
             assert n_late >= n_early
             improvements.append(n_late - n_early)
         # 3 degrees of warming must show up somewhere, not just tie

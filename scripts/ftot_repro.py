@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     rail_net, rail_curve = curves["rail"]
     all_ok &= check(
         "rail tonnage fraction after 20 removals",
-        rail_curve.steps[20].tonnage_fraction,
+        rail_curve.tonnage_fraction[20],
         0.30,
         0.03,
     )

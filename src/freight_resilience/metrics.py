@@ -7,20 +7,24 @@ the network, and the tonnage fraction carried by the largest surviving
 component. A network counts as collapsed once SCF drops to or below a
 threshold (0.10 by default).
 
+A curve holds one column per quantity, validated once when it is built.
 Replay runs backwards: start from the fully disrupted state and re-add
-nodes in reverse order under a union-find, so the whole curve costs
-near-linear time instead of one component sweep per step. Tonnages
-are integers over one common power-of-two denominator (a finite float is
-m / 2^k), so tonnage sums are exact; each float column is one correctly
-rounded int / int division, which makes the remaining-tonnage column
-agree bit-for-bit with the closed form 1 - removed/total.
+nodes in reverse order under a union-find over dense node positions, so
+the whole curve costs near-linear time instead of one component sweep
+per step. Tonnages are integers over one common power-of-two denominator
+(a finite float is m / 2^k), so tonnage sums are exact; each float
+column is one correctly rounded int / int division, which makes the
+remaining-tonnage column agree bit-for-bit with the closed form
+1 - removed/total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import ge, le
+from typing import Mapping, Sequence
 
 from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
@@ -34,7 +38,8 @@ DEFAULT_COLLAPSE_THRESHOLD = 0.10
 @dataclass(frozen=True)
 class CurveStep:
     """State after ``step`` removals; ``node_id`` is the node removed at
-    this step (None for the intact row)."""
+    this step (None for the intact row). One row of a curve's ``steps``
+    view; the curve validates its columns, so a step checks nothing."""
 
     step: int
     node_id: int | None
@@ -44,121 +49,115 @@ class CurveStep:
     tonnage_fraction: float
     tonnage_fraction_gcc: float
 
-    def __post_init__(self):
-        if self.step < 0 or self.ff < 0:
-            raise ValueError("step and ff must be non-negative")
-        if (self.step == 0) != (self.node_id is None):
-            raise ValueError("node_id must be None exactly at step 0")
-        for name in ("fraction_removed", "scf", "tonnage_fraction", "tonnage_fraction_gcc"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class RobustnessCurve:
-    """One replayed removal sequence over one network."""
+    """One replayed removal sequence over one network, held as columns.
+
+    ``order`` lists the k removed ids; ``ff``, ``tonnage_fraction`` and
+    ``tonnage_fraction_gcc`` have k + 1 entries, entry j describing the
+    state after j removals. ``fraction_removed`` (j / n_nodes) and ``scf``
+    (ff / tf) are derived from them.
+    """
 
     scenario: str
     model: str | None
     seed: int | None
     n_nodes: int
     tf: int
-    steps: tuple[CurveStep, ...]
+    order: tuple[int, ...]
+    ff: tuple[int, ...]
+    tonnage_fraction: tuple[float, ...]
+    tonnage_fraction_gcc: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n_nodes < 1 or not 1 <= self.tf <= self.n_nodes:
+        n, k, ff = self.n_nodes, len(self.order), self.ff
+        if n < 1 or not 1 <= self.tf <= n:
             raise ValueError("need n_nodes >= 1 and 1 <= tf <= n_nodes")
-        if not self.steps or len(self.steps) > self.n_nodes + 1:
-            raise ValueError("steps must cover 0..k for some k <= n_nodes")
-        first = self.steps[0]
-        if first.step != 0 or first.ff != self.tf or first.scf != 1.0:
+        if k > n:
+            raise ValueError(f"{k} removals from {n} nodes")
+        if not len(ff) == len(self.tonnage_fraction) == len(self.tonnage_fraction_gcc) == k + 1:
+            raise ValueError("ff and the tonnage columns need one entry per step 0..k")
+        if ff[0] != self.tf:
             raise ValueError("step 0 must describe the intact network")
-        for k, step in enumerate(self.steps):
-            if step.step != k:
-                raise ValueError(f"non-consecutive step index at position {k}")
-            if step.fraction_removed != k / self.n_nodes:
-                raise ValueError(f"fraction_removed mismatch at step {k}")
-            if step.ff > self.n_nodes - k:
-                raise ValueError(f"ff exceeds surviving node count at step {k}")
-            if step.scf != step.ff / self.tf:
-                raise ValueError(f"scf is not ff/tf at step {k}")
-        for prev, cur in zip(self.steps, self.steps[1:]):
-            if cur.ff > prev.ff:
-                raise ValueError("ff must be non-increasing")
-            if cur.tonnage_fraction > prev.tonnage_fraction:
-                raise ValueError("tonnage_fraction must be non-increasing")
+        # comparisons with NaN are false, so every check below rejects it
+        if not all(map(le, ff, range(n, n - k - 1, -1))):
+            raise ValueError("ff exceeds the surviving node count")
+        if not (all(map(ge, ff, ff[1:])) and ff[-1] >= 0):
+            raise ValueError("ff must be non-increasing and non-negative")
+        ton, gcc = self.tonnage_fraction, self.tonnage_fraction_gcc
+        if not (all(map(ge, ton, ton[1:])) and ton[0] <= 1.0 and ton[-1] >= 0.0):
+            raise ValueError("tonnage_fraction must be non-increasing within [0, 1]")
+        if not (all(map((0.0).__le__, gcc)) and all(map((1.0).__ge__, gcc))):
+            raise ValueError("tonnage_fraction_gcc outside [0, 1]")
 
-    @property
-    def removed_order(self) -> tuple[int, ...]:
-        return tuple(s.node_id for s in self.steps[1:])
+    @cached_property
+    def fraction_removed(self) -> tuple[float, ...]:
+        n = self.n_nodes
+        return tuple(j / n for j in range(len(self.ff)))
+
+    @cached_property
+    def scf(self) -> tuple[float, ...]:
+        tf = self.tf
+        return tuple(f / tf for f in self.ff)
+
+    @cached_property
+    def steps(self) -> tuple[CurveStep, ...]:
+        """The columns as one read-only record per step, built on first use."""
+        values = (self.ff, self.scf, self.tonnage_fraction, self.tonnage_fraction_gcc)
+        index = (range(len(self.ff)), (None, *self.order), self.fraction_removed)
+        return tuple(map(CurveStep, *index, *values))
+
+
+def _largest_components(net: FreightNetwork, removed: Sequence[int]) -> list[tuple[int, int]]:
+    """(size, scaled tonnage) of the largest component, the heaviest on
+    ties, after each prefix of ``removed`` (node positions), found by
+    re-adding those nodes in reverse order under a union-find."""
+    n, adj = net.node_count, net.dense_adjacency
+    parent = list(range(n))
+    present = bytearray(n)
+    size = [1] * n
+    weight = list(net.scaled_tonnages)
+    best = (0, 0)
+
+    def add(v: int) -> None:
+        nonlocal best
+        present[v] = 1
+        root = v  # v's root throughout: the smaller tree is hung below the larger
+        for w in adj[v]:
+            if not present[w]:
+                continue
+            while parent[w] != w:  # path halving
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if w == root:
+                continue
+            if size[root] < size[w]:
+                root, w = w, root
+            parent[w] = root
+            size[root] += size[w]
+            weight[root] += weight[w]
+        # each component's size only grows, so its last observation here
+        # carries its final (size, tonnage); the running max over these
+        # observations is exact
+        if (size[root], weight[root]) > best:
+            best = (size[root], weight[root])
+
+    gone = set(removed)
+    for v in range(n):
+        if v not in gone:
+            add(v)
+    states = [best]
+    for v in reversed(removed):
+        add(v)
+        states.append(best)
+    states.reverse()
+    return states
 
 
 def gcc_size(net: FreightNetwork) -> int:
     """Largest connected component size, 0 for the empty network."""
-    adj = net.adjacency
-    seen: set[int] = set()
-    best = 0
-    for start in net.node_ids:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        count = 0
-        while stack:
-            v = stack.pop()
-            count += 1
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        best = max(best, count)
-    return best
-
-
-class _UnionFind:
-    """Union-find over re-added nodes, tracking size and tonnage per root
-    and the running (max component size, max tonnage at that size)."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-        self.tons: dict[int, int] = {}
-        self.max_size = 0
-        self.max_tons = 0
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def add(self, v: int, tonnage: int, neighbors: Iterable[int]) -> None:
-        self.parent[v] = v
-        self.size[v] = 1
-        self.tons[v] = tonnage
-        for w in neighbors:
-            if w not in self.parent:
-                continue
-            a, b = self.find(v), self.find(w)
-            if a == b:
-                continue
-            if self.size[a] < self.size[b]:
-                a, b = b, a
-            self.parent[b] = a
-            self.size[a] += self.size[b]
-            self.tons[a] += self.tons[b]
-        root = self.find(v)
-        # each component's size only grows, so its last observation here
-        # carries its final (size, tonnage); the running max over these
-        # observations is exact
-        if self.size[root] > self.max_size:
-            self.max_size = self.size[root]
-            self.max_tons = self.tons[root]
-        elif self.size[root] == self.max_size and self.tons[root] > self.max_tons:
-            self.max_tons = self.tons[root]
+    return _largest_components(net, ())[0][0]
 
 
 def replay(net: FreightNetwork, seq: RemovalSequence) -> RobustnessCurve:
@@ -168,63 +167,34 @@ def replay(net: FreightNetwork, seq: RemovalSequence) -> RobustnessCurve:
     yields n+1 steps. Ties among equally large surviving components are
     resolved for the tonnage column by taking the heaviest one.
     """
-    n = net.node_count
-    if n == 0:
+    if net.node_count == 0:
         raise ValueError("cannot replay on an empty network")
-    known = net.node_by_id
-    unknown = [v for v in seq.order if v not in known]
+    index = net.index
+    unknown = [v for v in seq.order if v not in index]
     if unknown:
         raise ValueError(f"sequence removes nodes not in the network: {unknown}")
-
-    # each d is a power of two, so tonnage m / d is exactly m * (den // d) / den
-    ratios = [rec.tonnage.as_integer_ratio() for rec in net.nodes]
-    den = max(d for _, d in ratios)
-    tons = {v: m * (den // d) for v, (m, d) in zip(net.node_ids, ratios)}
-    total = sum(tons.values())
-    adj = net.adjacency
-    removed = set(seq.order)
-
-    uf = _UnionFind()
-    for v in net.node_ids:
-        if v not in removed:
-            uf.add(v, tons[v], adj[v])
-
-    # walk backwards from the fully disrupted state, re-adding nodes
-    states: list[tuple[int, int]] = [(uf.max_size, uf.max_tons)]
-    for v in reversed(seq.order):
-        uf.add(v, tons[v], adj[v])
-        states.append((uf.max_size, uf.max_tons))
-    states.reverse()  # states[k] = after k removals
-
-    cum = [0, *accumulate(tons[v] for v in seq.order)]  # removed tonnage
-
-    tf = states[0][0]
-    steps = []
-    for k, (ff, gcc_tons) in enumerate(states):
-        if total > 0:
-            ton_frac = (total - cum[k]) / total
-            ton_frac_gcc = gcc_tons / total
-        else:
-            ton_frac = 1.0
-            ton_frac_gcc = 1.0 if ff > 0 else 0.0
-        steps.append(
-            CurveStep(
-                step=k,
-                node_id=None if k == 0 else seq.order[k - 1],
-                fraction_removed=k / n,
-                ff=ff,
-                scf=ff / tf,
-                tonnage_fraction=ton_frac,
-                tonnage_fraction_gcc=ton_frac_gcc,
-            )
-        )
+    removed = [index[v] for v in seq.order]
+    tons = net.scaled_tonnages
+    total = sum(tons)
+    states = _largest_components(net, removed)
+    ff, gcc_tons = zip(*states)
+    if total > 0:
+        removed_tons = accumulate((tons[v] for v in removed), initial=0)
+        ton_frac = tuple((total - t) / total for t in removed_tons)
+        ton_frac_gcc = tuple(t / total for t in gcc_tons)
+    else:
+        ton_frac = (1.0,) * len(ff)
+        ton_frac_gcc = tuple(1.0 if f > 0 else 0.0 for f in ff)
     return RobustnessCurve(
         scenario=seq.scenario,
         model=seq.model,
         seed=seq.seed,
-        n_nodes=n,
-        tf=tf,
-        steps=tuple(steps),
+        n_nodes=net.node_count,
+        tf=ff[0],
+        order=seq.order,
+        ff=ff,
+        tonnage_fraction=ton_frac,
+        tonnage_fraction_gcc=ton_frac_gcc,
     )
 
 
@@ -238,9 +208,9 @@ def collapse_point(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
-    for step in curve.steps:
-        if step.scf <= threshold:
-            return step.step, step.fraction_removed
+    for j, scf in enumerate(curve.scf):
+        if scf <= threshold:
+            return j, curve.fraction_removed[j]
     return None
 
 
@@ -280,15 +250,11 @@ def aggregate_curves(
     for c in curves[1:]:
         if c.scenario != head.scenario:
             raise ValueError("curves mix scenarios")
-        if c.n_nodes != head.n_nodes or len(c.steps) != len(head.steps):
+        if c.n_nodes != head.n_nodes or len(c.ff) != len(head.ff):
             raise ValueError("curves have mismatched shapes")
-    scf = {
-        k: summarize([c.steps[k].scf for c in curves]) for k in range(len(head.steps))
-    }
-    ton = {
-        k: summarize([c.steps[k].tonnage_fraction for c in curves])
-        for k in range(len(head.steps))
-    }
+    # one tuple of values across the curves per step
+    scf = dict(enumerate(map(summarize, zip(*(c.scf for c in curves)))))
+    ton = dict(enumerate(map(summarize, zip(*(c.tonnage_fraction for c in curves)))))
     points = [collapse_point(c, threshold) for c in curves]
     collapse = None
     if all(p is not None for p in points):
@@ -321,71 +287,78 @@ _CURVE_HEADER = [
 
 
 def write_curves_csv(curves: Sequence[RobustnessCurve], path) -> None:
-    rows = (
-        [
-            curve.scenario,
-            curve.model,
-            curve.seed,
-            step.step,
-            step.node_id,
-            step.fraction_removed,
-            step.ff,
-            step.scf,
-            step.tonnage_fraction,
-            step.tonnage_fraction_gcc,
-        ]
-        for curve in curves
-        for step in curve.steps
+    # the fraction_removed cells depend only on the node count; a string
+    # cell is written as is, and repr is the text csv writes for a float
+    fractions = {n: [repr(j / n) for j in range(n + 1)] for n in {c.n_nodes for c in curves}}
+    rows = chain.from_iterable(
+        zip(
+            repeat(c.scenario),
+            repeat(c.model),
+            repeat(c.seed),
+            range(len(c.ff)),
+            (None, *c.order),
+            fractions[c.n_nodes],
+            c.ff,
+            c.scf,
+            c.tonnage_fraction,
+            c.tonnage_fraction_gcc,
+        )
+        for c in curves
     )
     write_table(path, _CURVE_HEADER, rows)
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:
     """Rebuild curves from a curves CSV (rows grouped per curve, in step
-    order, as written by write_curves_csv)."""
-    groups: dict[tuple[str, str, str], list[CurveStep]] = {}
+    order, as written by write_curves_csv).
+
+    A fault in one row raises DataError at its line; a fault in a whole
+    curve (its values disagree with each other) names the curve.
+    """
+    # (scenario, model, seed cells) -> seed and the columns as read:
+    # order, fraction_removed, ff, scf, tonnage_fraction, tonnage_fraction_gcc
+    groups: dict[tuple[str, str, str], tuple] = {}
+    key = None
     with read_table(path, _CURVE_HEADER) as records:
         for lineno, row in records:
             try:
-                key = (row[0], row[1], row[2])
-                step = CurveStep(
-                    step=int(row[3]),
-                    node_id=int(row[4]) if row[4] else None,
-                    fraction_removed=float(row[5]),
-                    ff=int(row[6]),
-                    scf=float(row[7]),
-                    tonnage_fraction=float(row[8]),
-                    tonnage_fraction_gcc=float(row[9]),
-                )
+                if (row[0], row[1], row[2]) != key:
+                    key = (row[0], row[1], row[2])
+                    if key not in groups:
+                        groups[key] = (int(key[2]) if key[2] else None, [], [], [], [], [], [])
+                    _, order, frac, ff, scf, ton, gcc = groups[key]
+                step, node = int(row[3]), row[4]
+                if step != len(ff):
+                    expected = "a step-0 row" if not ff else f"step {len(ff)}"
+                    raise ValueError(f"step {step} where the curve needs {expected}")
+                if step:
+                    if not node:
+                        raise ValueError(f"step {step} names no removed node_id")
+                    order.append(int(node))
+                elif node:
+                    raise ValueError("the step-0 row must leave node_id blank")
+                frac.append(float(row[5]))
+                ff.append(int(row[6]))
+                scf.append(float(row[7]))
+                ton.append(float(row[8]))
+                gcc.append(float(row[9]))
             except (ValueError, IndexError) as exc:
                 raise DataError(str(exc), path=path, line=lineno) from exc
-            groups.setdefault(key, []).append(step)
     curves = []
-    for (scenario, model, seed), steps in groups.items():
-        if not steps or steps[0].step != 0 or steps[0].fraction_removed != 0.0:
-            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r} lacks a step-0 row", path=path)
-        if len(steps) > 1:
-            if steps[1].fraction_removed <= 0.0:
-                raise DataError(
-                    f"curve {scenario!r}/{model!r}/{seed!r}: step 1 fraction_removed must be positive",
-                    path=path,
-                )
-            n_nodes = 1 / steps[1].fraction_removed
-        else:
-            n_nodes = steps[0].ff
+    for (scenario, model, seed_cell), (seed, order, frac, ff, scf, ton, gcc) in groups.items():
         try:
-            curves.append(
-                RobustnessCurve(
-                    scenario=scenario,
-                    model=model or None,
-                    seed=int(seed) if seed else None,
-                    n_nodes=round(n_nodes),
-                    tf=steps[0].ff,
-                    steps=tuple(steps),
-                )
-            )
+            if len(frac) > 1 and not frac[1] > 0.0:
+                raise ValueError("step 1 fraction_removed must be positive")
+            n_nodes = round(1 / frac[1]) if len(frac) > 1 else ff[0]
+            columns = map(tuple, (order, ff, ton, gcc))
+            curve = RobustnessCurve(scenario, model or None, seed, n_nodes, ff[0], *columns)
+            if tuple(frac) != curve.fraction_removed:
+                raise ValueError("fraction_removed is not step/n_nodes")
+            if tuple(scf) != curve.scf:
+                raise ValueError("scf is not ff/tf")
         except (ValueError, OverflowError) as exc:  # overflow: a subnormal step-1 fraction
-            raise DataError(f"curve {scenario!r}/{model!r}/{seed!r}: {exc}", path=path) from exc
+            raise DataError(f"curve {scenario!r}/{model!r}/{seed_cell!r}: {exc}", path=path) from exc
+        curves.append(curve)
     return curves
 
 

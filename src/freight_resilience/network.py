@@ -129,6 +129,26 @@ class FreightNetwork:
             neigh[b].append(a)
         return {i: tuple(sorted(v)) for i, v in neigh.items()}
 
+    @cached_property
+    def index(self) -> Mapping[int, int]:
+        """Node id -> position in ``node_ids`` (position order is id order)."""
+        return {v: i for i, v in enumerate(self.node_ids)}
+
+    @cached_property
+    def dense_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency`` by position: each node's sorted neighbour positions."""
+        index, adj = self.index, self.adjacency
+        return tuple(tuple(index[w] for w in adj[v]) for v in self.node_ids)
+
+    @cached_property
+    def scaled_tonnages(self) -> tuple[int, ...]:
+        """Tonnages by position as integers over one common denominator, so
+        their sums and ratios are exact: a finite float is m / 2^e, and the
+        largest 2^e serves for all."""
+        ratios = [n.tonnage.as_integer_ratio() for n in self.nodes]
+        den = max((d for _, d in ratios), default=1)
+        return tuple(m * (den // d) for m, d in ratios)
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)

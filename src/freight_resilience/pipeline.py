@@ -620,6 +620,12 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
                 f"model {model!r}: no hot-day data for {len(uncovered)} network node(s), "
                 f"first missing id {uncovered[0]}"
             )
+        differing = set(deltas[model]).symmetric_difference(deltas[models[0]])
+        if differing:
+            raise DataError(
+                f"model {model!r} covers a different node set than {models[0]!r}: "
+                f"first differing node id {min(differing)}"
+            )
     write_delta_csv(deltas, rec.path("hotday_deltas.csv"))
     rec.add("hotday_deltas.csv")
 
@@ -711,7 +717,7 @@ def _collapse_rows(
 def _plot_series(
     by_scenario: Mapping[str, Sequence[RobustnessCurve]],
     scenario_order: Sequence[str],
-    value_of: Callable[[object], float],
+    value_of: Callable[[RobustnessCurve], Sequence[float]],
     limits: Mapping[str, int],
 ) -> tuple[list[LineSeries], list[Band]]:
     series: list[LineSeries] = []
@@ -719,10 +725,10 @@ def _plot_series(
     for i, scenario in enumerate(scenario_order):
         curves = by_scenario[scenario]
         color = PALETTE[i % len(PALETTE)]
-        steps = range(limits.get(scenario, len(curves[0].steps) - 1) + 1)
-        xs = [curves[0].steps[k].fraction_removed for k in steps]
-        # one value list per step, shared by the mean and the band
-        columns = [[value_of(c.steps[k]) for c in curves] for k in steps]
+        stop = limits.get(scenario, len(curves[0].ff) - 1) + 1
+        xs = curves[0].fraction_removed[:stop]
+        # one value tuple per step, shared by the mean and the band
+        columns = list(zip(*(value_of(c)[:stop] for c in curves)))
         if len(curves) == 1:
             pts = tuple(zip(xs, (column[0] for column in columns)))
             label = scenario
@@ -782,7 +788,7 @@ def emit_report(
 
     limits = _plot_limits(sequences)
     where = f" ({mode})" if mode else ""
-    series, bands = _plot_series(by_scenario, scenario_order, lambda s: s.scf, limits)
+    series, bands = _plot_series(by_scenario, scenario_order, lambda c: c.scf, limits)
     rec.write_text(
         "robustness.svg",
         line_chart(
@@ -794,7 +800,7 @@ def emit_report(
         ),
     )
     series, bands = _plot_series(
-        by_scenario, scenario_order, lambda s: s.tonnage_fraction, limits
+        by_scenario, scenario_order, lambda c: c.tonnage_fraction, limits
     )
     rec.write_text(
         "tonnage.svg",
@@ -901,11 +907,11 @@ def report_from_curves(curves_csv, out_dir, threshold: float = DEFAULT_COLLAPSE_
         group = by_scenario.setdefault(curve.scenario, [])
         head = group[0] if group else curve
         # the ensembles and plots compare curves of one scenario step by step
-        if (curve.n_nodes, len(curve.steps)) != (head.n_nodes, len(head.steps)):
+        if (curve.n_nodes, len(curve.ff)) != (head.n_nodes, len(head.ff)):
             raise DataError(
                 f"scenario {curve.scenario!r}: curves have mismatched shapes "
-                f"({head.n_nodes} nodes, {len(head.steps)} steps vs "
-                f"{curve.n_nodes} nodes, {len(curve.steps)} steps)",
+                f"({head.n_nodes} nodes, {len(head.ff)} steps vs "
+                f"{curve.n_nodes} nodes, {len(curve.ff)} steps)",
                 path=curves_csv,
             )
         group.append(curve)

@@ -223,6 +223,37 @@ class TestStagePrefixes:
         assert "collapse.csv" not in files and "robustness.svg" not in files
 
 
+def use_model_series(config: Path, nodes_by_model: dict[str, list[int]]) -> None:
+    """Point the config at one hot day in 2000 for each model's nodes."""
+    rows = [f"{m},{i},2000-01-01,36.0" for m, nodes in nodes_by_model.items() for i in nodes]
+    text = "\n".join(["model,node_id,date,tmax_c", *rows]) + "\n"
+    (config.parent / "data" / "tmax.csv").write_text(text)
+    doc = json.loads(config.read_text())
+    doc["climate"] = {
+        "series": ["data/tmax.csv"],
+        "baseline": {"label": "b", "start_year": 2000, "end_year": 2000},
+        "futures": [{"label": "f", "start_year": 2001, "end_year": 2001}],
+    }
+    config.write_text(json.dumps(doc))
+
+
+class TestClimateNodeSets:
+    def test_models_covering_different_node_sets_exit_three(self, demo, capsys):
+        # mA also has node 99, which is not in the network
+        use_model_series(demo, {"mA": [*range(1, 11), 99], "mB": list(range(1, 11))})
+        assert main(["run", "--config", str(demo)]) == 3
+        assert (
+            "model 'mB' covers a different node set than 'mA': first differing node id 99"
+            in capsys.readouterr().err
+        )
+
+    def test_same_extra_node_in_every_model_is_kept(self, demo):
+        use_model_series(demo, {m: [*range(1, 11), 99] for m in ("mA", "mB")})
+        assert main(["run", "--config", str(demo)]) == 0
+        deltas = (demo.parent / "out" / "hotday_deltas.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in deltas[1:]].count("99") == 2
+
+
 class TestReportCommand:
     def test_report_from_run(self, demo, tmp_path, capsys):
         assert main(["run", "--config", str(demo)]) == 0

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from freight_resilience.disruption import (
     random_sequence,
     targeted_sequence,
 )
+from freight_resilience import metrics
 from freight_resilience.errors import DataError
 from freight_resilience.metrics import (
+    _CURVE_HEADER,
     CollapseRow,
     CurveStep,
     RobustnessCurve,
@@ -35,6 +39,9 @@ from freight_resilience.metrics import (
     write_collapse_csv,
     write_curves_csv,
 )
+from freight_resilience.network import load_network
+from freight_resilience.pipeline import report_from_curves
+from freight_resilience.synth import SynthSpec, generate_synthetic
 
 
 def all_sequences_for(net, trial):
@@ -94,7 +101,7 @@ class TestReplayBasics:
         assert second.tonnage_fraction == 0.8
         assert second.tonnage_fraction_gcc == 0.2
         assert curve.steps[-1].ff == 0
-        assert curve.removed_order == (1, 2, 3, 4, 5)
+        assert curve.order == (1, 2, 3, 4, 5)
 
     def test_partial_sequence(self, star5):
         seq = RemovalSequence("random", (3, 5), seed=0)
@@ -193,39 +200,100 @@ class TestCurveInvariants:
                     assert hub_first.steps[k].scf <= other.steps[k].scf
 
 
+def columns_curve(**changes):
+    """A valid curve of three nodes after two removals, with ``changes``
+    applied to the constructor's fields."""
+    fields = dict(
+        scenario="random",
+        model=None,
+        seed=0,
+        n_nodes=3,
+        tf=3,
+        order=(2, 1),
+        ff=(3, 1, 1),
+        tonnage_fraction=(1.0, 0.5, 0.25),
+        tonnage_fraction_gcc=(1.0, 0.25, 0.25),
+    )
+    return RobustnessCurve(**{**fields, **changes})
+
+
 class TestStepAndCurveValidation:
+    def test_valid_columns_and_derived_values(self):
+        curve = columns_curve()
+        assert curve.fraction_removed == (0.0, 1 / 3, 2 / 3)
+        assert curve.scf == (1.0, 1 / 3, 1 / 3)
+        assert curve.steps[1] == CurveStep(1, 2, 1 / 3, 1, 1 / 3, 0.5, 0.25)
+
     def test_step_zero_node_id(self):
-        with pytest.raises(ValueError, match="node_id"):
-            CurveStep(0, 4, 0.0, 3, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="node_id"):
-            CurveStep(1, None, 0.5, 3, 1.0, 1.0, 1.0)
+        """The intact row removes no node: ``order`` is one entry shorter
+        than the per-step columns, and the view leaves node_id None only
+        at step 0."""
+        assert [s.node_id for s in columns_curve().steps] == [None, 2, 1]
+        for order in ((2,), (2, 1, 3)):
+            with pytest.raises(ValueError, match="one entry per step"):
+                columns_curve(order=order)
 
     def test_unit_interval_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
-            CurveStep(1, 7, 0.5, 3, 1.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"tonnage_fraction must be .* within \[0, 1\]"):
+            columns_curve(tonnage_fraction=(1.5, 0.5, 0.25))
+        with pytest.raises(ValueError, match=r"tonnage_fraction must be .* within \[0, 1\]"):
+            columns_curve(tonnage_fraction=(1.0, 0.5, -0.25))
+        for gcc in ((1.0, 1.25, 0.25), (1.0, 0.25, -0.0625)):
+            with pytest.raises(ValueError, match="tonnage_fraction_gcc outside"):
+                columns_curve(tonnage_fraction_gcc=gcc)
+
+    def test_nan_rejected_in_every_float_column(self):
+        nan = float("nan")
+        for ton in ((nan, 0.5, 0.25), (1.0, nan, 0.25), (1.0, 0.5, nan)):
+            with pytest.raises(ValueError, match="tonnage_fraction must be"):
+                columns_curve(tonnage_fraction=ton)
+        for gcc in ((nan, 0.25, 0.25), (1.0, 0.25, nan)):
+            with pytest.raises(ValueError, match="tonnage_fraction_gcc outside"):
+                columns_curve(tonnage_fraction_gcc=gcc)
 
     def test_curve_requires_intact_first_step(self):
-        good = CurveStep(0, None, 0.0, 2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="intact"):
-            RobustnessCurve(
-                "random",
-                None,
-                0,
-                2,
-                2,
-                (CurveStep(0, None, 0.0, 1, 0.5, 1.0, 1.0),),
-            )
-        RobustnessCurve("random", None, 0, 2, 2, (good,))
+            columns_curve(tf=2, ff=(3, 1, 1))
+        with pytest.raises(ValueError, match="intact"):
+            columns_curve(ff=(2, 1, 1))
 
     def test_curve_rejects_ff_exceeding_survivors(self):
-        steps = (
-            CurveStep(0, None, 0.0, 1, 1.0, 1.0, 0.5),
-            CurveStep(1, 2, 0.5, 1, 1.0, 0.5, 0.5),
-            CurveStep(2, 1, 1.0, 1, 1.0, 0.0, 0.0),
-        )
         # ff staying flat is fine; ff cannot exceed survivors though
-        with pytest.raises(ValueError, match="exceeds surviving"):
-            RobustnessCurve("random", None, 0, 2, 1, steps)
+        with pytest.raises(ValueError, match="exceeds the surviving"):
+            columns_curve(n_nodes=2, tf=1, ff=(1, 1, 1))
+        with pytest.raises(ValueError, match="exceeds the surviving"):
+            columns_curve(ff=(3, 3, 1))
+
+    def test_node_count_and_tf_bounds(self):
+        for n_nodes, tf in ((0, 0), (3, 0), (2, 3)):
+            with pytest.raises(ValueError, match="1 <= tf <= n_nodes"):
+                columns_curve(n_nodes=n_nodes, tf=tf, ff=(tf, 0, 0))
+
+    def test_at_most_one_removal_per_node(self):
+        with pytest.raises(ValueError, match="3 removals from 2 nodes"):
+            columns_curve(
+                n_nodes=2,
+                tf=2,
+                order=(1, 2, 3),
+                ff=(2, 1, 0, 0),
+                tonnage_fraction=(1.0,) * 4,
+                tonnage_fraction_gcc=(1.0,) * 4,
+            )
+
+    def test_column_lengths_must_match(self):
+        for field in ("ff", "tonnage_fraction", "tonnage_fraction_gcc"):
+            with pytest.raises(ValueError, match="one entry per step"):
+                columns_curve(**{field: (1.0, 1.0)})
+
+    def test_ff_non_increasing_and_non_negative(self):
+        with pytest.raises(ValueError, match="ff must be non-increasing"):
+            columns_curve(ff=(3, 0, 1))
+        with pytest.raises(ValueError, match="ff must be non-increasing and non-negative"):
+            columns_curve(ff=(3, 1, -1))
+
+    def test_tonnage_fraction_non_increasing(self):
+        with pytest.raises(ValueError, match="tonnage_fraction must be non-increasing"):
+            columns_curve(tonnage_fraction=(1.0, 0.25, 0.5))
 
 
 class TestCollapsePoint:
@@ -366,6 +434,96 @@ class TestCurvesCsv:
             read_curves_csv(tmp_path / "none.csv")
 
 
+def write_edited_curve(path, edits):
+    """Write a 4-node random curve (order 1, 2, 3; ff 4, 1, 1, 1) and
+    set cells of it: ``edits`` maps (line, column name) to the new text."""
+    ton, gcc = (1.0, 0.75, 0.5, 0.25), (1.0, 0.25, 0.25, 0.25)
+    curve = RobustnessCurve("random", None, 5, 4, 4, (1, 2, 3), (4, 1, 1, 1), ton, gcc)
+    write_curves_csv([curve], path)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    for (line, column), text in edits.items():
+        lines[line - 1][lines[0].index(column)] = text
+    path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+    return path
+
+
+# a fault of the whole curve written by write_edited_curve
+CURVE_FAULT = r"curves\.csv: curve 'random'/''/'5': "
+
+
+class TestCurvesCsvFaults:
+    """Row faults name the file and line; faults of a whole curve name
+    the file and the curve."""
+
+    def test_unedited_file_reads(self, tmp_path):
+        (curve,) = read_curves_csv(write_edited_curve(tmp_path / "curves.csv", {}))
+        assert curve.ff == (4, 1, 1, 1) and curve.scf == (1.0, 0.25, 0.25, 0.25)
+
+    def test_step_gap_names_its_line(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {})
+        lines = path.read_text().splitlines()
+        del lines[2]  # step 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"curves\.csv:3: step 2 where the curve needs step 1"):
+            read_curves_csv(path)
+
+    def test_missing_step0_names_its_line(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(2, "step"): "1"})
+        with pytest.raises(DataError, match=r"csv:2: step 1 where the curve needs a step-0 row"):
+            read_curves_csv(path)
+
+    def test_node_id_at_step_zero(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(2, "node_id"): "4"})
+        with pytest.raises(DataError, match=r"csv:2: the step-0 row must leave node_id blank"):
+            read_curves_csv(path)
+
+    def test_blank_node_id_after_step_zero(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(4, "node_id"): ""})
+        with pytest.raises(DataError, match=r"curves\.csv:4: step 2 names no removed node_id"):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("column", _CURVE_HEADER[2:])
+    def test_non_numeric_cell(self, tmp_path, column):
+        path = write_edited_curve(tmp_path / "curves.csv", {(3, column): "x"})
+        with pytest.raises(DataError, match=r"curves\.csv:3: .*'x'"):
+            read_curves_csv(path)
+
+    def test_short_row(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {})
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 2)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"curves\.csv:4: "):
+            read_curves_csv(path)
+
+    def test_ff_increasing(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(4, "ff"): "2", (4, "scf"): "0.5"})
+        with pytest.raises(DataError, match=CURVE_FAULT + "ff must be non-increasing"):
+            read_curves_csv(path)
+
+    def test_scf_not_ff_over_tf(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(3, "scf"): "0.3"})
+        with pytest.raises(DataError, match=CURVE_FAULT + "scf is not ff/tf"):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("line, text", [(2, "0.1"), (4, "0.6"), (5, "0.7")])
+    def test_fraction_removed_mismatch(self, tmp_path, line, text):
+        path = write_edited_curve(tmp_path / "curves.csv", {(line, "fraction_removed"): text})
+        with pytest.raises(DataError, match=CURVE_FAULT + "fraction_removed is not step/n_nodes"):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("text", ["0.0", "-0.25", "nan"])
+    def test_step_one_fraction_not_positive(self, tmp_path, text):
+        path = write_edited_curve(tmp_path / "curves.csv", {(3, "fraction_removed"): text})
+        with pytest.raises(DataError, match=CURVE_FAULT + "step 1 fraction_removed must be positive"):
+            read_curves_csv(path)
+
+    def test_subnormal_step_one_fraction(self, tmp_path):
+        path = write_edited_curve(tmp_path / "curves.csv", {(3, "fraction_removed"): "1e-320"})
+        with pytest.raises(DataError, match=CURVE_FAULT):
+            read_curves_csv(path)
+
+
 class TestCollapseCsv:
     def test_layout(self, tmp_path):
         rows = [
@@ -431,6 +589,77 @@ def test_replay_exact_on_extreme_tonnages(tons):
     net = make_net(n, er_edges(n, 0.5, random.Random(n)), tons=dict(enumerate(tons, 1)))
     for seq in (random_sequence(net, 3), targeted_sequence(net, "degree")):
         assert_matches_oracle(net, seq)
+
+
+def assert_columns_match_oracle(net, seq, curve):
+    """Every column of ``curve``, stored or derived, against the oracle."""
+    states = oracle_curve_states(net, seq.order)
+    total = sum((Fraction(rec.tonnage) for rec in net.nodes), Fraction(0))
+    ff = tuple(f for f, _, _ in states)
+    n = net.node_count
+    assert (curve.n_nodes, curve.tf, curve.order, curve.ff) == (n, ff[0], seq.order, ff)
+    assert curve.fraction_removed == tuple(j / n for j in range(len(ff)))
+    assert curve.scf == tuple(f / ff[0] for f in ff)
+    if total:
+        assert curve.tonnage_fraction == tuple(float(rem / total) for _, _, rem in states)
+        assert curve.tonnage_fraction_gcc == tuple(float(g / total) for _, g, _ in states)
+    else:
+        assert curve.tonnage_fraction == (1.0,) * len(ff)
+        assert curve.tonnage_fraction_gcc == tuple(1.0 if f else 0.0 for f in ff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 5e-324, 1e308]) | EXTREME_TONS, min_size=1, max_size=14),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(0.0, 1.0),
+)
+def test_curves_csv_round_trip_property(tons, seed, cut):
+    """Written and read back, curves of full and partial sequences are
+    equal to the replayed ones, write the same bytes again, and hold
+    exactly the oracle's values."""
+    n = len(tons)
+    rng = random.Random(seed)
+    net = make_net(n, er_edges(n, rng.uniform(0.1, 0.6), rng), tons=dict(enumerate(tons, 1)))
+    # at least one removal: a file holds no node count, and the reader
+    # takes it from the step-1 fraction (tf for a lone intact row)
+    k = max(1, round(cut * n))
+    deltas = {v: rng.randint(-3, 5) for v in net.node_ids}
+    seqs = [
+        random_sequence(net, seed),
+        random_sequence(net, seed + 1).truncated(k),
+        targeted_sequence(net, "degree"),
+        hot_day_sequence(net, deltas, "mA").truncated(k),
+    ]
+    curves = [replay(net, s) for s in seqs]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp, "curves.csv"), Path(tmp, "again.csv")
+        write_curves_csv(curves, first)
+        back = read_curves_csv(first)
+        assert back == curves
+        write_curves_csv(back, again)
+        assert again.read_bytes() == first.read_bytes()
+    for seq, curve in zip(seqs, back):
+        assert_columns_match_oracle(net, seq, curve)
+
+
+def test_no_step_objects_on_the_curve_path(monkeypatch, tmp_path):
+    """Replay, both curve CSV functions and a report from curves build
+    no per-step object: only the ``steps`` view does."""
+    built = []
+    monkeypatch.setattr(metrics, "CurveStep", lambda *args: built.append(args))
+    paths = generate_synthetic(SynthSpec(n_nodes=300, avg_degree=4.0, seed=2, models=()), tmp_path)
+    net = load_network(paths["nodes"], paths["edges"])
+    deltas = {v: v % 7 - 2 for v in net.node_ids}
+    seqs = [random_sequence(net, s) for s in range(17)]
+    seqs += [targeted_sequence(net, "degree"), hot_day_sequence(net, deltas, "mA")]
+    seqs.append(hot_day_sequence(net, {v: 3 - v % 5 for v in net.node_ids}, "mB"))
+    curves = [replay(net, s) for s in seqs]
+    write_curves_csv(curves, tmp_path / "curves.csv")
+    assert read_curves_csv(tmp_path / "curves.csv") == curves
+    report_from_curves(tmp_path / "curves.csv", tmp_path / "report")
+    assert len(curves) == 20 and built == []
+    assert len(curves[0].steps) == 301 and len(built) == 301  # the view uses the stub
 
 
 @pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])

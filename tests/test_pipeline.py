@@ -669,6 +669,56 @@ class TestReportFromCurves:
             report_from_curves(curves, tmp_path / "r")
         assert not (tmp_path / "r").exists()
 
+    # sha256 of the curve outputs of a 30-node run (the run's plots stop
+    # the hot-day curves early) and of every file that report_from_curves
+    # rebuilds from its curves.csv, recorded from the code that built and
+    # validated one object per curve step
+    RECORDED = {
+        "out/curves.csv": "96174cda4221f4f4e193ea00bce07da3d8dfa52b7ecacd6a32744019d6119032",
+        "out/robustness.svg": "b02a2ef2ed2dd5d861ffaf3b02758be8cc9c44099b3dd586a1db8923d3800671",
+        "out/tonnage.svg": "c2db5a7d8c19e26009cae584ec0ee48450edeb2fd02e660198ee88f8c042939c",
+        "report/collapse.csv": "ac1a867f908d00cf2f2526e88ca57f280c9bccba2ab0b98eb67cefd8d2b83668",
+        "report/ensemble_scf_random.csv": (
+            "f33cdff8d207b72c709191586f3f88eb4457a67f2755cce2a432acee4ae8af13"
+        ),
+        "report/ensemble_tonnage_fraction_random.csv": (
+            "9e37a5c513d8d787ba51c89ab5775636d9b8978b6ba8d57eb73d6af4b45f1e47"
+        ),
+        "report/ensemble_scf_hot_days.csv": (
+            "3619311cd1fcc80b75bbd4f49044996c86b12a6beeeb1a084a3a55a2f61c42dd"
+        ),
+        "report/ensemble_tonnage_fraction_hot_days.csv": (
+            "9a95e550e80ab38042d17ff3b9706c2090ca4529b700383d48d1fecec2449741"
+        ),
+        "report/collapse_ensemble.csv": (
+            "dba3a81a95dfd190f79e054dc484eb1c6c8c679a424011c1dd9cebf2f628dc66"
+        ),
+        "report/robustness.svg": "15c28dfa0d58dc319a3efd14029df6d244ebd3342fc97f0b63f5e0b4f14d85ce",
+        "report/tonnage.svg": "78154a3e2ec483221ba531fcbdc30aba94bb56e119835b57d04307fe32bbb3b0",
+    }
+
+    def test_outputs_match_recorded_bytes(self, tmp_path):
+        data = tmp_path / "data"
+        generate_synthetic(SynthSpec(n_nodes=30, avg_degree=3.0, seed=7, models=()), data)
+        write_demo_profiles(data / "profiles.csv", n=30)
+        config = {
+            "nodes": "data/nodes.csv",
+            "edges": "data/edges.csv",
+            "out_dir": "out",
+            "seeds": 4,
+            "climate": {"profiles": "data/profiles.csv"},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        bundle = run(load_config(tmp_path / "config.json"))
+        report = report_from_curves(bundle.out_dir / "curves.csv", tmp_path / "report")
+        files = [bundle.out_dir / name for name in ("curves.csv", "robustness.svg", "tonnage.svg")]
+        files += [report.out_dir / rel for rel in report.files]
+        digests = {
+            f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in files
+        }
+        assert digests == self.RECORDED
+
     def test_empty_curves_rejected(self, tmp_path):
         empty = tmp_path / "curves.csv"
         empty.write_text(

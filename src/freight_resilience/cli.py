@@ -52,23 +52,18 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output directory (overrides config out_dir)")
 
 
+# flag (argparse dest) -> the config field it overrides; threshold_c is
+# the climate section's
+_FLAG_FIELDS = {
+    "mode": "mode", "scenario": "scenarios", "seeds": "seeds", "ranking": "ranking",
+    "threshold_c": "threshold_c", "scf_collapse": "collapse_threshold", "out": "out_dir",
+}
+
+
 def _overrides(args: argparse.Namespace) -> dict:
-    out: dict = {}
-    if args.mode is not None:
-        out["mode"] = args.mode
-    if args.scenario is not None:
-        out["scenarios"] = tuple(args.scenario)
-    if args.seeds is not None:
-        out["seeds"] = args.seeds
-    if args.ranking is not None:
-        out["ranking"] = args.ranking
-    if args.threshold_c is not None:
-        out["threshold_c"] = args.threshold_c
-    if args.scf_collapse is not None:
-        out["collapse_threshold"] = args.scf_collapse
-    if args.out is not None:
-        out["out_dir"] = args.out
-    return out
+    values = {name: getattr(args, dest) for dest, name in _FLAG_FIELDS.items()}
+    # nargs="+" gives a list; list-valued config fields hold tuples
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in values.items() if v is not None}
 
 
 def _print_bundle(bundle: ReportBundle) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 from typing import Mapping, Sequence
 
 from .centrality import CENTRALITY_KINDS, betweenness_exact, closeness_centrality
@@ -169,41 +170,21 @@ def hot_day_sequence(
     )
 
 
-def build_sequence(
-    net: FreightNetwork,
-    scenario: str,
-    *,
-    ranking: str = "static",
-    seed: int | None = None,
-    delta: Mapping[int, int] | None = None,
-    model: str | None = None,
-) -> RemovalSequence:
-    """Dispatch to the right generator for a scenario name."""
-    if scenario == "random":
-        if seed is None:
-            raise ValueError("random scenario needs a seed")
-        return random_sequence(net, seed)
-    if scenario in TARGETED_SCENARIOS:
-        return targeted_sequence(net, scenario.removeprefix("targeted_"), ranking)
-    if scenario == "hot_days":
-        if delta is None or model is None:
-            raise ValueError("hot_days scenario needs a delta mapping and model name")
-        return hot_day_sequence(net, delta, model)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def write_sequences_csv(sequences: Sequence[RemovalSequence], path) -> None:
     """Export removal orders, one row per step, steps numbered from 1."""
-    rows = (
-        [
-            step,
-            node,
-            seq.scenario,
-            seq.model,
-            seq.seed,
-            "true" if node in seq.beyond_criterion else "false",
-        ]
+    rows = chain.from_iterable(
+        zip(
+            count(1),
+            seq.order,
+            repeat(seq.scenario),
+            repeat(seq.model),
+            repeat(seq.seed),
+            (
+                ("true" if node in seq.beyond_criterion else "false" for node in seq.order)
+                if seq.beyond_criterion
+                else repeat("false")
+            ),
+        )
         for seq in sequences
-        for step, node in enumerate(seq.order, start=1)
     )
     write_table(path, ("step", "node_id", "scenario", "model", "seed", "beyond_criterion"), rows)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .centrality import (
     all_scores,
@@ -82,21 +82,100 @@ STAGES = ("ingest", "centrality", "climate", "simulate", "report")
 
 # ---------------------------------------------------------------------------
 # Configuration
+#
+# The two config dataclasses are the only list of config fields; each
+# field's metadata holds its JSON kind. Parsing, overrides and the config
+# digest all follow fields().
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _resolve(base: Path, value: str) -> str:
+    path = Path(value)
+    return str(path if path.is_absolute() else base / path)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _as_period(obj: dict, where: str) -> PeriodSpec:
+    _require(
+        obj.keys() == {"label", "start_year", "end_year"},
+        f"{where}: expected keys label, start_year, end_year",
+    )
+    _require(isinstance(obj["label"], str), f"{where}.label: expected a string")
+    for key in ("start_year", "end_year"):
+        _require(_is_int(obj[key]), f"{where}.{key}: expected an integer")
+    try:
+        return PeriodSpec(obj["label"], obj["start_year"], obj["end_year"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+class _Kind(NamedTuple):
+    """A JSON kind of config value: its name in README's config reference,
+    the wording of its type error, a check, and a conversion given where
+    the value sits and the directory that relative paths resolve against."""
+
+    name: str
+    expected: str
+    check: Callable[[object], bool]
+    convert: Callable[[object, str, Path], object]
+
+
+def _value(kind: _Kind, value, where: str, base: Path):
+    _require(kind.check(value), f"{where}: expected {kind.expected}")
+    return kind.convert(value, where, base)
+
+
+_PATH = _Kind("file path", "a file path", lambda v: isinstance(v, str),
+              lambda v, at, base: _resolve(base, v))
+_PATHS = _Kind("list of paths", "a list of file paths", _is_strings,
+               lambda v, at, base: tuple(_resolve(base, p) for p in v))
+_NAMES = _Kind("list of names", "a list of names", _is_strings, lambda v, at, base: tuple(v))
+_STRING = _Kind("string", "a string", lambda v: isinstance(v, str), lambda v, at, base: v)
+_INTEGER = _Kind("integer", "an integer", _is_int, lambda v, at, base: v)
+_NUMBER = _Kind("number", "a number", lambda v: _is_int(v) or isinstance(v, float),
+                lambda v, at, base: float(v))
+_OBJECT = _Kind("object", "an object", lambda v: isinstance(v, dict), lambda v, at, base: dict(v))
+_PERIOD = _Kind("period", "an object", lambda v: isinstance(v, dict),
+                lambda v, at, base: _as_period(v, at))
+_PERIODS = _Kind("list of periods", "a non-empty list", lambda v: isinstance(v, list) and bool(v),
+                 lambda v, at, base: tuple(_value(_PERIOD, p, f"{at}[{i}]", base)
+                                           for i, p in enumerate(v)))
+_SECTION = _Kind("climate section", "an object", lambda v: isinstance(v, dict),
+                 lambda v, at, base: _parse(ClimateConfig, v, at, base))
+
+
+def _field(kind: _Kind, default=MISSING, expected: str | None = None):
+    """A config field of one JSON kind; ``expected`` rewords its type error."""
+    if expected is not None:
+        kind = kind._replace(expected=expected)
+    return field(default=default, metadata={"kind": kind})
 
 
 @dataclass(frozen=True)
 class ClimateConfig:
     """Climate inputs: exactly one of series, grid_series, or profiles."""
 
-    series: tuple[str, ...] = ()
-    grid_series: tuple[str, ...] = ()
-    profiles: str | None = None
-    models: tuple[str, ...] = ()  # empty: use every model found in the data
-    threshold_c: float = DEFAULT_THRESHOLD_C
-    baseline: PeriodSpec = BASELINE
-    futures: tuple[PeriodSpec, ...] = (FUTURE_NEAR, FUTURE_FAR)
-    sequence_period: str | None = None  # default: first future
-    top_k: int = 10
+    series: tuple[str, ...] = _field(_PATHS, ())
+    grid_series: tuple[str, ...] = _field(_PATHS, ())
+    profiles: str | None = _field(_PATH, None)
+    # empty: use every model found in the data
+    models: tuple[str, ...] = _field(_NAMES, (), "a list of model names")
+    threshold_c: float = _field(_NUMBER, DEFAULT_THRESHOLD_C)
+    baseline: PeriodSpec = _field(_PERIOD, BASELINE)
+    futures: tuple[PeriodSpec, ...] = _field(_PERIODS, (FUTURE_NEAR, FUTURE_FAR))
+    sequence_period: str | None = _field(_STRING, None, "a period label")  # default: first future
+    top_k: int = _field(_INTEGER, 10)
 
     def validate(self) -> None:
         sources = [bool(self.series), bool(self.grid_series), self.profiles is not None]
@@ -141,17 +220,17 @@ class ClimateConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    nodes: str
-    edges: str
-    out_dir: str
-    mode: str | None = None
-    scenarios: tuple[str, ...] = SCENARIOS
-    seeds: int = 10  # number of random-removal trials
-    base_seed: int = 0
-    ranking: str = "static"
-    collapse_threshold: float = DEFAULT_COLLAPSE_THRESHOLD
-    column_map: Mapping[str, str] | None = None
-    climate: ClimateConfig | None = None
+    nodes: str = _field(_PATH)
+    edges: str = _field(_PATH)
+    out_dir: str = _field(_PATH)
+    mode: str | None = _field(_STRING, None)
+    scenarios: tuple[str, ...] = _field(_NAMES, SCENARIOS, "a list of scenario names")
+    seeds: int = _field(_INTEGER, 10)  # number of random-removal trials
+    base_seed: int = _field(_INTEGER, 0)
+    ranking: str = _field(_STRING, "static")
+    collapse_threshold: float = _field(_NUMBER, DEFAULT_COLLAPSE_THRESHOLD)
+    column_map: Mapping[str, str] | None = _field(_OBJECT, None)
+    climate: ClimateConfig | None = _field(_SECTION, None)
 
     def validate(self) -> None:
         for name in ("nodes", "edges"):
@@ -189,111 +268,23 @@ class RunConfig:
             self.climate.validate()
 
 
-_CONFIG_KEYS = {
-    "nodes",
-    "edges",
-    "out_dir",
-    "mode",
-    "scenarios",
-    "seeds",
-    "base_seed",
-    "ranking",
-    "collapse_threshold",
-    "column_map",
-    "climate",
-}
+def _parse(cls, obj: dict, where: str, base: Path):
+    """Build a config dataclass from its JSON object.
 
-_CLIMATE_KEYS = {
-    "series",
-    "grid_series",
-    "profiles",
-    "models",
-    "threshold_c",
-    "baseline",
-    "futures",
-    "sequence_period",
-    "top_k",
-}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _as_period(obj, where: str) -> PeriodSpec:
-    _require(isinstance(obj, dict), f"{where}: expected an object")
-    _require(
-        set(obj) == {"label", "start_year", "end_year"},
-        f"{where}: expected keys label, start_year, end_year",
-    )
-    _require(isinstance(obj["label"], str), f"{where}.label: expected a string")
-    for key in ("start_year", "end_year"):
-        _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
-                 f"{where}.{key}: expected an integer")
-    try:
-        return PeriodSpec(obj["label"], obj["start_year"], obj["end_year"])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _resolve(base: Path, value: str) -> str:
-    path = Path(value)
-    return str(path if path.is_absolute() else base / path)
-
-
-def _parse_climate(obj, base: Path) -> ClimateConfig:
-    _require(isinstance(obj, dict), "climate: expected an object")
-    unknown = set(obj) - _CLIMATE_KEYS
-    _require(not unknown, f"climate: unknown field(s) {sorted(unknown)}")
+    Fields are checked in declaration order; ``where`` prefixes their
+    names in messages ("" at the top level). A ``null`` stands for the
+    default of a field whose default is None.
+    """
+    unknown = obj.keys() - {f.name for f in fields(cls)}
+    _require(not unknown, f"{where or 'config'}: unknown field(s) {sorted(unknown)}")
     kwargs = {}
-    for key in ("series", "grid_series"):
-        if key in obj:
-            value = obj[key]
-            _require(
-                isinstance(value, list) and all(isinstance(v, str) for v in value),
-                f"climate.{key}: expected a list of file paths",
-            )
-            kwargs[key] = tuple(_resolve(base, v) for v in value)
-    if "profiles" in obj and obj["profiles"] is not None:
-        _require(isinstance(obj["profiles"], str), "climate.profiles: expected a file path")
-        kwargs["profiles"] = _resolve(base, obj["profiles"])
-    if "models" in obj:
-        value = obj["models"]
-        _require(
-            isinstance(value, list) and all(isinstance(v, str) for v in value),
-            "climate.models: expected a list of model names",
-        )
-        kwargs["models"] = tuple(value)
-    if "threshold_c" in obj:
-        value = obj["threshold_c"]
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            "climate.threshold_c: expected a number",
-        )
-        kwargs["threshold_c"] = float(value)
-    if "baseline" in obj:
-        kwargs["baseline"] = _as_period(obj["baseline"], "climate.baseline")
-    if "futures" in obj:
-        value = obj["futures"]
-        _require(isinstance(value, list) and value, "climate.futures: expected a non-empty list")
-        kwargs["futures"] = tuple(
-            _as_period(p, f"climate.futures[{i}]") for i, p in enumerate(value)
-        )
-    if "sequence_period" in obj and obj["sequence_period"] is not None:
-        _require(
-            isinstance(obj["sequence_period"], str),
-            "climate.sequence_period: expected a period label",
-        )
-        kwargs["sequence_period"] = obj["sequence_period"]
-    if "top_k" in obj:
-        value = obj["top_k"]
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            "climate.top_k: expected an integer",
-        )
-        kwargs["top_k"] = value
-    return ClimateConfig(**kwargs)
+    for f in fields(cls):
+        at = f"{where}.{f.name}" if where else f.name
+        if f.name not in obj:
+            _require(f.default is not MISSING, f"{at}: required field missing")
+        elif obj[f.name] is not None or f.default is not None:
+            kwargs[f.name] = _value(f.metadata["kind"], obj[f.name], at, base)
+    return cls(**kwargs)
 
 
 def load_config(path, overrides: Mapping[str, object] | None = None) -> RunConfig:
@@ -314,93 +305,41 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> RunConfi
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config: top level must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
-    _require(not unknown, f"config: unknown field(s) {sorted(unknown)}")
-    base = p.parent
+    config = _parse(RunConfig, raw, "", p.parent)
 
-    kwargs: dict[str, object] = {}
-    for key in ("nodes", "edges", "out_dir"):
-        _require(key in raw, f"{key}: required field missing")
-        _require(isinstance(raw[key], str), f"{key}: expected a file path")
-        kwargs[key] = _resolve(base, raw[key])
-    if raw.get("mode") is not None:
-        _require(isinstance(raw["mode"], str), "mode: expected a string")
-        kwargs["mode"] = raw["mode"]
-    if "scenarios" in raw:
-        value = raw["scenarios"]
-        _require(
-            isinstance(value, list) and all(isinstance(v, str) for v in value),
-            "scenarios: expected a list of scenario names",
-        )
-        kwargs["scenarios"] = tuple(value)
-    for key in ("seeds", "base_seed"):
-        if key in raw:
-            _require(
-                isinstance(raw[key], int) and not isinstance(raw[key], bool),
-                f"{key}: expected an integer",
-            )
-            kwargs[key] = raw[key]
-    if "ranking" in raw:
-        _require(isinstance(raw["ranking"], str), "ranking: expected a string")
-        kwargs["ranking"] = raw["ranking"]
-    if "collapse_threshold" in raw:
-        value = raw["collapse_threshold"]
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            "collapse_threshold: expected a number",
-        )
-        kwargs["collapse_threshold"] = float(value)
-    if raw.get("column_map") is not None:
-        _require(isinstance(raw["column_map"], dict), "column_map: expected an object")
-        kwargs["column_map"] = dict(raw["column_map"])
-    if raw.get("climate") is not None:
-        kwargs["climate"] = _parse_climate(raw["climate"], base)
-
+    names = {f.name for f in fields(RunConfig)}
     for key, value in (overrides or {}).items():
         if key == "threshold_c":
             _require(
-                kwargs.get("climate") is not None,
+                config.climate is not None,
                 "--threshold-c: requires a climate section in the config",
             )
-            kwargs["climate"] = replace(kwargs["climate"], threshold_c=value)
-        elif key in _CONFIG_KEYS:
-            kwargs[key] = value
+            config = replace(config, climate=replace(config.climate, threshold_c=value))
         else:
-            raise ConfigError(f"override {key!r} is not a config field")
-
-    config = RunConfig(**kwargs)  # type: ignore[arg-type]
+            _require(key in names, f"override {key!r} is not a config field")
+            config = replace(config, **{key: value})
     config.validate()
     return config
 
 
+def _plain(value):
+    """The JSON form of a config value: sections become objects, periods
+    [label, start_year, end_year], tuples lists."""
+    if isinstance(value, PeriodSpec):
+        return [value.label, value.start_year, value.end_year]
+    if isinstance(value, (RunConfig, ClimateConfig)):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return dict(value) or None  # an empty column_map hashes as no map
+    return value
+
+
 def config_digest_dict(config: RunConfig) -> dict:
     """Plain-dict view of a config for hashing (out_dir excluded)."""
-    doc: dict[str, object] = {
-        "nodes": config.nodes,
-        "edges": config.edges,
-        "mode": config.mode,
-        "scenarios": list(config.scenarios),
-        "seeds": config.seeds,
-        "base_seed": config.base_seed,
-        "ranking": config.ranking,
-        "collapse_threshold": config.collapse_threshold,
-        "column_map": dict(config.column_map) if config.column_map else None,
-    }
-    if config.climate is None:
-        doc["climate"] = None
-    else:
-        cc = config.climate
-        doc["climate"] = {
-            "series": list(cc.series),
-            "grid_series": list(cc.grid_series),
-            "profiles": cc.profiles,
-            "models": list(cc.models),
-            "threshold_c": cc.threshold_c,
-            "baseline": [cc.baseline.label, cc.baseline.start_year, cc.baseline.end_year],
-            "futures": [[p.label, p.start_year, p.end_year] for p in cc.futures],
-            "sequence_period": cc.sequence_period,
-            "top_k": cc.top_k,
-        }
+    doc = _plain(config)
+    del doc["out_dir"]
     return doc
 
 

@@ -56,6 +56,8 @@ class SynthSpec:
             )
         if self.edge_count() > self.n_nodes * (self.n_nodes - 1) // 2:
             raise ValueError("target average degree exceeds the complete graph")
+        if not 1 <= self.start_year <= 9999 or not 1 <= self.end_year <= 9999:
+            raise ValueError("start_year and end_year must be in 1..9999")
         if self.start_year > self.end_year:
             raise ValueError("start_year must not exceed end_year")
         if len(set(self.models)) != len(self.models):

@@ -305,6 +305,15 @@ class TestSynthCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, last", [("0", "2"), ("9999", "10000")])
+    def test_year_beyond_the_calendar_exits_two_writing_nothing(
+        self, tmp_path, capsys, first, last
+    ):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--years", first, last]) == 2
+        assert "error: start_year and end_year must be in 1..9999" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthesized_dataset_feeds_a_run(self, tmp_path):
         out = tmp_path / "synth"
         assert main(["synth", "--out", str(out), "--nodes", "9", "--avg-degree", "3.0",

@@ -15,9 +15,7 @@ from conftest import (
 from freight_resilience.disruption import (
     RANKING_MODES,
     SCENARIOS,
-    TARGETED_SCENARIOS,
     RemovalSequence,
-    build_sequence,
     hot_day_sequence,
     random_sequence,
     targeted_sequence,
@@ -223,40 +221,6 @@ class TestHotDayOrder:
     def test_all_positive_means_empty_beyond(self):
         seq = hot_day_sequence(self.net(), {i: i for i in range(1, 6)}, "m")
         assert seq.beyond_criterion == frozenset()
-
-
-class TestBuildSequence:
-    def net(self):
-        return make_net(4, [(1, 2), (2, 3), (3, 4)])
-
-    def test_random_dispatch(self):
-        assert build_sequence(self.net(), "random", seed=5) == random_sequence(
-            self.net(), 5
-        )
-
-    def test_random_without_seed(self):
-        with pytest.raises(ValueError, match="needs a seed"):
-            build_sequence(self.net(), "random")
-
-    def test_targeted_dispatch_passes_ranking(self):
-        for scenario in TARGETED_SCENARIOS:
-            seq = build_sequence(self.net(), scenario, ranking="adaptive")
-            assert seq.scenario == scenario
-            assert seq.mode == "adaptive"
-
-    def test_hot_days_dispatch(self):
-        seq = build_sequence(
-            self.net(), "hot_days", delta={1: 1, 2: 2, 3: 3, 4: 4}, model="m"
-        )
-        assert seq.order == (4, 3, 2, 1)
-
-    def test_hot_days_requires_inputs(self):
-        with pytest.raises(ValueError, match="delta mapping and model"):
-            build_sequence(self.net(), "hot_days", delta={1: 1})
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            build_sequence(self.net(), "cascade")
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,11 +6,20 @@ pair {s, t} contributes once. Summing over ordered pairs, as some
 definitions do, exactly doubles every score on an undirected graph and
 leaves all rankings and removal orders unchanged.
 
+The kernels run on dense positions: ``FreightNetwork.dense_adjacency``
+lists each node's neighbours by position, and position order is id
+order, so "ties go to the lower id" is "ties go to the lower position".
+Distances and path counts live in flat lists. One all-sources sweep
+(``_sweep``) runs Brandes' accumulation and also yields every node's
+reach and distance sum, so a run's closeness and betweenness scores and
+all rank keys come from a single breadth-first search per node. Passes
+that need closeness alone use a distance-only BFS.
+
 Path counts are exact integers. Brandes' accumulation runs in integers
 over one common denominator, and one exact ``Fraction`` per node is built
 at the end, so scores are independent of node iteration order and safe
 to compare exactly against pairwise path-count oracles. Floats appear
-only once, in the final conversion of each score.
+only once, in the final, exactly rounded conversion of each score.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .network import FreightNetwork
 from .tables import write_table
@@ -72,23 +81,107 @@ class RankedNodes:
         return tuple(node for _, node, _ in self.entries)
 
 
-def _bfs_counts(adj: Mapping[int, tuple[int, ...]], source: int):
-    """Hop distances, shortest-path counts, and BFS order from ``source``."""
-    dist = {source: 0}
-    sigma = {source: 1}
+def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
+    """Hop distances (-1 where unreached), shortest-path counts, and BFS
+    order from position ``source`` over dense adjacency ``adj``."""
+    dist = [-1] * len(adj)
+    sigma = [0] * len(adj)
+    dist[source] = 0
+    sigma[source] = 1
     order = [source]
     for v in order:  # the order list is its own queue
         dv1 = dist[v] + 1
         sv = sigma[v]
         for w in adj[v]:
-            dw = dist.get(w)
-            if dw is None:
+            dw = dist[w]
+            if dw < 0:
                 dist[w] = dv1
                 sigma[w] = sv
                 order.append(w)
             elif dw == dv1:
                 sigma[w] += sv
     return dist, sigma, order
+
+
+def _distance_sums(adj: Sequence[Sequence[int]], source: int) -> tuple[int, int]:
+    """(reach, sum of hop distances to the reachable set) of ``source``,
+    from a distance-only BFS that visits one level at a time."""
+    seen = bytearray(len(adj))
+    seen[source] = 1
+    frontier = [source]
+    reach = total = depth = 0
+    while frontier:
+        depth += 1
+        level = []
+        for v in frontier:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    level.append(w)
+        reach += len(level)
+        total += depth * len(level)
+        frontier = level
+    return reach, total
+
+
+def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
+    """One all-sources pass: Brandes' accumulation plus each source's
+    (reach, sum of hop distances).
+
+    For one source s, let sigma(v) count the shortest s-v paths, delta(v)
+    be the dependency of s on v, and l be the lcm of sigma over the nodes
+    s reaches. Then omega(v) = l * delta(v) / sigma(v) is an integer:
+
+        omega(v) = sum over successors w of v of (l / sigma(w) + omega(w))
+
+    where w succeeds v when they are neighbours and dist(w) = dist(v) + 1.
+    Each position keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
+    over a common denominator g; when a source's l does not divide g, g
+    grows to lcm(g, l) and every accumulator is rescaled. Returns the
+    accumulators by position, g, and the (reach, distance sum) of each
+    source in ``sources`` order. Each unordered pair is counted from both
+    endpoints, so betweenness is acc / (2 g).
+    """
+    acc = [0] * len(adj)
+    g = 1
+    sums = []
+    for s in sources:
+        dist, sigma, order = _bfs_counts(adj, s)
+        sums.append((len(order) - 1, sum(map(dist.__getitem__, order))))
+        l = lcm(*map(sigma.__getitem__, order))
+        if g % l:
+            scale = l // gcd(g, l)
+            g *= scale
+            acc = [a * scale for a in acc]
+        step = g // l
+        omega = [0] * len(adj)
+        for w in order[:0:-1]:  # every node but s, farthest first
+            sw = sigma[w]
+            ow = omega[w]
+            acc[w] += sw * ow * step
+            ow += l // sw
+            dv = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dv:  # v precedes w
+                    omega[v] += ow
+    return acc, g, sums
+
+
+def _normalized_closeness(n: int, reach: int, total: int) -> float:
+    """(reach / (n - 1)) * (reach / total), exactly rounded; 0 when isolated."""
+    return reach * reach / ((n - 1) * total) if reach else 0.0
+
+
+def _closeness_scores(
+    net: FreightNetwork, sums: Sequence[tuple[int, int]], normalized: bool
+) -> CentralityScores:
+    # int / int true division rounds the exact ratio once
+    n = net.node_count
+    if normalized:
+        values = (_normalized_closeness(n, reach, total) for reach, total in sums)
+    else:
+        values = (1 / total if reach else 0.0 for reach, total in sums)
+    return CentralityScores("closeness", dict(zip(net.node_ids, values)), normalized)
 
 
 def degree_centrality(net: FreightNetwork, normalized: bool = False) -> CentralityScores:
@@ -102,29 +195,6 @@ def degree_centrality(net: FreightNetwork, normalized: bool = False) -> Centrali
     return CentralityScores("degree", scores, normalized)
 
 
-def _closeness_pass(net: FreightNetwork) -> dict[int, tuple[int, int]]:
-    """(reach, sum of hop distances to the reachable set) per node."""
-    sums = {}
-    for i in net.node_ids:
-        dist, _, order = _bfs_counts(net.adjacency, i)
-        sums[i] = (len(order) - 1, sum(dist[v] for v in order))
-    return sums
-
-
-def _closeness_scores(
-    n: int, sums: Mapping[int, tuple[int, int]], normalized: bool
-) -> CentralityScores:
-    scores: dict[int, float] = {}
-    for i, (reach, total) in sums.items():
-        if reach == 0:
-            scores[i] = 0.0
-        elif normalized:
-            scores[i] = float(Fraction(reach * reach, (n - 1) * total))
-        else:
-            scores[i] = float(Fraction(1, total))
-    return CentralityScores("closeness", scores, normalized)
-
-
 def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> CentralityScores:
     """Closeness by proximity to all reachable nodes.
 
@@ -134,47 +204,20 @@ def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> Centra
     disconnected graphs where plain inverse distance is undefined.
     Isolated nodes score 0.
     """
-    return _closeness_scores(net.node_count, _closeness_pass(net), normalized)
+    adj = net.dense_adjacency
+    sums = [_distance_sums(adj, s) for s in range(len(adj))]
+    return _closeness_scores(net, sums, normalized)
+
+
+def _exact(net: FreightNetwork, acc: Sequence[int], g: int) -> dict[int, Fraction]:
+    return {i: Fraction(value, 2 * g) for i, value in zip(net.node_ids, acc)}
 
 
 def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
-    """Unordered-pair betweenness as exact rationals (Brandes' accumulation).
-
-    For one source s, let sigma(v) count the shortest s-v paths, delta(v)
-    be the dependency of s on v, and l be the lcm of sigma over the nodes
-    s reaches. Then omega(v) = l * delta(v) / sigma(v) is an integer:
-
-        omega(v) = sum over successors w of v of (l / sigma(w) + omega(w))
-
-    where w succeeds v when they are neighbours and dist(w) = dist(v) + 1.
-    Each node keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
-    over a common denominator g; when a source's l does not divide g, g
-    grows to lcm(g, l) and every accumulator is rescaled.
-    """
-    adj = net.adjacency
-    acc = dict.fromkeys(net.node_ids, 0)
-    g = 1
-    for s in net.node_ids:
-        dist, sigma, order = _bfs_counts(adj, s)
-        l = lcm(*sigma.values())
-        if g % l:
-            scale = l // gcd(g, l)
-            g *= scale
-            for v in acc:
-                acc[v] *= scale
-        step = g // l
-        omega = dict.fromkeys(order, 0)
-        for w in order[:0:-1]:  # every node but s, farthest first
-            sw = sigma[w]
-            ow = omega[w]
-            acc[w] += sw * ow * step
-            ow += l // sw
-            dv = dist[w] - 1
-            for v in adj[w]:
-                if dist[v] == dv:  # v precedes w
-                    omega[v] += ow
-    # each unordered pair was counted from both endpoints
-    return {i: Fraction(value, 2 * g) for i, value in acc.items()}
+    """Unordered-pair betweenness as exact rationals, from Brandes'
+    accumulation in integers (see ``_sweep``)."""
+    acc, g, _ = _sweep(net.dense_adjacency, range(net.node_count))
+    return _exact(net, acc, g)
 
 
 def _betweenness_scores(
@@ -198,19 +241,19 @@ def betweenness_centrality(net: FreightNetwork, normalized: bool = False) -> Cen
 
 
 def all_scores(
-    net: FreightNetwork, exact: Mapping[int, Fraction]
+    net: FreightNetwork,
 ) -> tuple[tuple[CentralityScores, ...], dict[str, Mapping[int, object]]]:
-    """Raw and normalized scores of every kind, from one closeness pass
-    and ``exact`` (the caller's ``betweenness_exact(net)``), plus the key
-    each kind ranks by: int degree, normalized closeness, exact betweenness.
-    """
+    """Raw and normalized scores of every kind from one all-sources sweep,
+    plus the key each kind ranks by: int degree, normalized closeness,
+    exact betweenness."""
     n = net.node_count
-    sums = _closeness_pass(net)
-    closeness = _closeness_scores(n, sums, True)
+    acc, g, sums = _sweep(net.dense_adjacency, range(n))
+    exact = _exact(net, acc, g)
+    closeness = _closeness_scores(net, sums, True)
     score_sets = (
         degree_centrality(net, normalized=False),
         degree_centrality(net, normalized=True),
-        _closeness_scores(n, sums, False),
+        _closeness_scores(net, sums, False),
         closeness,
         _betweenness_scores(n, exact, False),
         _betweenness_scores(n, exact, True),
@@ -221,6 +264,26 @@ def all_scores(
         "betweenness": exact,
     }
     return score_sets, rank_keys
+
+
+def dense_rank_keys(
+    adj: Sequence[Sequence[int]], alive: Sequence[int], kind: str
+) -> Sequence[int | float]:
+    """The rank key of every position in ``alive``, the ascending positions
+    of the nodes left in dense adjacency ``adj`` (removed positions have no
+    neighbours). Keys compare exactly: degree, normalized closeness over
+    the survivors, and betweenness as integers over one denominator.
+    Other positions' keys are meaningless."""
+    if kind == "degree":
+        return [len(neighbours) for neighbours in adj]
+    if kind == "closeness":
+        keys = [0.0] * len(adj)
+        for s in alive:
+            keys[s] = _normalized_closeness(len(alive), *_distance_sums(adj, s))
+        return keys
+    if kind == "betweenness":
+        return _sweep(adj, alive)[0]
+    raise ValueError(f"unknown centrality kind {kind!r}")
 
 
 def rank_mapping(values: Mapping[int, float], k: int, kind: str) -> RankedNodes:

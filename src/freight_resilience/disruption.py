@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from typing import Mapping, Sequence
 
-from .centrality import CENTRALITY_KINDS, betweenness_exact, closeness_centrality
-from .network import FreightNetwork, remove_nodes
+from .centrality import CENTRALITY_KINDS, dense_rank_keys
+from .network import FreightNetwork
 from .tables import write_table
 
 TARGETED_SCENARIOS = ("targeted_degree", "targeted_closeness", "targeted_betweenness")
@@ -107,18 +107,6 @@ def random_sequence(net: FreightNetwork, seed: int) -> RemovalSequence:
     return RemovalSequence(scenario="random", order=tuple(order), seed=seed)
 
 
-def _scores(net: FreightNetwork, kind: str) -> Mapping[int, object]:
-    # exact rank keys: int degrees, normalized closeness floats (exactly
-    # rounded from rationals), rational betweenness
-    if kind == "degree":
-        return {i: net.degree(i) for i in net.node_ids}
-    if kind == "closeness":
-        return closeness_centrality(net).scores
-    if kind == "betweenness":
-        return betweenness_exact(net)
-    raise ValueError(f"unknown centrality kind {kind!r}")
-
-
 def static_sequence(kind: str, scores: Mapping[int, object]) -> RemovalSequence:
     """Targeted removal order ranked once from exact scores: highest
     first, ties toward the lower node id."""
@@ -139,15 +127,22 @@ def targeted_sequence(
         raise ValueError(f"unknown centrality kind {kind!r}")
     if mode not in RANKING_MODES:
         raise ValueError(f"unknown ranking mode {mode!r}")
+    ids = net.node_ids
+    alive = list(range(net.node_count))
     if mode == "static":
-        return static_sequence(kind, _scores(net, kind))
+        keys = dense_rank_keys(net.dense_adjacency, alive, kind)
+        return static_sequence(kind, {ids[v]: keys[v] for v in alive})
+    # one mutable adjacency; a victim leaves its neighbours' lists
+    adj = [list(neighbours) for neighbours in net.dense_adjacency]
     order = []
-    current = net
-    while current.node_count > 0:
-        scores = _scores(current, kind)
-        victim = min(scores, key=lambda n: (-scores[n], n))
-        order.append(victim)
-        current = remove_nodes(current, [victim])
+    while alive:
+        keys = dense_rank_keys(adj, alive, kind)
+        victim = max(alive, key=keys.__getitem__)  # first maximum: the lower id
+        alive.remove(victim)
+        for w in adj[victim]:
+            adj[w].remove(victim)
+        adj[victim] = []
+        order.append(ids[victim])
     return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order), mode=mode)
 
 

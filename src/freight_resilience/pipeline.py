@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .centrality import (
     all_scores,
-    betweenness_exact,
     rank_mapping,
     write_ranking_csv,
     write_scores_csv,
@@ -307,19 +307,42 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> RunConfi
     _require(isinstance(raw, dict), "config: top level must be an object")
     config = _parse(RunConfig, raw, "", p.parent)
 
-    names = {f.name for f in fields(RunConfig)}
     for key, value in (overrides or {}).items():
         if key == "threshold_c":
             _require(
                 config.climate is not None,
                 "--threshold-c: requires a climate section in the config",
             )
+            value = _override(ClimateConfig, key, value)
             config = replace(config, climate=replace(config.climate, threshold_c=value))
         else:
-            _require(key in names, f"override {key!r} is not a config field")
-            config = replace(config, **{key: value})
+            config = replace(config, **{key: _override(RunConfig, key, value)})
     config.validate()
     return config
+
+
+def _override(cls, key: str, value):
+    """Check and convert an override with its field's kind, as if the
+    value had been read from JSON; paths stay relative to the caller."""
+    f = next((f for f in fields(cls) if f.name == key), None)
+    _require(f is not None, f"override {key!r} is not a config field")
+    if value is None and f.default is None:
+        return None
+    return _value(f.metadata["kind"], _json_form(value), f"override {key}", Path())
+
+
+def _json_form(value):
+    """An already-typed config value (tuples, ``Path``s, periods, a climate
+    section) as the JSON value its kind parses."""
+    if isinstance(value, os.PathLike):
+        return os.fspath(value)
+    if isinstance(value, tuple):
+        return [_json_form(v) for v in value]
+    if isinstance(value, PeriodSpec):
+        return {"label": value.label, "start_year": value.start_year, "end_year": value.end_year}
+    if isinstance(value, ClimateConfig):
+        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def _plain(value):
@@ -480,7 +503,7 @@ def _stage_ingest(config: RunConfig, rec: _Recorder, state: dict) -> None:
 
 def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     net = state["net"]
-    score_sets, rank_keys = all_scores(net, betweenness_exact(net))
+    score_sets, rank_keys = all_scores(net)
     write_scores_csv(score_sets, rec.path("centrality_scores.csv"))
     rec.add("centrality_scores.csv")
 

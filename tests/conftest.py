@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from freight_resilience.climate import DailyTmaxSeries
 from freight_resilience.network import FreightNetwork, NodeRecord
@@ -96,6 +97,38 @@ def complete_bipartite_net(a: int, b: int) -> FreightNetwork:
     return make_net(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
 
 
+@st.composite
+def mixed_graphs(draw, max_parts: int = 3):
+    """Disjoint unions of up to ``max_parts`` parts, each an Erdos-Renyi
+    graph, a grid, a star, a path or a single node. Zero parts give the
+    empty graph; several give disconnected graphs, isolated nodes
+    included. Ids are distinct with gaps and handed out in shuffled
+    order, so id order is not construction order."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for shape in draw(st.lists(st.sampled_from(("er", "grid", "star", "path", "single")),
+                               max_size=max_parts)):
+        if shape == "er":
+            k = draw(st.integers(2, 8))
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            part = er_edges(k, draw(st.sampled_from((0.2, 0.4, 0.7))), rng)
+        elif shape == "grid":
+            rows, cols = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+            k, part = rows * cols, list(grid_net(rows, cols).edges)
+        elif shape == "single":
+            k, part = 1, []
+        else:
+            k = draw(st.integers(2, 7))
+            net = star_net(k) if shape == "star" else path_net(k)
+            part = list(net.edges)
+        edges += [(a + n, b + n) for a, b in part]
+        n += k
+    ids = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    return FreightNetwork.build(
+        [make_node(i) for i in ids], [(ids[a - 1], ids[b - 1]) for a, b in edges]
+    )
+
+
 @pytest.fixture
 def path3() -> FreightNetwork:
     return path_net(3)
@@ -141,6 +174,19 @@ def oracle_closeness(net: FreightNetwork, normalized: bool = True) -> dict[int, 
             out[v] = (reach / (n - 1)) * (reach / total) if n > 1 else 0.0
         else:
             out[v] = 1.0 / total
+    return out
+
+
+def oracle_closeness_fractions(net: FreightNetwork) -> dict[int, Fraction]:
+    """Normalized closeness as exact rationals, the values the library
+    rounds once to floats: equal here exactly when equal there."""
+    ids = net.node_ids
+    dist = oracle_distance_matrix(net)
+    out = {}
+    for k, v in enumerate(ids):
+        finite = dist[k][np.isfinite(dist[k])]
+        reach = len(finite) - 1
+        out[v] = Fraction(reach * reach, (len(ids) - 1) * int(finite.sum())) if reach else Fraction(0)
     return out
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,16 +14,21 @@ from conftest import (
     hypercube_net,
     make_net,
     make_node,
+    mixed_graphs,
     oracle_betweenness,
     oracle_brandes_fractions,
     oracle_closeness,
     oracle_degree,
+    oracle_distance_matrix,
     path_net,
     star_net,
 )
 from freight_resilience.centrality import (
     CentralityScores,
     RankedNodes,
+    _distance_sums,
+    _sweep,
+    all_scores,
     betweenness_centrality,
     betweenness_exact,
     closeness_centrality,
@@ -107,6 +113,43 @@ class TestBetweenness:
             assert set(betweenness_centrality(net, normalized=True).scores.values()) == {0.0}
 
 
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs())
+def test_sweep_matches_oracles(net):
+    """One sweep gives Brandes' Fractions and every node's (reach, sum of
+    distances); the closeness-only BFS gives the same pairs."""
+    adj = net.dense_adjacency
+    acc, g, sums = _sweep(adj, range(net.node_count))
+    exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
+    assert exact == oracle_brandes_fractions(net)
+    assert betweenness_exact(net) == exact
+    if net.node_count <= 12:
+        assert exact == oracle_betweenness(net)
+    expected = [
+        (int(np.isfinite(row).sum()) - 1, int(row[np.isfinite(row)].sum()))
+        for row in oracle_distance_matrix(net)
+    ]
+    assert sums == expected
+    assert [_distance_sums(adj, s) for s in range(len(adj))] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_graphs())
+def test_all_scores_equal_the_single_kind_functions(net):
+    score_sets, rank_keys = all_scores(net)
+    assert score_sets == (
+        degree_centrality(net, normalized=False),
+        degree_centrality(net, normalized=True),
+        closeness_centrality(net, normalized=False),
+        closeness_centrality(net, normalized=True),
+        betweenness_centrality(net, normalized=False),
+        betweenness_centrality(net, normalized=True),
+    )
+    assert rank_keys["betweenness"] == betweenness_exact(net)
+    assert rank_keys["closeness"] == closeness_centrality(net).scores
+    assert rank_keys["degree"] == oracle_degree(net)
+
+
 @pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
 def test_oracle_agreement_on_er_graphs(n, p, seed):
     """Degree/closeness/betweenness vs the brute-force oracles."""
@@ -187,9 +230,6 @@ def test_betweenness_pair_sum_identity():
     for _ in range(15):
         n = rng.randint(4, 20)
         net = make_net(n, er_edges(n, 0.3, rng))
-        from conftest import oracle_distance_matrix
-        import numpy as np
-
         dist = oracle_distance_matrix(net)
         finite = dist[np.triu_indices_from(dist, k=1)]
         finite = finite[np.isfinite(finite)]

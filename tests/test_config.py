@@ -665,3 +665,30 @@ def test_readme_config_reference_lists_every_field():
         for f in fields(cls)
     ]
     assert documented == expected
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"nodes": 1.5}, "override nodes: expected a file path"),
+        ({"column_map": "x"}, "override column_map: expected an object"),
+        ({"seeds": "3"}, "override seeds: expected an integer"),
+    ],
+    ids=["path", "object", "integer"],
+)
+def test_wrong_typed_override_names_the_field(workdir, overrides, message):
+    with pytest.raises(ConfigError) as caught:
+        load_config(write(BASE_DOC), overrides)
+    assert str(caught.value) == message
+
+
+def test_typed_overrides_pass(workdir):
+    # a Path where a path goes, as a library caller may pass one; paths in
+    # overrides stay relative to the working directory
+    config = load_config(
+        write(BASE_DOC),
+        {"nodes": Path("data/s1.csv"), "out_dir": Path("elsewhere"), "threshold_c": 31},
+    )
+    assert (config.nodes, config.out_dir) == (str(Path("data/s1.csv")), "elsewhere")
+    assert config.climate.threshold_c == 31.0 and isinstance(config.climate.threshold_c, float)
+    assert _digest_of(config_digest_dict(config))  # every value hashes as JSON

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     er_edges,
+    grid_net,
     make_net,
+    mixed_graphs,
     oracle_betweenness,
     oracle_closeness,
+    oracle_closeness_fractions,
     oracle_degree,
 )
+from freight_resilience import disruption, network
+from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.disruption import (
     RANKING_MODES,
     SCENARIOS,
@@ -188,6 +193,41 @@ class TestTargetedAdaptive:
             net = make_net(n, er_edges(n, 0.4, rng))
             got = targeted_sequence(net, kind, mode="adaptive").order
             assert got == naive_adaptive_order(net, oracle)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_graphs(), st.sampled_from(CENTRALITY_KINDS))
+    def test_matches_naive_recompute_on_mixed_graphs(self, net, kind):
+        oracle = {
+            "degree": oracle_degree,
+            "closeness": oracle_closeness_fractions,
+            "betweenness": oracle_betweenness,
+        }[kind]
+        got = targeted_sequence(net, kind, mode="adaptive").order
+        assert got == naive_adaptive_order(net, oracle)
+
+    def test_rebuilds_no_network(self, monkeypatch):
+        # survivors are re-ranked on one mutable adjacency: no remove_nodes
+        # call and no FreightNetwork per removal
+        net = grid_net(4, 5)
+        built, removals = [], []
+        post_init = FreightNetwork.__post_init__
+
+        def counted_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_removal(*args):
+            removals.append(args)
+            return network_remove_nodes(*args)
+
+        network_remove_nodes = network.remove_nodes
+        monkeypatch.setattr(FreightNetwork, "__post_init__", counted_init)
+        for module in (network, disruption):
+            monkeypatch.setattr(module, "remove_nodes", counted_removal, raising=False)
+        for kind in CENTRALITY_KINDS:
+            assert len(targeted_sequence(net, kind, mode="adaptive")) == 20
+        assert built == [] and removals == []
 
 
 class TestHotDayOrder:

@@ -472,7 +472,7 @@ class TestSharedCentrality:
         sources = count_searches(monkeypatch)
         run(config)
         n = load_network(config.nodes, config.edges).node_count
-        assert len(sources) == 2 * n
+        assert sorted(sources) == list(range(n))  # one shared sweep
 
     def test_static_orders_match_targeted_sequence(self, demo):
         bundle = run(load_config(demo))
@@ -490,6 +490,40 @@ class TestSharedCentrality:
         run(config, stages=("ingest", "simulate"))
         assert sources == []
 
+
+class TestAdaptiveRun:
+    # sha256 of a 40-node adaptive run with every targeted scenario,
+    # recorded from the code that rebuilt the surviving network through
+    # remove_nodes after every removal and ranked by Fractions
+    RECORDED = {
+        "sequences.csv": "a46cf373e88bda052118fa45aa4d8142ce7626598096800cc1f4d8617e287519",
+        "curves.csv": "080d98a39f77ee0add72f33b05ee608dddce5178348eb2a3aa2089e1ad0c984a",
+        "centrality_scores.csv": "38cc0ec1abf400688a7dd8f9becacf5ef8056f8d52055385c806b7eeb3207579",
+        "ranking_degree.csv": "a3ad80802f5088c6198a13a08eb041803a327b70f2a3ae661f1c24908dc2d5a1",
+        "ranking_closeness.csv": "3fcc9cc68122ce07ad8a210e2fc47f5a1938e23e7d9fceb2f86383d7a0388a00",
+        "ranking_betweenness.csv": (
+            "6fbbd4e00339fb53dd57a36f25259ce86db60e2fabb75f77f97715802fe82c90"
+        ),
+    }
+
+    def test_outputs_match_recorded_bytes(self, tmp_path):
+        data = tmp_path / "data"
+        generate_synthetic(SynthSpec(n_nodes=40, avg_degree=3.0, seed=5, models=()), data)
+        config = {
+            "nodes": "data/nodes.csv",
+            "edges": "data/edges.csv",
+            "out_dir": "out",
+            "seeds": 1,
+            "ranking": "adaptive",
+            "scenarios": ["targeted_degree", "targeted_closeness", "targeted_betweenness"],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        bundle = run(load_config(tmp_path / "config.json"))
+        digests = {
+            name: hashlib.sha256((bundle.out_dir / name).read_bytes()).hexdigest()
+            for name in self.RECORDED
+        }
+        assert digests == self.RECORDED
 
 def write_loader_inputs(root):
     """One small valid input file for every CSV loader, plus a config."""

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .centrality import RankedNodes
 from .errors import DataError
 from .network import NodeRecord
-from .tables import read_table, write_table
+from .tables import read_table, row_error, write_table
 
 DEFAULT_THRESHOLD_C = 35.0
 
@@ -281,14 +281,16 @@ _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
-    row's series key from the columns before the last two (date, tmax).
+    row's series key from the columns before the last two (date, tmax), and
+    checks the row's width.
     A date text is parsed once, into its year, day-of-year bit and the
     periods holding it (they may overlap). A series keeps its counts and,
     per year, a bitmask of the days seen."""
     if not math.isfinite(threshold_c):
         raise ValueError("threshold must be finite")
     periods = tuple(periods)
-    date_col = len(header) - 2
+    width = len(header)
+    date_col = width - 2
     days: dict[str, tuple[int, int, tuple[int, ...]]] = {}
     series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     for path in paths:
@@ -306,8 +308,8 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
                         hits = tuple(k for k, p in enumerate(periods) if p.contains(parsed))
                         day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday, hits)
                     value = float(row[date_col + 1])
-                except (ValueError, IndexError) as exc:
-                    raise DataError(str(exc), path=path, line=line) from exc
+                except ValueError as exc:
+                    raise row_error(exc, row, width, path, line) from exc
                 if value - value != 0.0:  # nan or infinite, without a call per row
                     raise DataError(f"tmax {row[date_col + 1]} is not finite", path=path, line=line)
                 counts, seen = state
@@ -322,11 +324,17 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
     return {key: tuple(counts) for key, (counts, _) in series.items()}
 
 
+def _node_key(row: list[str]) -> tuple[str, int]:
+    model, node, _, _ = row
+    return model, int(node)
+
+
 def _cell_key(row: list[str]) -> tuple[str, float, float]:
-    lat, lon = float(row[1]), float(row[2])
+    model, lat_cell, lon_cell, _, _ = row
+    lat, lon = float(lat_cell), float(lon_cell)
     if not (math.isfinite(lat) and math.isfinite(lon)):
-        raise ValueError(f"cell ({row[1]}, {row[2]}) is not finite")
-    return row[0], lat, lon
+        raise ValueError(f"cell ({lat_cell}, {lon_cell}) is not finite")
+    return model, lat, lon
 
 
 def count_series_csv(
@@ -338,7 +346,7 @@ def count_series_csv(
     the years they span, not rows. A malformed or non-finite value, or a
     date repeated within a series, raises DataError at its file:line."""
     header = ("model", "node_id", "date", "tmax_c")
-    return _count_rows(paths, header, lambda row: (row[0], int(row[1])), periods, threshold_c)
+    return _count_rows(paths, header, _node_key, periods, threshold_c)
 
 
 def count_gridded_series_csv(
@@ -384,12 +392,10 @@ def read_profiles_csv(path, periods: Mapping[str, PeriodSpec]) -> list[HotDayPro
     with read_table(path, _PROFILE_HEADER) as records:
         for lineno, row in records:
             try:
-                model, label = row[0], row[1]
-                node = int(row[2])
-                count = int(row[3])
-                threshold = float(row[4])
-            except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=path, line=lineno) from exc
+                model, label, node, count, threshold = row
+                node, count, threshold = int(node), int(count), float(threshold)
+            except ValueError as exc:
+                raise row_error(exc, row, len(_PROFILE_HEADER), path, lineno) from exc
             if label not in periods:
                 raise DataError(f"unknown period label {label!r}", path=path, line=lineno)
             limit = periods[label].n_days()
@@ -415,9 +421,10 @@ def read_delta_csv(path) -> dict[str, dict[int, int]]:
     with read_table(path, _DELTA_HEADER) as records:
         for lineno, row in records:
             try:
-                out.setdefault(row[0], {})[int(row[1])] = int(row[2])
-            except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=path, line=lineno) from exc
+                model, node, delta = row
+                out.setdefault(model, {})[int(node)] = int(delta)
+            except ValueError as exc:
+                raise row_error(exc, row, len(_DELTA_HEADER), path, lineno) from exc
     return out
 
 

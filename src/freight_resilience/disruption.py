@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
 from typing import Mapping, Sequence
 
 from .centrality import CENTRALITY_KINDS, dense_rank_keys
 from .network import FreightNetwork
-from .tables import write_table
+from .tables import render_record, write_blocks
 
 TARGETED_SCENARIOS = ("targeted_degree", "targeted_closeness", "targeted_betweenness")
 
@@ -167,19 +166,16 @@ def hot_day_sequence(
 
 def write_sequences_csv(sequences: Sequence[RemovalSequence], path) -> None:
     """Export removal orders, one row per step, steps numbered from 1."""
-    rows = chain.from_iterable(
-        zip(
-            count(1),
-            seq.order,
-            repeat(seq.scenario),
-            repeat(seq.model),
-            repeat(seq.seed),
-            (
-                ("true" if node in seq.beyond_criterion else "false" for node in seq.order)
-                if seq.beyond_criterion
-                else repeat("false")
-            ),
-        )
-        for seq in sequences
-    )
-    write_table(path, ("step", "node_id", "scenario", "model", "seed", "beyond_criterion"), rows)
+
+    def block(seq: RemovalSequence) -> str:
+        # every cell after node_id is the same for the whole sequence,
+        # apart from the beyond_criterion flag
+        cells = render_record((seq.scenario, seq.model, seq.seed))
+        plain, beyond = f",{cells},false\n", f",{cells},true\n"
+        marked = seq.beyond_criterion
+        return "".join([
+            f"{j},{v}{beyond if v in marked else plain}" for j, v in enumerate(seq.order, 1)
+        ])
+
+    header = ("step", "node_id", "scenario", "model", "seed", "beyond_criterion")
+    write_blocks(path, header, map(block, sequences))

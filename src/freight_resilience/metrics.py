@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, count
 from operator import ge, le
 from typing import Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
-from .tables import read_table, write_table
+from .tables import read_table, render_record, row_error, write_blocks, write_table
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -287,25 +287,25 @@ _CURVE_HEADER = [
 
 
 def write_curves_csv(curves: Sequence[RobustnessCurve], path) -> None:
-    # the fraction_removed cells depend only on the node count; a string
-    # cell is written as is, and repr is the text csv writes for a float
+    # a fraction_removed cell depends only on the step and the node count,
+    # and the ff and scf cells only on ff and tf, so each text is built once
+    # per value (scf by the arithmetic of RobustnessCurve.scf); each curve
+    # is one block of records
     fractions = {n: [repr(j / n) for j in range(n + 1)] for n in {c.n_nodes for c in curves}}
-    rows = chain.from_iterable(
-        zip(
-            repeat(c.scenario),
-            repeat(c.model),
-            repeat(c.seed),
-            range(len(c.ff)),
-            (None, *c.order),
-            fractions[c.n_nodes],
-            c.ff,
-            c.scf,
-            c.tonnage_fraction,
-            c.tonnage_fraction_gcc,
+    ff_scf = {tf: [f"{f},{f / tf!r}" for f in range(tf + 1)] for tf in {c.tf for c in curves}}
+
+    def block(c: RobustnessCurve) -> str:
+        head = render_record((c.scenario, c.model, c.seed))
+        ff_text = ff_scf[c.tf]
+        columns = (
+            ("", *c.order), fractions[c.n_nodes], c.ff, c.tonnage_fraction, c.tonnage_fraction_gcc
         )
-        for c in curves
-    )
-    write_table(path, _CURVE_HEADER, rows)
+        return "".join([
+            f"{head},{j},{v},{x},{ff_text[f]},{t!r},{g!r}\n"
+            for j, v, x, f, t, g in zip(count(), *columns)
+        ])
+
+    write_blocks(path, _CURVE_HEADER, map(block, curves))
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:
@@ -322,12 +322,14 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
     with read_table(path, _CURVE_HEADER) as records:
         for lineno, row in records:
             try:
-                if (row[0], row[1], row[2]) != key:
-                    key = (row[0], row[1], row[2])
+                (scenario, model, seed, step, node,
+                 frac_cell, ff_cell, scf_cell, ton_cell, gcc_cell) = row
+                if (scenario, model, seed) != key:
+                    key = (scenario, model, seed)
                     if key not in groups:
-                        groups[key] = (int(key[2]) if key[2] else None, [], [], [], [], [], [])
+                        groups[key] = (int(seed) if seed else None, [], [], [], [], [], [])
                     _, order, frac, ff, scf, ton, gcc = groups[key]
-                step, node = int(row[3]), row[4]
+                step = int(step)
                 if step != len(ff):
                     expected = "a step-0 row" if not ff else f"step {len(ff)}"
                     raise ValueError(f"step {step} where the curve needs {expected}")
@@ -337,13 +339,13 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
                     order.append(int(node))
                 elif node:
                     raise ValueError("the step-0 row must leave node_id blank")
-                frac.append(float(row[5]))
-                ff.append(int(row[6]))
-                scf.append(float(row[7]))
-                ton.append(float(row[8]))
-                gcc.append(float(row[9]))
-            except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), path=path, line=lineno) from exc
+                frac.append(float(frac_cell))
+                ff.append(int(ff_cell))
+                scf.append(float(scf_cell))
+                ton.append(float(ton_cell))
+                gcc.append(float(gcc_cell))
+            except ValueError as exc:
+                raise row_error(exc, row, len(_CURVE_HEADER), path, lineno) from exc
     curves = []
     for (scenario, model, seed_cell), (seed, order, frac, ff, scf, ton, gcc) in groups.items():
         try:

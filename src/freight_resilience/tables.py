@@ -5,17 +5,27 @@ Excel writes them). Blank rows are skipped but counted: rows are
 numbered by record from 1. A file that is not valid UTF-8 or holds a
 malformed record raises DataError naming the file and the physical line
 of the fault, which is the record number unless a quoted field spans
-lines before it.
+lines before it. A record with a cell too many or too few raises
+DataError "expected N fields, got M" at its line (``row_error``).
 
-Output tables are UTF-8 with ``\\n`` line endings. ``csv.writer`` writes
-``None`` as an empty cell and a float as its shortest round-trip form
-(``repr``), so writers pass values through unformatted.
+Output tables are UTF-8 with ``\\n`` line endings. A cell is written as
+``csv.writer`` writes it: ``None`` as an empty cell, an int as ``str``, a
+float as its shortest round-trip form (``repr``), and text quoted when it
+holds a comma, a quote or a line break. A carriage return counts as a
+line break too, which ``csv.writer`` quotes only when it is part of the
+line terminator (``render_record``). ``write_table`` takes rows of
+unformatted values. The long tables (curves and removal sequences) are
+rendered by their writers, one block of records per curve or sequence,
+and written with ``write_blocks``: their text cells go through
+``render_record`` and their numeric cells follow the same rule.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -66,8 +76,50 @@ def read_table(path, header: Sequence[str]) -> Iterator[Rows]:
         yield rows
 
 
-def write_table(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def row_error(exc: Exception, row: list[str], width: int, path, line: int) -> DataError:
+    """The DataError for a record that failed to parse: a record that is
+    not ``width`` fields wide is named as such, whatever it raised. Readers
+    unpack each record inside their ``try``, which checks its width at no
+    cost per row."""
+    if len(row) != width:
+        return DataError(f"expected {width} fields, got {len(row)}", path=path, line=line)
+    return DataError(str(exc), path=path, line=line)
+
+
+def render_record(cells: Sequence[object]) -> str:
+    """``cells`` as one record of the output dialect, without the line ending.
+
+    ``csv.writer`` quotes a cell holding a character of its line
+    terminator, so a ``\\r\\n`` terminator quotes a carriage return too (a
+    reader ends the record there otherwise); it is cut off again here.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2]
+
+
+def _render(rows: Iterable[Sequence[object]], chunk: int = 4096) -> Iterator[str]:
+    """``rows`` as records of the output dialect, a block of ``chunk`` rows
+    at a time: one ``writerows`` call per block, and ``render_record`` per
+    row for the rare block with a carriage return in a cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while block := list(islice(rows, chunk)):
+        writer.writerows(block)
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        yield text if "\r" not in text else "".join([render_record(row) + "\n" for row in block])
+
+
+def write_blocks(path, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write ``header`` and then ``blocks``, rows already rendered: each
+    block is whole records, line endings included."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(render_record(header) + "\n")
+        fh.writelines(blocks)
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    write_blocks(path, header, _render(rows))

@@ -627,6 +627,24 @@ class TestMalformedInputs:
                 load(*paths)
             path.write_bytes(good)
 
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("width", ["long", "short"])
+    def test_row_of_wrong_width_names_its_line(self, inputs, loader, width):
+        """A row with a cell too many or too few is rejected, never read
+        as a valid row without its extra cell."""
+        names, load = LOADERS[loader]
+        paths = [inputs / name for name in names]
+        for path in paths:
+            good = path.read_text()
+            header, first, *rest = good.splitlines()
+            cells = first.split(",")
+            cells = cells + ["JUNK"] if width == "long" else cells[:-1]
+            path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+            expected = f"expected {len(header.split(','))} fields, got {len(cells)}"
+            with pytest.raises(DataError, match=rf"{re.escape(str(path))}:2: {expected}"):
+                load(*paths)
+            path.write_text(good)
+
     @pytest.mark.parametrize("loader, name", INPUT_FILES)
     @settings(max_examples=200, deadline=None)
     @given(
@@ -706,9 +724,12 @@ class TestReportFromCurves:
     # sha256 of the curve outputs of a 30-node run (the run's plots stop
     # the hot-day curves early) and of every file that report_from_curves
     # rebuilds from its curves.csv, recorded from the code that built and
-    # validated one object per curve step
+    # validated one object per curve step; sequences.csv (random seeds,
+    # hot-day rows beyond the criterion) was recorded from the writer that
+    # passed every cell through csv.writer
     RECORDED = {
         "out/curves.csv": "96174cda4221f4f4e193ea00bce07da3d8dfa52b7ecacd6a32744019d6119032",
+        "out/sequences.csv": "eb803c8437564fcc6dc8d822a6fd7476aff16e2c7a6b9b1f11402d4a9631dc70",
         "out/robustness.svg": "b02a2ef2ed2dd5d861ffaf3b02758be8cc9c44099b3dd586a1db8923d3800671",
         "out/tonnage.svg": "c2db5a7d8c19e26009cae584ec0ee48450edeb2fd02e660198ee88f8c042939c",
         "report/collapse.csv": "ac1a867f908d00cf2f2526e88ca57f280c9bccba2ab0b98eb67cefd8d2b83668",
@@ -745,7 +766,8 @@ class TestReportFromCurves:
         (tmp_path / "config.json").write_text(json.dumps(config))
         bundle = run(load_config(tmp_path / "config.json"))
         report = report_from_curves(bundle.out_dir / "curves.csv", tmp_path / "report")
-        files = [bundle.out_dir / name for name in ("curves.csv", "robustness.svg", "tonnage.svg")]
+        outputs = ("curves.csv", "sequences.csv", "robustness.svg", "tonnage.svg")
+        files = [bundle.out_dir / name for name in outputs]
         files += [report.out_dir / rel for rel in report.files]
         digests = {
             f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()

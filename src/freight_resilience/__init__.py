@@ -18,11 +18,9 @@ from .centrality import (
     rank_nodes,
 )
 from .climate import (
-    DailyTmaxSeries,
     EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
-    count_hot_days,
     ensemble_stats,
     hot_day_delta,
     map_nodes_to_grid,
@@ -44,7 +42,6 @@ __all__ = [
     "CentralityScores",
     "CollapseRow",
     "CurveEnsemble",
-    "DailyTmaxSeries",
     "EnsembleSummary",
     "FreightNetwork",
     "HotDayProfile",
@@ -59,7 +56,6 @@ __all__ = [
     "betweenness_centrality",
     "closeness_centrality",
     "collapse_point",
-    "count_hot_days",
     "degree_centrality",
     "ensemble_stats",
     "gcc_size",

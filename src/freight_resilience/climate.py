@@ -9,7 +9,8 @@ the model ensemble.
 Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
-distance. They are counted as they are read, never held as rows.
+distance. They are counted as they are read, never held as rows, and
+large inputs in worker processes, one per usable CPU.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
 """
@@ -17,14 +18,16 @@ models with shortened calendars are compared via period totals.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .centrality import RankedNodes
 from .errors import DataError
 from .network import NodeRecord
-from .tables import read_table, row_error, write_table
+from .tables import read_range, read_table, row_error, split_table, write_table
 
 DEFAULT_THRESHOLD_C = 35.0
 
@@ -53,26 +56,6 @@ class PeriodSpec:
 BASELINE = PeriodSpec("1991-2020", 1991, 2020)
 FUTURE_NEAR = PeriodSpec("2021-2050", 2021, 2050)
 FUTURE_FAR = PeriodSpec("2051-2080", 2051, 2080)
-
-
-@dataclass(frozen=True)
-class DailyTmaxSeries:
-    """Daily maximum temperature at one node for one climate model."""
-
-    model: str
-    node_id: int
-    dates: tuple[date, ...]
-    tmax: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.dates) != len(self.tmax):
-            raise ValueError("dates and tmax must have equal length")
-        for i in range(1, len(self.dates)):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise ValueError(f"dates not strictly increasing at index {i}")
-        for value in self.tmax:
-            if not math.isfinite(value):
-                raise ValueError("tmax values must be finite")
 
 
 @dataclass(frozen=True)
@@ -120,23 +103,6 @@ class EnsembleSummary:
     @property
     def single_model(self) -> bool:
         return self.n_models == 1
-
-
-def count_hot_days(
-    series: DailyTmaxSeries, period: PeriodSpec, threshold_c: float = DEFAULT_THRESHOLD_C
-) -> int:
-    """Days in the period with tmax strictly above the threshold.
-
-    A day at exactly the threshold does not count. An empty overlap
-    between series and period is legal and returns 0.
-    """
-    if not math.isfinite(threshold_c):
-        raise ValueError("threshold must be finite")
-    count = 0
-    for day, value in zip(series.dates, series.tmax):
-        if period.contains(day) and value > threshold_c:
-            count += 1
-    return count
 
 
 def hot_day_delta(future: HotDayProfile, baseline: HotDayProfile) -> dict[int, int]:
@@ -279,49 +245,129 @@ _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c"
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 
-def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
+# A smaller input is counted in-process: a pool would take longer to start
+# than it saves. Each worker gets about this many byte ranges.
+_SERIAL_BELOW_BYTES = 4 << 20
+_RANGES_PER_WORKER = 2
+
+
+def _count_rows(
+    paths, header, key_of, periods, threshold_c, workers=None, range_bytes=None
+) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
     row's series key from the columns before the last two (date, tmax), and
-    checks the row's width.
-    A date text is parsed once, into its year, day-of-year bit and the
-    periods holding it (they may overlap). A series keeps its counts and,
-    per year, a bitmask of the days seen."""
+    checks the row's width. Large inputs are counted over byte ranges in
+    worker processes (``_count_in_workers``); what they cannot settle is
+    counted here by the same loop, ``_tally``, which raises every error."""
     if not math.isfinite(threshold_c):
         raise ValueError("threshold must be finite")
-    periods = tuple(periods)
-    width = len(header)
-    date_col = width - 2
-    days: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-    series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
-    for path in paths:
-        with read_table(path, header) as records:
-            for line, row in records:
-                try:
-                    key = key_of(row)
-                    state = series.get(key)
-                    if state is None:
-                        state = series[key] = ([0] * len(periods), {})
-                    when = row[date_col]
-                    day = days.get(when)
-                    if day is None:
-                        parsed = date.fromisoformat(when)
-                        hits = tuple(k for k, p in enumerate(periods) if p.contains(parsed))
-                        day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday, hits)
-                    value = float(row[date_col + 1])
-                except ValueError as exc:
-                    raise row_error(exc, row, width, path, line) from exc
-                if value - value != 0.0:  # nan or infinite, without a call per row
-                    raise DataError(f"tmax {row[date_col + 1]} is not finite", path=path, line=line)
-                counts, seen = state
-                year, bit, hits = day
-                mask = seen.get(year, 0)
-                if mask & bit:
-                    raise DataError(f"date {when} repeated in series {key}", path=path, line=line)
-                seen[year] = mask | bit
-                if value > threshold_c:
-                    for k in hits:
-                        counts[k] += 1
+    paths = list(paths)
+    args = (key_of, len(header), tuple((p.start_year, p.end_year) for p in periods), threshold_c)
+    series = _count_in_workers(paths, header, args, workers, range_bytes)
+    if series is None:
+        series, days = {}, {}
+        for path in paths:
+            with read_table(path, header) as records:
+                _tally(records, path, series, days, *args)
     return {key: tuple(counts) for key, (counts, _) in series.items()}
+
+
+def _tally(records, path, series, days, key_of, width, spans, threshold_c) -> dict:
+    """Count the ``(line, row)`` records of ``path`` into ``series``, which
+    maps a series key to its counts per period and, per year, a bitmask of
+    the days seen. ``days`` caches a date text's year, day-of-year bit and
+    the periods (``spans`` of years, which may overlap) holding it."""
+    date_col = width - 2
+    for line, row in records:
+        try:
+            key = key_of(row)
+            state = series.get(key)
+            if state is None:
+                state = series[key] = ([0] * len(spans), {})
+            when = row[date_col]
+            day = days.get(when)
+            if day is None:
+                parsed = date.fromisoformat(when)
+                hits = tuple(k for k, (lo, hi) in enumerate(spans) if lo <= parsed.year <= hi)
+                day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday, hits)
+            value = float(row[date_col + 1])
+        except ValueError as exc:
+            raise row_error(exc, row, width, path, line) from exc
+        if value - value != 0.0:  # nan or infinite, without a call per row
+            raise DataError(f"tmax {row[date_col + 1]} is not finite", path=path, line=line)
+        counts, seen = state
+        year, bit, hits = day
+        mask = seen.get(year, 0)
+        if mask & bit:
+            raise DataError(f"date {when} repeated in series {key}", path=path, line=line)
+        seen[year] = mask | bit
+        if value > threshold_c:
+            for k in hits:
+                counts[k] += 1
+    return series
+
+
+def _count_in_workers(paths, header, args, workers, range_bytes) -> dict | None:
+    """``_tally``'s series for the files, counted over line-aligned byte
+    ranges in up to ``workers`` forked processes (default: one per usable
+    CPU) and merged in range order, so keys keep their order of first
+    appearance. Counts add; the day masks of one series must be disjoint.
+    None, for the caller to count in-process, where the files are small
+    (unless ``range_bytes`` is given) or cannot be split, and after any
+    fault, quoted cell or date seen in two ranges: the in-process loop then
+    names the first fault in (file, line) order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = workers or cpus
+    if workers < 2:
+        return None
+    try:
+        sizes = [os.path.getsize(path) for path in paths]
+    except OSError:
+        return None
+    if range_bytes is None:
+        if sum(sizes) < _SERIAL_BELOW_BYTES:
+            return None
+        range_bytes = -(-sum(sizes) // (_RANGES_PER_WORKER * workers))
+    tasks = []
+    for path, size in zip(paths, sizes):
+        ranges = split_table(path, header, -(-size // range_bytes))
+        if ranges is None:
+            return None
+        tasks += [(path, start, end) for start, end in ranges]
+    if len(tasks) < 2:
+        return None
+    import multiprocessing  # here, not at the top: the imports cost about 1.5 MB
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=fork) as pool:
+        parts = list(pool.map(_count_range, *zip(*tasks), repeat(args)))
+    series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
+    for part in parts:
+        if part is None:
+            return None
+        for key, (counts, seen) in part.items():
+            total, total_seen = series.setdefault(key, ([0] * len(counts), {}))
+            for k, n in enumerate(counts):
+                total[k] += n
+            for year, mask in seen.items():
+                before = total_seen.get(year, 0)
+                if before & mask:
+                    return None
+                total_seen[year] = before | mask
+    return series
+
+
+def _count_range(path, start, end, args):
+    """``_tally`` over one range of ``path``, in a worker process; None at
+    any fault, which the in-process pass reports."""
+    try:
+        with read_range(path, start, end) as records:
+            return _tally(records, path, {}, {}, *args)
+    except (ValueError, OSError, DataError):
+        return None
 
 
 def _node_key(row: list[str]) -> tuple[str, int]:
@@ -338,15 +384,22 @@ def _cell_key(row: list[str]) -> tuple[str, float, float]:
 
 
 def count_series_csv(
-    paths: Iterable, periods: Sequence[PeriodSpec], threshold_c: float = DEFAULT_THRESHOLD_C
+    paths: Iterable,
+    periods: Sequence[PeriodSpec],
+    threshold_c: float = DEFAULT_THRESHOLD_C,
+    *,
+    _workers: int | None = None,
+    _range_bytes: int | None = None,
 ) -> dict[tuple[str, int], tuple[int, ...]]:
     """Hot days per period, in ``periods`` order, for each (model, node_id)
     series in per-node files (``model,node_id,date,tmax_c``). Rows may come
     in any order, a series may span files, and memory grows with series and
     the years they span, not rows. A malformed or non-finite value, or a
-    date repeated within a series, raises DataError at its file:line."""
+    date repeated within a series, raises DataError at its file:line.
+    Large inputs are counted in worker processes, with the same results
+    and errors; ``_workers`` and ``_range_bytes`` fix the split for tests."""
     header = ("model", "node_id", "date", "tmax_c")
-    return _count_rows(paths, header, _node_key, periods, threshold_c)
+    return _count_rows(paths, header, _node_key, periods, threshold_c, _workers, _range_bytes)
 
 
 def count_gridded_series_csv(
@@ -354,11 +407,15 @@ def count_gridded_series_csv(
     nodes: Sequence[NodeRecord],
     periods: Sequence[PeriodSpec],
     threshold_c: float = DEFAULT_THRESHOLD_C,
+    *,
+    _workers: int | None = None,
+    _range_bytes: int | None = None,
 ) -> dict[tuple[str, int], tuple[int, ...]]:
     """``count_series_csv`` for grid-form files (``model,lat,lon,date,tmax_c``):
     each node takes, for every model, the counts of its nearest cell."""
     paths = list(paths)
-    cells = _count_rows(paths, ("model", "lat", "lon", "date", "tmax_c"), _cell_key, periods, threshold_c)
+    header = ("model", "lat", "lon", "date", "tmax_c")
+    cells = _count_rows(paths, header, _cell_key, periods, threshold_c, _workers, _range_bytes)
     try:  # an empty or irregular grid, or a node outside it
         grid = RegularGrid(*(tuple(sorted({key[i] for key in cells})) for i in (1, 2)))
         mapping = map_nodes_to_grid(nodes, grid)

@@ -8,6 +8,10 @@ of the fault, which is the record number unless a quoted field spans
 lines before it. A record with a cell too many or too few raises
 DataError "expected N fields, got M" at its line (``row_error``).
 
+A long table without quoted cells can be read in pieces: ``split_table``
+cuts the records after its header into byte ranges that end at line
+ends, and ``read_range`` reads one of them, as ``read_rows`` would.
+
 Output tables are UTF-8 with ``\\n`` line endings. A cell is written as
 ``csv.writer`` writes it: ``None`` as an empty cell, an int as ``str``, a
 float as its shortest round-trip form (``repr``), and text quoted when it
@@ -22,10 +26,12 @@ and written with ``write_blocks``: their text cells go through
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import os
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -74,6 +80,60 @@ def read_table(path, header: Sequence[str]) -> Iterator[Rows]:
         if first != list(header):
             raise DataError(f"unexpected header {first}", path=path, line=line)
         yield rows
+
+
+def split_table(path, header: Sequence[str], parts: int) -> list[tuple[int, int]] | None:
+    """At most ``parts`` byte ranges ``(start, end)`` of about equal size that
+    cover the records after the header of ``path``, each ending at a line end; None
+    for a file that does not open, whose first line is not the header
+    alone, or that has a line too long to cut. It reads the header line
+    and one line per cut, nothing else."""
+    head = render_record(header).encode()
+    try:
+        with Path(path).open("rb") as fh:
+            first = fh.readline(len(head) + 5).removeprefix(codecs.BOM_UTF8)
+            if first not in (head + b"\n", head + b"\r\n"):
+                return None
+            start, total = fh.tell(), os.fstat(fh.fileno()).st_size
+            size = -(-(total - start) // parts)
+            ranges = []
+            while start < total:
+                fh.seek(start + size - 1)  # the range ends after the line holding this byte
+                line = fh.readline(1 << 16)
+                end = min(fh.tell(), total)
+                if end < total and not line.endswith(b"\n"):
+                    return None
+                ranges.append((start, end))
+                start = end
+            return ranges
+    except OSError:
+        return None
+
+
+@contextmanager
+def read_range(path, start: int, end: int) -> Iterator[Rows]:
+    """``read_rows`` over the bytes ``start:end`` of ``path``, a range from
+    ``split_table``, numbering records from 1 within the range. Any fault
+    raises ValueError without a line: a byte that is not UTF-8, a malformed
+    record, and a quote byte, since a quoted cell may hold a line end."""
+    with Path(path).open("rb") as fh:
+        fh.seek(start)
+        reader = csv.reader(chain.from_iterable(_range_blocks(fh, end - start)))
+        try:
+            yield filter(itemgetter(1), enumerate(reader, start=1))
+        except csv.Error as exc:
+            raise ValueError(str(exc)) from exc
+
+
+def _range_blocks(fh, size: int, block: int = 1 << 18) -> Iterator[io.TextIOWrapper]:
+    # whole lines, so that each block splits into lines as the whole file does
+    while chunk := fh.read(min(block, size)):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline(size - len(chunk))
+        size -= len(chunk)
+        if b'"' in chunk:
+            raise ValueError("quoted cell")
+        yield io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline="")
 
 
 def row_error(exc: Exception, row: list[str], width: int, path, line: int) -> DataError:

@@ -16,15 +16,20 @@ test.
 from __future__ import annotations
 
 import csv
+import math
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from freight_resilience.climate import DailyTmaxSeries
+from freight_resilience import climate
+from freight_resilience.climate import DEFAULT_THRESHOLD_C, PeriodSpec
 from freight_resilience.network import FreightNetwork, NodeRecord
 
 
@@ -326,6 +331,43 @@ def oracle_curve_states(net: FreightNetwork, order) -> list[tuple[int, Fraction,
 # Climate oracle
 
 
+@dataclass(frozen=True)
+class DailyTmaxSeries:
+    """Daily maximum temperature at one node for one climate model."""
+
+    model: str
+    node_id: int
+    dates: tuple[date, ...]
+    tmax: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.dates) != len(self.tmax):
+            raise ValueError("dates and tmax must have equal length")
+        for i in range(1, len(self.dates)):
+            if self.dates[i] <= self.dates[i - 1]:
+                raise ValueError(f"dates not strictly increasing at index {i}")
+        for value in self.tmax:
+            if not math.isfinite(value):
+                raise ValueError("tmax values must be finite")
+
+
+def count_hot_days(
+    series: DailyTmaxSeries, period: PeriodSpec, threshold_c: float = DEFAULT_THRESHOLD_C
+) -> int:
+    """Days in the period with tmax strictly above the threshold.
+
+    A day at exactly the threshold does not count. An empty overlap
+    between series and period is legal and returns 0.
+    """
+    if not math.isfinite(threshold_c):
+        raise ValueError("threshold must be finite")
+    count = 0
+    for day, value in zip(series.dates, series.tmax):
+        if period.contains(day) and value > threshold_c:
+            count += 1
+    return count
+
+
 def oracle_read_series(paths) -> dict[tuple[str, int], DailyTmaxSeries]:
     """Per-node daily series files (``model,node_id,date,tmax_c``) held
     whole, each series sorted by date, for ``count_hot_days`` to scan."""
@@ -342,3 +384,22 @@ def oracle_read_series(paths) -> dict[tuple[str, int], DailyTmaxSeries]:
         key: DailyTmaxSeries(key[0], key[1], *map(tuple, zip(*sorted(r))))
         for key, r in rows.items()
     }
+
+
+@contextmanager
+def worker_counts(workers: int | None = None, range_bytes: int | None = None):
+    """Record what ``climate._count_in_workers`` returns inside the block:
+    the merged counts of the worker processes, or None where the count fell
+    back to one process. ``workers`` and ``range_bytes`` override what the
+    counter passes, and a ``range_bytes`` splits inputs of any size."""
+    returns = []
+    count = climate._count_in_workers
+
+    def spy(paths, header, args, given_workers, given_range_bytes):
+        returns.append(
+            count(paths, header, args, workers or given_workers, range_bytes or given_range_bytes)
+        )
+        return returns[-1]
+
+    with mock.patch.object(climate, "_count_in_workers", spy):
+        yield returns

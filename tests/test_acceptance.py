@@ -38,10 +38,9 @@ from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
     FUTURE_NEAR,
-    DailyTmaxSeries,
     HotDayProfile,
     PeriodSpec,
-    count_hot_days,
+    count_series_csv,
     write_profiles_csv,
 )
 from freight_resilience.disruption import (
@@ -172,37 +171,38 @@ def test_acceptance_4_star_analytics():
             assert collapse_point(curve, 0.10) == (1, 1 / n)
 
 
-def test_acceptance_5_hot_day_counter():
+def test_acceptance_5_hot_day_counter(tmp_path):
     with verdict(5, "hot-day counting vs linear scan"):
         rng = random.Random(55)
         window = PeriodSpec("window", 1991, 2020)
         # 30-year synthetic series with a seasonal swing around each threshold
+        rows = []
         for node in range(1, 7):
-            days = []
-            values = []
             day = date(1991, 1, 1)
             while day.year <= 2020:
-                days.append(day)
                 doy = day.timetuple().tm_yday
                 seasonal = 25.0 + 14.0 * -math.cos(2 * math.pi * (doy - 15) / 365.25)
-                values.append(round(seasonal + rng.uniform(-3, 3), 2))
+                rows.append((node, day, round(seasonal + rng.uniform(-3, 3), 2)))
                 day = date.fromordinal(day.toordinal() + 1)
-            series = DailyTmaxSeries("m", node, tuple(days), tuple(values))
-            for threshold in (30.0, 35.0, 40.0):
-                expected = sum(
-                    1
-                    for d, v in zip(series.dates, series.tmax)
-                    if 1991 <= d.year <= 2020 and v > threshold
-                )
-                assert count_hot_days(series, window, threshold) == expected
-        # the strict boundary: a day at exactly 35.0 is not hot
-        flat = DailyTmaxSeries(
-            "m",
-            1,
-            tuple(date(2000, 1, 1 + k) for k in range(30)),
-            (35.0,) * 30,
+        series = tmp_path / "tmax.csv"
+        series.write_text(
+            "model,node_id,date,tmax_c\n" + "".join(f"m,{n},{d},{v!r}\n" for n, d, v in rows)
         )
-        assert count_hot_days(flat, PeriodSpec("p", 2000, 2000), 35.0) == 0
+        # the strict boundary: a day at exactly 35.0 is not hot
+        flat = tmp_path / "flat.csv"
+        days = "".join(f"m,1,2000-01-{k:02},35.0\n" for k in range(1, 31))
+        flat.write_text("model,node_id,date,tmax_c\n" + days)
+        # in one process, and in two over ranges of about 64 KB that split series
+        for split in ({"_workers": 1}, {"_workers": 2, "_range_bytes": 1 << 16}):
+            for threshold in (30.0, 35.0, 40.0):
+                expected = {("m", node): [0] for node in range(1, 7)}
+                for n, d, v in rows:
+                    if 1991 <= d.year <= 2020 and v > threshold:
+                        expected[("m", n)][0] += 1
+                counts = count_series_csv([series], [window], threshold, **split)
+                assert [(key, list(c)) for key, c in counts.items()] == list(expected.items())
+            flat_counts = count_series_csv([flat], [PeriodSpec("p", 2000, 2000)], 35.0, **split)
+            assert flat_counts == {("m", 1): (0,)}
 
 
 def test_acceptance_6_ensemble_statistics():

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 import tempfile
 import tracemalloc
@@ -9,19 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_node, oracle_read_series
+from conftest import DailyTmaxSeries, count_hot_days, make_node, oracle_read_series, worker_counts
 from freight_resilience.centrality import rank_mapping
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
     FUTURE_NEAR,
-    DailyTmaxSeries,
     EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
     RegularGrid,
     count_gridded_series_csv,
-    count_hot_days,
     count_series_csv,
     ensemble_stats,
     haversine_km,
@@ -36,6 +35,26 @@ from freight_resilience.climate import (
     write_profiles_csv,
 )
 from freight_resilience.errors import DataError
+
+
+def both(count, *args, range_bytes=16):
+    """``count(*args)`` in one process and over byte ranges of about
+    ``range_bytes`` in 2 worker processes. Both must return the same counts
+    in the same key order, or raise the same error text, which is raised
+    again. Returns the counts and whether the workers' counts were used."""
+    outcomes = []
+    with worker_counts() as returns:
+        for split in ({"_workers": 1}, {"_workers": 2, "_range_bytes": range_bytes}):
+            try:
+                outcomes.append(list(count(*args, **split).items()))
+            except (DataError, ValueError) as exc:
+                outcomes.append(exc)
+    serial, split = outcomes
+    if isinstance(serial, Exception):
+        assert (type(split), str(split)) == (type(serial), str(serial))
+        raise serial
+    assert split == serial
+    return dict(serial), returns[-1] is not None
 
 
 def make_series(start, values, model="m1", node_id=1):
@@ -320,20 +339,21 @@ class TestSeriesCsv:
             "m1,2,2000-07-01,31.25\n"
             "m1,1,2000-07-02,40.0\n"
         )
-        counts = count_series_csv([path], TWO_PERIODS)
+        counts, pooled = both(count_series_csv, [path], TWO_PERIODS)
         assert counts == {("m1", 1): (1, 2), ("m1", 2): (0, 0)}
+        assert pooled
 
     def test_series_split_across_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("model,node_id,date,tmax_c\nm1,1,2000-07-01,36.0\n")
         b.write_text("model,node_id,date,tmax_c\nm1,01,2001-07-01,36.0\nm1,1,2002-07-01,36.0\n")
-        assert count_series_csv([a, b], TWO_PERIODS) == {("m1", 1): (1, 2)}
+        assert both(count_series_csv, [a, b], TWO_PERIODS) == ({("m1", 1): (1, 2)}, True)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("model,node,date,tmax\nm1,1,2000-07-01,30.0\n")
         with pytest.raises(DataError, match=r"series\.csv:1"):
-            count_series_csv([path], TWO_PERIODS)
+            both(count_series_csv, [path], TWO_PERIODS)
 
     def test_malformed_row_carries_line_number(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -341,7 +361,7 @@ class TestSeriesCsv:
             "model,node_id,date,tmax_c\nm1,1,2000-07-01,30.0\nm1,one,2000-07-02,30.0\n"
         )
         with pytest.raises(DataError, match=r"series\.csv:3"):
-            count_series_csv([path], TWO_PERIODS)
+            both(count_series_csv, [path], TWO_PERIODS)
 
     def test_duplicate_date_rejected(self, tmp_path):
         # a repeat is caught in any year, after rows from other years,
@@ -356,14 +376,14 @@ class TestSeriesCsv:
             path.write_text(f"model,node_id,date,tmax_c\n{first}\n{second}\n")
             line = 2 + first.count("\n") + 1
             with pytest.raises(DataError, match=rf"series\.csv:{line}: date \S+ repeated"):
-                count_series_csv([path], TWO_PERIODS)
+                both(count_series_csv, [path], TWO_PERIODS)
 
     def test_duplicate_date_in_another_file_rejected(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("model,node_id,date,tmax_c\nm1,1,2000-07-01,36.0\n")
         b.write_text("model,node_id,date,tmax_c\nm1,2,2000-07-01,36.0\nm1,1,2000-07-01,36.0\n")
         with pytest.raises(DataError, match=r"b\.csv:3: date 2000-07-01 repeated in series \(.m1., 1\)"):
-            count_series_csv([a, b], TWO_PERIODS)
+            both(count_series_csv, [a, b], TWO_PERIODS)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_value_names_its_line(self, tmp_path, value):
@@ -372,19 +392,20 @@ class TestSeriesCsv:
             f"model,node_id,date,tmax_c\nm1,1,2000-07-01,30.0\nm1,1,1950-07-02,{value}\n"
         )
         with pytest.raises(DataError, match=r"series\.csv:3: tmax \S+ is not finite"):
-            count_series_csv([path], TWO_PERIODS)
+            both(count_series_csv, [path], TWO_PERIODS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            count_series_csv([tmp_path / "absent.csv"], TWO_PERIODS)
+            both(count_series_csv, [tmp_path / "absent.csv"], TWO_PERIODS)
 
     def test_non_finite_threshold_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="finite"):
-            count_series_csv([tmp_path / "absent.csv"], TWO_PERIODS, math.inf)
+            both(count_series_csv, [tmp_path / "absent.csv"], TWO_PERIODS, math.inf)
 
     def test_memory_independent_of_rows(self, tmp_path):
         # 40 series x 10 years = 146,120 rows; holding them as dates and
-        # floats would take about 19 MB at 130 B per row
+        # floats would take about 19 MB at 130 B per row. One process
+        # counts them, so this bounds the loop that each worker runs.
         path = tmp_path / "series.csv"
         first = date(2000, 1, 1)
         days = [(first + timedelta(days=k)).isoformat() for k in range(3653)]
@@ -394,12 +415,99 @@ class TestSeriesCsv:
                 fh.writelines(f"m1,{node},{d},{30 + (k * node) % 11}.5\n" for k, d in enumerate(days))
         tracemalloc.start()
         try:
-            counts = count_series_csv([path], (BASELINE, PeriodSpec("p", 2000, 2004)), 35.0)
+            periods = (BASELINE, PeriodSpec("p", 2000, 2004))
+            counts = count_series_csv([path], periods, 35.0, _workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(counts) == 40
         assert peak < 2 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MB"
+
+
+SERIES_HEADER = "model,node_id,date,tmax_c\n"
+# two series of 30 days; days 5-8, 14-17 and 23-26 are hot (30 + day % 9 + 0.5)
+SERIES_ROWS = "".join(
+    f"m1,{node},2000-07-{day:02},{30 + day % 9}.5\n" for node in (1, 2) for day in range(1, 31)
+)
+SERIES_COUNTS = {("m1", 1): (12, 12), ("m1", 2): (12, 12)}
+
+
+class TestSplitCount:
+    """Files that are counted over byte ranges, or that fall back to one
+    process, give the counts or the error of one process."""
+
+    @pytest.mark.parametrize(
+        "text, pooled",
+        [
+            (SERIES_HEADER + SERIES_ROWS, True),
+            (SERIES_HEADER.replace("\n", "\r\n") + SERIES_ROWS.replace("\n", "\r\n"), True),
+            ("\ufeff" + SERIES_HEADER + SERIES_ROWS, True),
+            (SERIES_HEADER + SERIES_ROWS.replace("\n", "\n\n").replace("\n\n", "\n", 7), True),
+            (SERIES_HEADER + SERIES_ROWS.replace("\n", "\r", 9), True),
+            ("\n" + SERIES_HEADER + SERIES_ROWS, False),
+            ((SERIES_HEADER + SERIES_ROWS).replace("\n", "\r"), False),
+            (SERIES_HEADER + SERIES_ROWS.replace("m1,2,2000-07-30", '"m1",2,"2000-07-30"'), False),
+        ],
+        ids=[
+            "lf", "crlf", "bom", "blank-lines", "lone-cr-in-rows", "blank-before-header", "lone-cr",
+            "quoted",
+        ],
+    )
+    @pytest.mark.parametrize("range_bytes", [16, 200])
+    def test_same_counts_split_or_not(self, tmp_path, text, pooled, range_bytes):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        assert both(count_series_csv, [path], TWO_PERIODS, range_bytes=range_bytes) == (
+            SERIES_COUNTS,
+            pooled,
+        )
+
+    def test_quoted_cell_holding_a_line_end(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(SERIES_HEADER + SERIES_ROWS + '"m\n1",3,2000-07-01,36.0\n')
+        counts, pooled = both(count_series_csv, [path], TWO_PERIODS)
+        assert counts == {**SERIES_COUNTS, ("m\n1", 3): (1, 1)}
+        assert not pooled
+
+    def test_byte_not_utf8_in_a_later_range(self, tmp_path):
+        path = tmp_path / "series.csv"
+        rows = SERIES_ROWS.encode().splitlines(keepends=True)
+        rows[40] = rows[40].replace(b"m1", b"m\xff")
+        path.write_bytes(SERIES_HEADER.encode() + b"".join(rows))
+        with pytest.raises(DataError, match=r"series\.csv:42: not valid UTF-8"):
+            both(count_series_csv, [path], TWO_PERIODS, range_bytes=200)
+
+    @pytest.mark.parametrize("range_bytes", [16, 200])
+    def test_date_repeated_in_another_range(self, tmp_path, range_bytes):
+        # lines 2 and 62 are 1,200 bytes apart, in different ranges: only
+        # the merge of the workers' counts sees the repeat
+        path = tmp_path / "series.csv"
+        path.write_text(SERIES_HEADER + SERIES_ROWS + "m1,1,2000-07-01,20.0\n")
+        message = r"series\.csv:62: date 2000-07-01 repeated in series \(.m1., 1\)"
+        with pytest.raises(DataError, match=message):
+            both(count_series_csv, [path], TWO_PERIODS, range_bytes=range_bytes)
+
+    def test_date_repeated_in_another_file(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(SERIES_HEADER + SERIES_ROWS)
+        b.write_text(SERIES_HEADER + "m1,3,2000-07-01,20.0\n" + SERIES_ROWS[-21:])
+        message = r"b\.csv:3: date 2000-07-30 repeated in series \(.m1., 2\)"
+        with pytest.raises(DataError, match=message):
+            both(count_series_csv, [a, b], TWO_PERIODS, range_bytes=200)
+
+    def test_no_child_process_outlives_a_count(self, tmp_path):
+        path = tmp_path / "series.csv"
+        split = {"_workers": 2, "_range_bytes": 64}
+        path.write_text(SERIES_HEADER + SERIES_ROWS)
+        with worker_counts() as returns:
+            assert count_series_csv([path], TWO_PERIODS, **split) == SERIES_COUNTS
+        assert returns[0] is not None
+        assert multiprocessing.active_children() == []
+        for fault in ("m1,1,2000-07-31,oops\n", "m1,1,2000-07-01,20.0\n"):
+            path.write_text(SERIES_HEADER + SERIES_ROWS + fault)
+            with pytest.raises(DataError, match=r"series\.csv:62: "):
+                count_series_csv([path], TWO_PERIODS, **split)
+            assert multiprocessing.active_children() == []
 
 
 GRID_CSV = (
@@ -416,8 +524,9 @@ class TestGriddedCsv:
         path = tmp_path / "grid.csv"
         path.write_text(GRID_CSV)
         nodes = [make_node(7, lat=30.2, lon=-99.9), make_node(8, lat=31.9, lon=-98.0)]
-        counts = count_gridded_series_csv([path], nodes, TWO_PERIODS)
+        counts, pooled = both(count_gridded_series_csv, [path], nodes, TWO_PERIODS)
         assert counts == {("m1", 7): (1, 1), ("m1", 8): (0, 0)}
+        assert pooled
 
     def test_missing_cell_for_model(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -428,20 +537,20 @@ class TestGriddedCsv:
         )
         node = make_node(7, lat=30.0, lon=-100.0)
         with pytest.raises(DataError, match="no series for model"):
-            count_gridded_series_csv([path], [node], TWO_PERIODS)
+            both(count_gridded_series_csv, [path], [node], TWO_PERIODS)
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("model,lat,lon,date,tmax_c\n")
         with pytest.raises(DataError, match=r"grid\.csv: grid axes must be non-empty"):
-            count_gridded_series_csv([path], [], TWO_PERIODS)
+            both(count_gridded_series_csv, [path], [], TWO_PERIODS)
 
     def test_node_outside_the_grid_names_the_files(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text(GRID_CSV)
         node = make_node(7, lat=34.0, lon=-100.0)
         with pytest.raises(DataError, match=r"grid\.csv: node 7 at \(34.0, -100.0\) outside grid"):
-            count_gridded_series_csv([path], [node], TWO_PERIODS)
+            both(count_gridded_series_csv, [path], [node], TWO_PERIODS)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -456,7 +565,7 @@ class TestGriddedCsv:
         path = tmp_path / "grid.csv"
         path.write_text(GRID_CSV + row + "\n")
         with pytest.raises(DataError, match=rf"grid\.csv:6: {message}"):
-            count_gridded_series_csv([path], [], TWO_PERIODS)
+            both(count_gridded_series_csv, [path], [], TWO_PERIODS)
 
 
 # a few years around one leap day, periods drawn inside and around them
@@ -492,7 +601,9 @@ def write_rows(directory: Path, header: str, rows: list[str], cut: int) -> list[
 
 class TestCountersMatchOracle:
     """The streaming counters against ``count_hot_days`` over whole
-    in-memory series, on shuffled rows split across two files."""
+    in-memory series, on shuffled rows split across two files, in one
+    process and over byte ranges in two. A range of at most 20 bytes holds
+    one row, and then the workers' counts must be the ones returned."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -511,10 +622,14 @@ class TestCountersMatchOracle:
         ]
         rng.shuffle(rows)
         cut = data.draw(st.integers(0, len(rows)))
+        range_bytes = data.draw(st.integers(1, 400))
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_rows(Path(tmp), "model,node_id,date,tmax_c\n", rows, cut)
-            counts = count_series_csv(paths, periods, THRESHOLD)
+            counts, pooled = both(
+                count_series_csv, paths, periods, THRESHOLD, range_bytes=range_bytes
+            )
             oracle = oracle_read_series(paths)
+        assert pooled or len(rows) < 2 or range_bytes > 20
         assert counts.keys() == oracle.keys() == series.keys()
         for key, whole in oracle.items():
             assert counts[key] == tuple(count_hot_days(whole, p, THRESHOLD) for p in periods)
@@ -536,6 +651,7 @@ class TestCountersMatchOracle:
         ]
         rng.shuffle(rows)
         cut = data.draw(st.integers(0, len(rows)))
+        range_bytes = data.draw(st.integers(1, 400))
         nodes = [
             make_node(i, lat=lat, lon=lon)
             for i, (lat, lon) in enumerate(
@@ -545,7 +661,10 @@ class TestCountersMatchOracle:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_rows(Path(tmp), "model,lat,lon,date,tmax_c\n", rows, cut)
-            by_node = count_gridded_series_csv(paths, nodes, periods, THRESHOLD)
+            by_node, pooled = both(
+                count_gridded_series_csv, paths, nodes, periods, THRESHOLD, range_bytes=range_bytes
+            )
+        assert pooled or len(rows) < 2 or range_bytes > 20
         nearest = map_nodes_to_grid(nodes, RegularGrid((30.0, 32.0), (-100.0, -98.0)))
         assert by_node.keys() == {(m, node.id) for m in ("mA", "mB") for node in nodes}
         for node in nodes:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 from dataclasses import replace
 from datetime import date, timedelta
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freight_resilience
-from conftest import make_node
+from conftest import make_node, worker_counts
 from freight_resilience import centrality
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
@@ -669,9 +670,15 @@ class TestMalformedInputs:
 
 
 # module -> the only package files that may import it: every CSV table
-# goes through one dialect module, and exact rationals stay in the one
-# kernel that needs them (replay and the per-step paths use plain ints)
-IMPORT_OWNERS = {"csv": ["tables.py"], "fractions": ["centrality.py"]}
+# goes through one dialect module, exact rationals stay in the one kernel
+# that needs them (replay and the per-step paths use plain ints), and only
+# the climate counter starts worker processes
+IMPORT_OWNERS = {
+    "csv": ["tables.py"],
+    "fractions": ["centrality.py"],
+    "multiprocessing": ["climate.py"],
+    "concurrent": ["climate.py"],
+}
 
 
 def test_only_owners_import_guarded_modules():
@@ -868,6 +875,17 @@ class TestClimateSourcesThroughRun:
 
     @pytest.mark.parametrize("form", sorted(RECORDED))
     def test_outputs_match_recorded_bytes(self, tmp_path, form):
+        assert self.digests(tmp_path, form) == self.RECORDED[form]
+
+    @pytest.mark.parametrize("form", sorted(RECORDED))
+    def test_recorded_bytes_hold_when_counted_in_workers(self, tmp_path, form):
+        # each file of about 1.6 MB is cut into ranges of about 64 KB
+        with worker_counts(workers=2, range_bytes=1 << 16) as returns:
+            assert self.digests(tmp_path, form) == self.RECORDED[form]
+        assert len(returns) == 1 and returns[0] is not None
+        assert multiprocessing.active_children() == []
+
+    def digests(self, tmp_path, form) -> tuple[str, str]:
         periods = {
             "baseline": {"label": "b", "start_year": 1995, "end_year": 1997},
             "futures": [
@@ -882,11 +900,10 @@ class TestClimateSourcesThroughRun:
             names = write_grid_series(tmp_path / "data")
             climate = {"grid_series": [f"data/{n}" for n in names], "threshold_c": 30.0}
         bundle = run(load_config(self.seed_config(tmp_path, {**climate, **periods})))
-        digests = tuple(
+        return tuple(
             hashlib.sha256((bundle.out_dir / name).read_bytes()).hexdigest()
             for name in ("hotday_profiles.csv", "hotday_deltas.csv")
         )
-        assert digests == self.RECORDED[form]
 
     def test_model_filter(self, tmp_path):
         climate = {

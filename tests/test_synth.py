@@ -4,8 +4,8 @@ from datetime import date
 
 import pytest
 
-from conftest import oracle_read_series
-from freight_resilience.climate import PeriodSpec, count_hot_days, count_series_csv
+from conftest import count_hot_days, oracle_read_series
+from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.metrics import gcc_size
 from freight_resilience.network import average_degree, load_network
 from freight_resilience.synth import (

@@ -8,7 +8,9 @@ read back equal through ``read_curves_csv``.
 
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,3 +144,45 @@ def test_tables_read_back_what_write_table_wrote(rows, chunk):
 
 def test_carriage_return_is_quoted():
     assert render_record(["a\rb", "c", None, 1, 0.5]) == '"a\rb",c,,1,0.5'
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.text(alphabet="ab,1 é\r\n", max_size=300),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    parts=st.integers(1, 40),
+    block=st.integers(1, 64),
+)
+def test_ranges_read_the_records_of_the_whole_file(body, bom, crlf, parts, block):
+    """The ranges of a table without quotes cover its records after the
+    header, each once and in order, whatever the line endings (a lone
+    carriage return included) and however the ranges are read in blocks."""
+    head = "a,b\r\n" if crlf else "a,b\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "table.csv")
+        path.write_bytes((("﻿" if bom else "") + head + body).encode())
+        ranges = tables.split_table(path, ("a", "b"), parts)
+        assert ranges[0][0] == len(head) + 3 * bom if body else ranges == []
+        assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        assert len(ranges) <= parts
+        with read_rows(path) as records:
+            whole = [row for _, row in records][1:]
+        pieces = []
+        blocks = partial(tables._range_blocks, block=block)
+        with mock.patch.object(tables, "_range_blocks", blocks):
+            for start, end in ranges:
+                with tables.read_range(path, start, end) as records:
+                    pieces += [row for _, row in records]
+    assert pieces == whole
+
+
+def test_split_table_refuses_what_it_cannot_cut(tmp_path):
+    path = tmp_path / "table.csv"
+    # a blank line before the header, lone carriage returns, another
+    # header, and a line end more than 64 KB past the cut
+    long_line = "1," + "2" * 200_000 + "\n"
+    for text in ["\na,b\n1,2\n", "a,b\r1,2\r", "a,b,c\n1,2\n", "a,b\n" + long_line + "3,4\n"]:
+        path.write_text(text)
+        assert tables.split_table(path, ("a", "b"), 2) is None
+    assert tables.split_table(tmp_path / "absent.csv", ("a", "b"), 2) is None

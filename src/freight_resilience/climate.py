@@ -245,15 +245,17 @@ _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c"
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 
-# A smaller input is counted in-process: a pool would take longer to start
-# than it saves. Each worker gets about this many byte ranges.
+# Measured on a 2-CPU host, pool start and merge included: 2 workers took
+# 1.26-1.29x the in-process time at 0.5-1 MB, 0.92x at 2 MB and 0.70-0.73x
+# at 4-8 MB, so a smaller input is counted in-process. More workers than 2
+# gained nothing there and each adds about 25 MB, so the count uses at most
+# that many. Each worker gets about _RANGES_PER_WORKER byte ranges.
 _SERIAL_BELOW_BYTES = 4 << 20
+_MAX_WORKERS = 2
 _RANGES_PER_WORKER = 2
 
 
-def _count_rows(
-    paths, header, key_of, periods, threshold_c, workers=None, range_bytes=None
-) -> dict[tuple, tuple[int, ...]]:
+def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
     row's series key from the columns before the last two (date, tmax), and
     checks the row's width. Large inputs are counted over byte ranges in
@@ -263,7 +265,7 @@ def _count_rows(
         raise ValueError("threshold must be finite")
     paths = list(paths)
     args = (key_of, len(header), tuple((p.start_year, p.end_year) for p in periods), threshold_c)
-    series = _count_in_workers(paths, header, args, workers, range_bytes)
+    series = _count_in_workers(paths, header, args)
     if series is None:
         series, days = {}, {}
         for path in paths:
@@ -307,17 +309,17 @@ def _tally(records, path, series, days, key_of, width, spans, threshold_c) -> di
     return series
 
 
-def _count_in_workers(paths, header, args, workers, range_bytes) -> dict | None:
+def _count_in_workers(paths, header, args, workers=None, range_bytes=None) -> dict | None:
     """``_tally``'s series for the files, counted over line-aligned byte
     ranges in up to ``workers`` forked processes (default: one per usable
-    CPU) and merged in range order, so keys keep their order of first
+    CPU, at most ``_MAX_WORKERS``) and merged in range order, so keys keep their order of first
     appearance. Counts add; the day masks of one series must be disjoint.
     None, for the caller to count in-process, where the files are small
     (unless ``range_bytes`` is given) or cannot be split, and after any
     fault, quoted cell or date seen in two ranges: the in-process loop then
     names the first fault in (file, line) order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = workers or cpus
+    workers = workers or min(cpus, _MAX_WORKERS)
     if workers < 2:
         return None
     try:
@@ -337,13 +339,16 @@ def _count_in_workers(paths, header, args, workers, range_bytes) -> dict | None:
     if len(tasks) < 2:
         return None
     import multiprocessing  # here, not at the top: the imports cost about 1.5 MB
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=fork) as pool:
-        parts = list(pool.map(_count_range, *zip(*tasks), repeat(args)))
+    try:  # a pool that cannot start, or loses a worker, leaves the count to one process
+        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=fork) as pool:
+            parts = list(pool.map(_count_range, *zip(*tasks), repeat(args)))
+    except (OSError, ImportError, BrokenExecutor):
+        return None
     series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     for part in parts:
         if part is None:
@@ -387,9 +392,6 @@ def count_series_csv(
     paths: Iterable,
     periods: Sequence[PeriodSpec],
     threshold_c: float = DEFAULT_THRESHOLD_C,
-    *,
-    _workers: int | None = None,
-    _range_bytes: int | None = None,
 ) -> dict[tuple[str, int], tuple[int, ...]]:
     """Hot days per period, in ``periods`` order, for each (model, node_id)
     series in per-node files (``model,node_id,date,tmax_c``). Rows may come
@@ -397,9 +399,9 @@ def count_series_csv(
     the years they span, not rows. A malformed or non-finite value, or a
     date repeated within a series, raises DataError at its file:line.
     Large inputs are counted in worker processes, with the same results
-    and errors; ``_workers`` and ``_range_bytes`` fix the split for tests."""
+    and errors."""
     header = ("model", "node_id", "date", "tmax_c")
-    return _count_rows(paths, header, _node_key, periods, threshold_c, _workers, _range_bytes)
+    return _count_rows(paths, header, _node_key, periods, threshold_c)
 
 
 def count_gridded_series_csv(
@@ -407,15 +409,12 @@ def count_gridded_series_csv(
     nodes: Sequence[NodeRecord],
     periods: Sequence[PeriodSpec],
     threshold_c: float = DEFAULT_THRESHOLD_C,
-    *,
-    _workers: int | None = None,
-    _range_bytes: int | None = None,
 ) -> dict[tuple[str, int], tuple[int, ...]]:
     """``count_series_csv`` for grid-form files (``model,lat,lon,date,tmax_c``):
     each node takes, for every model, the counts of its nearest cell."""
     paths = list(paths)
     header = ("model", "lat", "lon", "date", "tmax_c")
-    cells = _count_rows(paths, header, _cell_key, periods, threshold_c, _workers, _range_bytes)
+    cells = _count_rows(paths, header, _cell_key, periods, threshold_c)
     try:  # an empty or irregular grid, or a node outside it
         grid = RegularGrid(*(tuple(sorted({key[i] for key in cells})) for i in (1, 2)))
         mapping = map_nodes_to_grid(nodes, grid)

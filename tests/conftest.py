@@ -390,15 +390,13 @@ def oracle_read_series(paths) -> dict[tuple[str, int], DailyTmaxSeries]:
 def worker_counts(workers: int | None = None, range_bytes: int | None = None):
     """Record what ``climate._count_in_workers`` returns inside the block:
     the merged counts of the worker processes, or None where the count fell
-    back to one process. ``workers`` and ``range_bytes`` override what the
-    counter passes, and a ``range_bytes`` splits inputs of any size."""
+    back to one process. ``workers`` fixes the number of workers (1 counts
+    in one process), and a ``range_bytes`` splits inputs of any size."""
     returns = []
     count = climate._count_in_workers
 
-    def spy(paths, header, args, given_workers, given_range_bytes):
-        returns.append(
-            count(paths, header, args, workers or given_workers, range_bytes or given_range_bytes)
-        )
+    def spy(paths, header, args):
+        returns.append(count(paths, header, args, workers, range_bytes))
         return returns[-1]
 
     with mock.patch.object(climate, "_count_in_workers", spy):

@@ -27,6 +27,7 @@ from conftest import (
     oracle_curve_states,
     oracle_degree,
     star_net,
+    worker_counts,
 )
 from freight_resilience.centrality import (
     betweenness_exact,
@@ -193,16 +194,17 @@ def test_acceptance_5_hot_day_counter(tmp_path):
         days = "".join(f"m,1,2000-01-{k:02},35.0\n" for k in range(1, 31))
         flat.write_text("model,node_id,date,tmax_c\n" + days)
         # in one process, and in two over ranges of about 64 KB that split series
-        for split in ({"_workers": 1}, {"_workers": 2, "_range_bytes": 1 << 16}):
-            for threshold in (30.0, 35.0, 40.0):
-                expected = {("m", node): [0] for node in range(1, 7)}
-                for n, d, v in rows:
-                    if 1991 <= d.year <= 2020 and v > threshold:
-                        expected[("m", n)][0] += 1
-                counts = count_series_csv([series], [window], threshold, **split)
-                assert [(key, list(c)) for key, c in counts.items()] == list(expected.items())
-            flat_counts = count_series_csv([flat], [PeriodSpec("p", 2000, 2000)], 35.0, **split)
-            assert flat_counts == {("m", 1): (0,)}
+        for workers, range_bytes in ((1, None), (2, 1 << 16)):
+            with worker_counts(workers, range_bytes):
+                for threshold in (30.0, 35.0, 40.0):
+                    expected = {("m", node): [0] for node in range(1, 7)}
+                    for n, d, v in rows:
+                        if 1991 <= d.year <= 2020 and v > threshold:
+                            expected[("m", n)][0] += 1
+                    counts = count_series_csv([series], [window], threshold)
+                    assert [(key, list(c)) for key, c in counts.items()] == list(expected.items())
+                flat_counts = count_series_csv([flat], [PeriodSpec("p", 2000, 2000)], 35.0)
+                assert flat_counts == {("m", 1): (0,)}
 
 
 def test_acceptance_6_ensemble_statistics():

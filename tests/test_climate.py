@@ -1,16 +1,22 @@
+import errno
 import math
 import multiprocessing
+import os
 import random
 import tempfile
 import tracemalloc
+from concurrent import futures
+from contextlib import nullcontext
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DailyTmaxSeries, count_hot_days, make_node, oracle_read_series, worker_counts
+from freight_resilience import climate
 from freight_resilience.centrality import rank_mapping
 from freight_resilience.climate import (
     BASELINE,
@@ -43,10 +49,10 @@ def both(count, *args, range_bytes=16):
     in the same key order, or raise the same error text, which is raised
     again. Returns the counts and whether the workers' counts were used."""
     outcomes = []
-    with worker_counts() as returns:
-        for split in ({"_workers": 1}, {"_workers": 2, "_range_bytes": range_bytes}):
+    for workers, size in ((1, None), (2, range_bytes)):
+        with worker_counts(workers, size) as returns:
             try:
-                outcomes.append(list(count(*args, **split).items()))
+                outcomes.append(list(count(*args).items()))
             except (DataError, ValueError) as exc:
                 outcomes.append(exc)
     serial, split = outcomes
@@ -416,7 +422,8 @@ class TestSeriesCsv:
         tracemalloc.start()
         try:
             periods = (BASELINE, PeriodSpec("p", 2000, 2004))
-            counts = count_series_csv([path], periods, 35.0, _workers=1)
+            with worker_counts(workers=1):
+                counts = count_series_csv([path], periods, 35.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,6 +437,11 @@ SERIES_ROWS = "".join(
     f"m1,{node},2000-07-{day:02},{30 + day % 9}.5\n" for node in (1, 2) for day in range(1, 31)
 )
 SERIES_COUNTS = {("m1", 1): (12, 12), ("m1", 2): (12, 12)}
+
+
+def exit_in_worker(path, start, end, args):
+    """A task that ends its worker process, as an out-of-memory kill would."""
+    os._exit(1)
 
 
 class TestSplitCount:
@@ -497,17 +509,52 @@ class TestSplitCount:
 
     def test_no_child_process_outlives_a_count(self, tmp_path):
         path = tmp_path / "series.csv"
-        split = {"_workers": 2, "_range_bytes": 64}
         path.write_text(SERIES_HEADER + SERIES_ROWS)
-        with worker_counts() as returns:
-            assert count_series_csv([path], TWO_PERIODS, **split) == SERIES_COUNTS
-        assert returns[0] is not None
-        assert multiprocessing.active_children() == []
-        for fault in ("m1,1,2000-07-31,oops\n", "m1,1,2000-07-01,20.0\n"):
-            path.write_text(SERIES_HEADER + SERIES_ROWS + fault)
-            with pytest.raises(DataError, match=r"series\.csv:62: "):
-                count_series_csv([path], TWO_PERIODS, **split)
+        with worker_counts(workers=2, range_bytes=64) as returns:
+            assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS
+            assert returns[0] is not None
             assert multiprocessing.active_children() == []
+            for fault in ("m1,1,2000-07-31,oops\n", "m1,1,2000-07-01,20.0\n"):
+                path.write_text(SERIES_HEADER + SERIES_ROWS + fault)
+                with pytest.raises(DataError, match=r"series\.csv:62: "):
+                    count_series_csv([path], TWO_PERIODS)
+                assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "pool, task",
+        [
+            (mock.Mock(side_effect=OSError(errno.EAGAIN, "fork failed")), None),
+            (mock.Mock(side_effect=ImportError("no semaphores")), None),
+            (None, exit_in_worker),
+        ],
+        ids=["pool-not-started", "no-semaphores", "worker-killed"],
+    )
+    def test_pool_failure_counts_in_one_process(self, tmp_path, pool, task):
+        path = tmp_path / "series.csv"
+        patches = [
+            mock.patch.object(futures, "ProcessPoolExecutor", pool) if pool else nullcontext(),
+            mock.patch.object(climate, "_count_range", task) if task else nullcontext(),
+        ]
+        with patches[0], patches[1], worker_counts(workers=2, range_bytes=64) as returns:
+            path.write_text(SERIES_HEADER + SERIES_ROWS)
+            assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS
+            path.write_text(SERIES_HEADER + SERIES_ROWS + "m1,1,2000-07-31,oops\n")
+            with pytest.raises(DataError, match=r"series\.csv:62: could not convert"):
+                count_series_csv([path], TWO_PERIODS)
+        assert returns == [None, None]
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_two_workers(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(SERIES_HEADER + SERIES_ROWS)
+        pool = mock.Mock(wraps=futures.ProcessPoolExecutor)
+        with (
+            mock.patch.object(climate.os, "sched_getaffinity", return_value=set(range(8))),
+            mock.patch.object(climate, "_SERIAL_BELOW_BYTES", 0),
+            mock.patch.object(futures, "ProcessPoolExecutor", pool),
+        ):
+            assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS
+        assert pool.call_args.args == (2,)
 
 
 GRID_CSV = (

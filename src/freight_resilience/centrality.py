@@ -13,7 +13,9 @@ Distances and path counts live in flat lists. One all-sources sweep
 (``_sweep``) runs Brandes' accumulation and also yields every node's
 reach and distance sum, so a run's closeness and betweenness scores and
 all rank keys come from a single breadth-first search per node. Passes
-that need closeness alone use a distance-only BFS.
+that need closeness alone (``closeness_centrality`` and every adaptive
+closeness re-ranking) grow all nodes' balls at once instead
+(``_ball_sums``): about diameter rounds of one big-int OR per edge.
 
 Path counts are exact integers. Brandes' accumulation runs in integers
 over one common denominator, and one exact ``Fraction`` per node is built
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .network import FreightNetwork
@@ -82,13 +86,17 @@ class RankedNodes:
 
 
 def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
-    """Hop distances (-1 where unreached), shortest-path counts, and BFS
-    order from position ``source`` over dense adjacency ``adj``."""
+    """Shortest-path counts, BFS order, each reached node's shortest-path
+    predecessors, and the sum of hop distances from position ``source``
+    over dense adjacency ``adj``. Unreached positions have count 0; they
+    and the source have predecessors None."""
     dist = [-1] * len(adj)
     sigma = [0] * len(adj)
+    preds = [None] * len(adj)
     dist[source] = 0
     sigma[source] = 1
     order = [source]
+    total = 0
     for v in order:  # the order list is its own queue
         dv1 = dist[v] + 1
         sv = sigma[v]
@@ -97,31 +105,42 @@ def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
             if dw < 0:
                 dist[w] = dv1
                 sigma[w] = sv
+                preds[w] = [v]
                 order.append(w)
+                total += dv1
             elif dw == dv1:
                 sigma[w] += sv
-    return dist, sigma, order
+                preds[w].append(v)
+    return sigma, order, preds, total
 
 
-def _distance_sums(adj: Sequence[Sequence[int]], source: int) -> tuple[int, int]:
-    """(reach, sum of hop distances to the reachable set) of ``source``,
-    from a distance-only BFS that visits one level at a time."""
-    seen = bytearray(len(adj))
-    seen[source] = 1
-    frontier = [source]
-    reach = total = depth = 0
-    while frontier:
+def _ball_sums(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """(reach, sum of hop distances to the reachable set) of every position
+    of dense adjacency ``adj``; (0, 0) where a position has no neighbours.
+
+    Each position's ball of radius d is one int with a bit per position:
+    ball_{d+1}(v) = ball_d(v) | the OR of ball_d(w) over neighbours w, so
+    the bits new in round d are the positions at distance d. A position
+    drops out of the rounds once its ball stops growing."""
+    ball = [1 << v for v in range(len(adj))]
+    size = [1] * len(adj)
+    total = [0] * len(adj)
+    active = [v for v, neighbours in enumerate(adj) if neighbours]
+    depth = 0
+    while active:
         depth += 1
-        level = []
-        for v in frontier:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    level.append(w)
-        reach += len(level)
-        total += depth * len(level)
-        frontier = level
-    return reach, total
+        # every ball of this round is built from the previous round's balls
+        grown = [reduce(or_, map(ball.__getitem__, adj[v]), ball[v]) for v in active]
+        still = []
+        for v, b in zip(active, grown):
+            k = b.bit_count()
+            if k > size[v]:
+                ball[v] = b
+                total[v] += depth * (k - size[v])
+                size[v] = k
+                still.append(v)
+        active = still
+    return [(k - 1, t) for k, t in zip(size, total)]
 
 
 def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
@@ -134,7 +153,7 @@ def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
 
         omega(v) = sum over successors w of v of (l / sigma(w) + omega(w))
 
-    where w succeeds v when they are neighbours and dist(w) = dist(v) + 1.
+    where w succeeds v when v is one of w's shortest-path predecessors.
     Each position keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
     over a common denominator g; when a source's l does not divide g, g
     grows to lcm(g, l) and every accumulator is rescaled. Returns the
@@ -146,8 +165,8 @@ def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
     g = 1
     sums = []
     for s in sources:
-        dist, sigma, order = _bfs_counts(adj, s)
-        sums.append((len(order) - 1, sum(map(dist.__getitem__, order))))
+        sigma, order, preds, total = _bfs_counts(adj, s)
+        sums.append((len(order) - 1, total))
         l = lcm(*map(sigma.__getitem__, order))
         if g % l:
             scale = l // gcd(g, l)
@@ -160,10 +179,8 @@ def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
             ow = omega[w]
             acc[w] += sw * ow * step
             ow += l // sw
-            dv = dist[w] - 1
-            for v in adj[w]:
-                if dist[v] == dv:  # v precedes w
-                    omega[v] += ow
+            for v in preds[w]:
+                omega[v] += ow
     return acc, g, sums
 
 
@@ -204,9 +221,7 @@ def closeness_centrality(net: FreightNetwork, normalized: bool = True) -> Centra
     disconnected graphs where plain inverse distance is undefined.
     Isolated nodes score 0.
     """
-    adj = net.dense_adjacency
-    sums = [_distance_sums(adj, s) for s in range(len(adj))]
-    return _closeness_scores(net, sums, normalized)
+    return _closeness_scores(net, _ball_sums(net.dense_adjacency), normalized)
 
 
 def _exact(net: FreightNetwork, acc: Sequence[int], g: int) -> dict[int, Fraction]:
@@ -277,10 +292,8 @@ def dense_rank_keys(
     if kind == "degree":
         return [len(neighbours) for neighbours in adj]
     if kind == "closeness":
-        keys = [0.0] * len(adj)
-        for s in alive:
-            keys[s] = _normalized_closeness(len(alive), *_distance_sums(adj, s))
-        return keys
+        n = len(alive)
+        return [_normalized_closeness(n, reach, total) for reach, total in _ball_sums(adj)]
     if kind == "betweenness":
         return _sweep(adj, alive)[0]
     raise ValueError(f"unknown centrality kind {kind!r}")

@@ -314,6 +314,11 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
 
     A fault in one row raises DataError at its line; a fault in a whole
     curve (its values disagree with each other) names the curve.
+
+    The file holds no node count: ``n_nodes`` is 1 / the step-1
+    ``fraction_removed``. A curve with no removals has no step 1 and
+    reads back with ``n_nodes = tf``, short of the network's node count
+    when the largest component is smaller than the network.
     """
     # (scenario, model, seed cells) -> seed and the columns as read:
     # order, fraction_removed, ff, scf, tonnage_fraction, tonnage_fraction_gcc

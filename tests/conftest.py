@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -30,7 +31,8 @@ from hypothesis import strategies as st
 
 from freight_resilience import climate
 from freight_resilience.climate import DEFAULT_THRESHOLD_C, PeriodSpec
-from freight_resilience.network import FreightNetwork, NodeRecord
+from freight_resilience.network import FreightNetwork, NodeRecord, load_network
+from freight_resilience.synth import SynthSpec, generate_synthetic
 
 
 def make_node(
@@ -100,6 +102,14 @@ def hypercube_net(dim: int) -> FreightNetwork:
 def complete_bipartite_net(a: int, b: int) -> FreightNetwork:
     """K(a, b): ids 1..a on one side, a+1..a+b on the other."""
     return make_net(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
+
+
+def rail_density_net() -> FreightNetwork:
+    """30 synthetic nodes at rail density (average degree 10, diameter 4):
+    nodes at depth 3 and 4 with up to a dozen shortest-path predecessors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = generate_synthetic(SynthSpec(30, 10.0, 5, models=()), tmp)
+        return load_network(paths["nodes"], paths["edges"])
 
 
 @st.composite

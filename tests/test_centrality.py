@@ -21,12 +21,13 @@ from conftest import (
     oracle_degree,
     oracle_distance_matrix,
     path_net,
+    rail_density_net,
     star_net,
 )
 from freight_resilience.centrality import (
     CentralityScores,
     RankedNodes,
-    _distance_sums,
+    _ball_sums,
     _sweep,
     all_scores,
     betweenness_centrality,
@@ -113,11 +114,19 @@ class TestBetweenness:
             assert set(betweenness_centrality(net, normalized=True).scores.values()) == {0.0}
 
 
+def oracle_sums(net: FreightNetwork) -> list[tuple[int, int]]:
+    """(reach, sum of hop distances) of every node, in id order."""
+    return [
+        (int(np.isfinite(row).sum()) - 1, int(row[np.isfinite(row)].sum()))
+        for row in oracle_distance_matrix(net)
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_graphs())
 def test_sweep_matches_oracles(net):
     """One sweep gives Brandes' Fractions and every node's (reach, sum of
-    distances); the closeness-only BFS gives the same pairs."""
+    distances); ball growth gives the same pairs."""
     adj = net.dense_adjacency
     acc, g, sums = _sweep(adj, range(net.node_count))
     exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
@@ -125,12 +134,33 @@ def test_sweep_matches_oracles(net):
     assert betweenness_exact(net) == exact
     if net.node_count <= 12:
         assert exact == oracle_betweenness(net)
-    expected = [
-        (int(np.isfinite(row).sum()) - 1, int(row[np.isfinite(row)].sum()))
-        for row in oracle_distance_matrix(net)
-    ]
+    expected = oracle_sums(net)
     assert sums == expected
-    assert [_distance_sums(adj, s) for s in range(len(adj))] == expected
+    assert _ball_sums(adj) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: hypercube_net(5), lambda: complete_bipartite_net(5, 7), rail_density_net],
+    ids=["5-cube", "K(5,7)", "rail-30"],
+)
+def test_kernels_on_dense_multipath_graphs(build):
+    """Many shortest-path predecessors per node, at depth 3 and more on
+    the 5-cube and the rail-density network."""
+    net = build()
+    adj = net.dense_adjacency
+    acc, g, sums = _sweep(adj, range(net.node_count))
+    exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
+    assert exact == oracle_brandes_fractions(net)
+    assert sums == oracle_sums(net)
+    assert _ball_sums(adj) == sums
+
+
+def test_ball_sums_edge_cases():
+    assert _ball_sums([]) == []
+    assert _ball_sums([[]]) == [(0, 0)]
+    # position 1 was removed: it has no neighbours and no list holds it
+    assert _ball_sums([[2], [], [0, 3], [2]]) == [(2, 3), (0, 0), (2, 2), (2, 3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,11 +239,9 @@ class TestFractionOracle:
         assert betweenness_exact(net) == oracle_brandes_fractions(net)
 
 
-@pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
-def test_networkx_agreement_on_er_graphs(n, p, seed):
+def assert_agrees_with_networkx(net: FreightNetwork) -> None:
     """Float betweenness and normalized closeness vs networkx."""
     nx = pytest.importorskip("networkx")
-    net = make_net(n, er_edges(n, p, random.Random(seed)))
     graph = nx.Graph()
     graph.add_nodes_from(net.node_ids)
     graph.add_edges_from(net.edges)
@@ -221,6 +249,15 @@ def test_networkx_agreement_on_er_graphs(n, p, seed):
     assert exact == pytest.approx(nx.betweenness_centrality(graph, normalized=False), rel=1e-9)
     closeness = nx.closeness_centrality(graph, wf_improved=True)
     assert closeness_centrality(net).scores == pytest.approx(closeness, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
+def test_networkx_agreement_on_er_graphs(n, p, seed):
+    assert_agrees_with_networkx(make_net(n, er_edges(n, p, random.Random(seed))))
+
+
+def test_networkx_agreement_on_rail_density():
+    assert_agrees_with_networkx(rail_density_net())
 
 
 def test_betweenness_pair_sum_identity():

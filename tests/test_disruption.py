@@ -14,6 +14,7 @@ from conftest import (
     oracle_closeness,
     oracle_closeness_fractions,
     oracle_degree,
+    rail_density_net,
 )
 from freight_resilience import disruption, network
 from freight_resilience.centrality import CENTRALITY_KINDS
@@ -203,6 +204,15 @@ class TestTargetedAdaptive:
             "closeness": oracle_closeness_fractions,
             "betweenness": oracle_betweenness,
         }[kind]
+        got = targeted_sequence(net, kind, mode="adaptive").order
+        assert got == naive_adaptive_order(net, oracle)
+
+    @pytest.mark.parametrize(
+        "kind,oracle",
+        [("closeness", oracle_closeness_fractions), ("betweenness", oracle_betweenness)],
+    )
+    def test_matches_naive_recompute_at_rail_density(self, kind, oracle):
+        net = rail_density_net()
         got = targeted_sequence(net, kind, mode="adaptive").order
         assert got == naive_adaptive_order(net, oracle)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -387,6 +388,18 @@ class TestCurvesCsv:
         path = tmp_path / "curves.csv"
         write_curves_csv(curves, path)
         assert read_curves_csv(path) == curves
+
+    def test_intact_row_alone_reads_back_with_tf_nodes(self, tmp_path):
+        # a documented limit: the file holds no node count, so a curve
+        # with no removals reads back with n_nodes = tf
+        net = make_net(2, [])
+        curve = replay(net, RemovalSequence("random", (), seed=0))
+        assert (curve.n_nodes, curve.tf) == (2, 1)
+        path = tmp_path / "curves.csv"
+        write_curves_csv([curve], path)
+        (back,) = read_curves_csv(path)
+        assert back.n_nodes == 1
+        assert back == replace(curve, n_nodes=1)
 
     def test_header_and_blank_cells(self, tmp_path):
         path = tmp_path / "curves.csv"

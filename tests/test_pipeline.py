@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freight_resilience
-from conftest import make_node, worker_counts
+from conftest import make_node, rail_density_net, worker_counts
 from freight_resilience import centrality
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
@@ -490,6 +490,18 @@ class TestSharedCentrality:
         sources = count_searches(monkeypatch)
         run(config, stages=("ingest", "simulate"))
         assert sources == []
+
+
+    def test_adaptive_search_counts(self, monkeypatch):
+        # adaptive closeness grows balls instead of searching; adaptive
+        # betweenness searches once from every survivor before each removal
+        net = rail_density_net()
+        sources = count_searches(monkeypatch)
+        targeted_sequence(net, "closeness", "adaptive")
+        assert sources == []
+        targeted_sequence(net, "betweenness", "adaptive")
+        n = net.node_count
+        assert len(sources) == sum(range(1, n + 1))
 
 
 class TestAdaptiveRun:

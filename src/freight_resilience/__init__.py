@@ -8,7 +8,7 @@ aggregates results across a climate-model ensemble.
 
 __version__ = "0.1.0"
 
-from .network import FreightNetwork, NodeRecord, average_degree, load_network, remove_nodes
+from .network import FreightNetwork, NodeRecord, average_degree, load_network
 from .centrality import (
     CentralityScores,
     RankedNodes,
@@ -65,7 +65,6 @@ __all__ = [
     "map_nodes_to_grid",
     "rank_nodes",
     "random_sequence",
-    "remove_nodes",
     "replay",
     "run",
     "targeted_sequence",

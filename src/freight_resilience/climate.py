@@ -10,7 +10,7 @@ Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
 distance. They are counted as they are read, never held as rows, and
-large inputs in worker processes, one per usable CPU.
+large inputs in worker processes, one per usable CPU, at most two.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
 """
@@ -470,18 +470,6 @@ def write_delta_csv(deltas: Mapping[str, Mapping[int, int]], path) -> None:
     """Export per-model deltas (``model,node_id,delta_hot_days``)."""
     rows = ([m, node, deltas[m][node]] for m in sorted(deltas) for node in sorted(deltas[m]))
     write_table(path, _DELTA_HEADER, rows)
-
-
-def read_delta_csv(path) -> dict[str, dict[int, int]]:
-    out: dict[str, dict[int, int]] = {}
-    with read_table(path, _DELTA_HEADER) as records:
-        for lineno, row in records:
-            try:
-                model, node, delta = row
-                out.setdefault(model, {})[int(node)] = int(delta)
-            except ValueError as exc:
-                raise row_error(exc, row, len(_DELTA_HEADER), path, lineno) from exc
-    return out
 
 
 def write_ensemble_csv(summary: EnsembleSummary, path, key_name: str = "node_id") -> None:

@@ -64,20 +64,6 @@ class RemovalSequence:
     def __len__(self) -> int:
         return len(self.order)
 
-    def truncated(self, k: int) -> "RemovalSequence":
-        """The first k removals as a sequence of their own."""
-        if not 0 <= k <= len(self.order):
-            raise ValueError(f"k={k} outside [0, {len(self.order)}]")
-        head = self.order[:k]
-        return RemovalSequence(
-            scenario=self.scenario,
-            order=head,
-            mode=self.mode,
-            model=self.model,
-            seed=self.seed,
-            beyond_criterion=self.beyond_criterion & set(head),
-        )
-
 
 def _rand_below(rng: random.Random, n: int) -> int:
     # rejection sampling over getrandbits: unbiased, and stable across

@@ -36,21 +36,6 @@ DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
 
 @dataclass(frozen=True)
-class CurveStep:
-    """State after ``step`` removals; ``node_id`` is the node removed at
-    this step (None for the intact row). One row of a curve's ``steps``
-    view; the curve validates its columns, so a step checks nothing."""
-
-    step: int
-    node_id: int | None
-    fraction_removed: float
-    ff: int
-    scf: float
-    tonnage_fraction: float
-    tonnage_fraction_gcc: float
-
-
-@dataclass(frozen=True)
 class RobustnessCurve:
     """One replayed removal sequence over one network, held as columns.
 
@@ -100,13 +85,6 @@ class RobustnessCurve:
     def scf(self) -> tuple[float, ...]:
         tf = self.tf
         return tuple(f / tf for f in self.ff)
-
-    @cached_property
-    def steps(self) -> tuple[CurveStep, ...]:
-        """The columns as one read-only record per step, built on first use."""
-        values = (self.ff, self.scf, self.tonnage_fraction, self.tonnage_fraction_gcc)
-        index = (range(len(self.ff)), (None, *self.order), self.fraction_removed)
-        return tuple(map(CurveStep, *index, *values))
 
 
 def _largest_components(net: FreightNetwork, removed: Sequence[int]) -> list[tuple[int, int]]:

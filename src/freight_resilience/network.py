@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DataError
 from .tables import read_rows, write_table
@@ -166,23 +166,6 @@ def average_degree(net: FreightNetwork) -> float:
     if net.node_count == 0:
         raise ValueError("average degree undefined for an empty network")
     return 2.0 * net.edge_count / net.node_count
-
-
-def remove_nodes(net: FreightNetwork, ids: Sequence[int]) -> FreightNetwork:
-    """Return a new network with ``ids`` and all incident edges removed.
-
-    Raises ValueError if an id is unknown or appears twice in ``ids``.
-    The input network is unchanged.
-    """
-    drop = set(ids)
-    if len(drop) != len(ids):
-        raise ValueError("duplicate id in removal list")
-    unknown = drop - set(net.node_ids)
-    if unknown:
-        raise ValueError(f"unknown node id(s): {sorted(unknown)}")
-    keep_nodes = tuple(n for n in net.nodes if n.id not in drop)
-    keep_edges = tuple((a, b) for a, b in net.edges if a not in drop and b not in drop)
-    return FreightNetwork(keep_nodes, keep_edges)
 
 
 def filter_mode(net: FreightNetwork, mode: str) -> FreightNetwork:

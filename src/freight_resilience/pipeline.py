@@ -191,6 +191,9 @@ class ClimateConfig:
                 raise ConfigError(f"climate.grid_series[{i}]: file not found: {path}")
         if self.profiles is not None and not Path(self.profiles).is_file():
             raise ConfigError(f"climate.profiles: file not found: {self.profiles}")
+        for i, model in enumerate(self.models):
+            if model in self.models[:i]:
+                raise ConfigError(f"climate.models[{i}]: duplicate model {model!r}")
         if not math.isfinite(self.threshold_c):
             raise ConfigError("climate.threshold_c: must be finite")
         if not self.futures:
@@ -515,25 +518,23 @@ def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     state["rank_keys"] = rank_keys
 
 
-def _profiles_from_series(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDayProfile]:
+def _count_profiles(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDayProfile]:
+    """Count the daily series into one profile per (model, period label)."""
     periods = (cc.baseline, *cc.futures)
     if cc.series:
         counts = count_series_csv(cc.series, periods, cc.threshold_c)
     else:
         counts = count_gridded_series_csv(cc.grid_series, net.nodes, periods, cc.threshold_c)
-    found = sorted({model for model, _ in counts})
-    if not found:
-        raise DataError("no daily series found in the climate inputs")
-    models = list(cc.models) if cc.models else found
-    missing = sorted(set(models) - set(found))
-    if missing:
-        raise DataError(f"no daily series for model(s) {missing}")
-    out: dict[tuple[str, str], HotDayProfile] = {}
-    for model in models:
-        for i, period in enumerate(periods):
-            by_node = {nid: c[i] for (m, nid), c in counts.items() if m == model}
-            out[(model, period.label)] = HotDayProfile(model, period, by_node, cc.threshold_c)
-    return out
+    by_model: dict[str, dict[int, tuple[int, ...]]] = {}
+    for (model, nid), c in counts.items():
+        by_model.setdefault(model, {})[nid] = c
+    return {
+        (model, period.label): HotDayProfile(
+            model, period, {nid: c[i] for nid, c in nodes.items()}, cc.threshold_c
+        )
+        for model, nodes in by_model.items()
+        for i, period in enumerate(periods)
+    }
 
 
 def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
@@ -542,28 +543,27 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
         return
     net = state["net"]
     if cc.profiles is not None:
-        profiles = {}
-        for prof in read_profiles_csv(cc.profiles, cc.periods()):
-            if prof.threshold_c != cc.threshold_c:
-                continue  # precomputed at a different threshold: not ours
-            profiles[(prof.model, prof.period.label)] = prof
-        found = sorted({model for model, _ in profiles})
-        if not found:
-            raise DataError(
-                f"{cc.profiles}: no profiles at threshold {cc.threshold_c}"
-            )
-        models = list(cc.models) if cc.models else found
-        missing = sorted(set(models) - set(found))
-        if missing:
-            raise DataError(
-                f"no profiles for model(s) {missing} at threshold {cc.threshold_c}"
-            )
+        profiles = {
+            (prof.model, prof.period.label): prof
+            for prof in read_profiles_csv(cc.profiles, cc.periods())
+            if prof.threshold_c == cc.threshold_c  # other thresholds are not ours
+        }
+        source, where = "profiles", f" at threshold {cc.threshold_c}"
+        empty = f"{cc.profiles}: no profiles{where}"
     else:
-        profiles = _profiles_from_series(cc, net)
-        models = sorted({model for model, _ in profiles})
+        profiles = _count_profiles(cc, net)
+        source, where = "daily series", ""
+        empty = "no daily series found in the climate inputs"
+    found = sorted({model for model, _ in profiles})
+    if not found:
+        raise DataError(empty)
+    models = sorted(cc.models) if cc.models else found
+    missing = sorted(set(models) - set(found))
+    if missing:
+        raise DataError(f"no {source} for model(s) {missing}{where}")
+    profiles = {key: profiles[key] for key in sorted(profiles) if key[0] in models}
 
-    ordered = [profiles[key] for key in sorted(profiles) if key[0] in models]
-    write_profiles_csv(ordered, rec.path("hotday_profiles.csv"))
+    write_profiles_csv(list(profiles.values()), rec.path("hotday_profiles.csv"))
     rec.add("hotday_profiles.csv")
 
     target = cc.delta_period()

@@ -20,7 +20,7 @@ import math
 import random
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from fractions import Fraction
 from unittest import mock
@@ -335,6 +335,13 @@ def oracle_curve_states(net: FreightNetwork, order) -> list[tuple[int, Fraction,
         remaining = sum((tons[v] for v in ids), Fraction(0))
         states.append((ff, gcc_ton, remaining))
     return states
+
+
+def sequence_prefix(seq, k: int):
+    """The first k removals of the RemovalSequence ``seq`` as a sequence of
+    their own (hot-day rows beyond the criterion kept if among them)."""
+    head = seq.order[:k]
+    return replace(seq, order=head, beyond_criterion=seq.beyond_criterion & set(head))
 
 
 # ---------------------------------------------------------------------------

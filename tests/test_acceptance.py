@@ -120,13 +120,13 @@ def test_acceptance_2_replay_oracle():
                     (Fraction(rec.tonnage) for rec in net.nodes), Fraction(0)
                 )
                 tf = states[0][0]
-                assert len(curve.steps) == len(states)
-                for step, (ff, gcc_tons, remaining) in zip(curve.steps, states):
-                    assert step.ff == ff
-                    assert step.scf == ff / tf
+                assert len(curve.ff) == len(states)
+                for k, (ff, gcc_tons, remaining) in enumerate(states):
+                    assert curve.ff[k] == ff
+                    assert curve.scf[k] == ff / tf
                     if total > 0:
-                        assert step.tonnage_fraction == float(remaining / total)
-                        assert step.tonnage_fraction_gcc == float(gcc_tons / total)
+                        assert curve.tonnage_fraction[k] == float(remaining / total)
+                        assert curve.tonnage_fraction_gcc[k] == float(gcc_tons / total)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
@@ -141,17 +141,16 @@ def test_acceptance_3_monotonicity_suite():
             total = sum((Fraction(tons[i]) for i in tons), Fraction(0))
             for seq in five_sequences(net, trial):
                 curve = replay(net, seq)
-                assert curve.steps[0].scf == 1.0
-                assert curve.steps[-1].scf == 0.0  # full sequences end empty
-                for prev, cur in zip(curve.steps, curve.steps[1:]):
-                    assert cur.scf <= prev.scf
-                    assert cur.tonnage_fraction <= prev.tonnage_fraction
+                assert curve.scf[0] == 1.0
+                assert curve.scf[-1] == 0.0  # full sequences end empty
+                for column in (curve.scf, curve.tonnage_fraction):
+                    assert all(cur <= prev for prev, cur in zip(column, column[1:]))
                 cum = Fraction(0)
-                for k, step in enumerate(curve.steps):
+                for k, fraction in enumerate(curve.tonnage_fraction):
                     if k > 0:
                         cum += Fraction(net.node_by_id[seq.order[k - 1]].tonnage)
                     if total > 0:
-                        assert step.tonnage_fraction == float(1 - cum / total)
+                        assert fraction == float(1 - cum / total)
 
 
 def test_acceptance_4_star_analytics():
@@ -223,7 +222,7 @@ def test_acceptance_6_ensemble_statistics():
                 ("scf", ensemble.scf),
                 ("tonnage_fraction", ensemble.tonnage_fraction),
             ):
-                column = np.array([getattr(c.steps[k], field) for c in curves])
+                column = np.array([getattr(c, field)[k] for c in curves])
                 s = stats[k]
                 assert abs(s.mean - column.mean()) <= 1e-12
                 assert abs(s.sd - column.std(ddof=1)) <= 1e-12
@@ -302,7 +301,7 @@ def test_acceptance_8_published_networks():
         point = collapse_point(water_curve, 0.10)
         assert point is not None and abs(point[1] - 0.23) <= 0.02
 
-        assert abs(rail_curve.steps[20].tonnage_fraction - 0.30) <= 0.03
+        assert abs(rail_curve.tonnage_fraction[20] - 0.30) <= 0.03
 
         top = rank_mapping(betweenness_exact(water), 1, "betweenness").node_ids[0]
         assert "new orleans" in water.node_by_id[top].name.lower()

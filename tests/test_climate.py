@@ -32,11 +32,9 @@ from freight_resilience.climate import (
     haversine_km,
     hot_day_delta,
     map_nodes_to_grid,
-    read_delta_csv,
     read_profiles_csv,
     summarize,
     top_k_frequency,
-    write_delta_csv,
     write_ensemble_csv,
     write_profiles_csv,
 )
@@ -752,20 +750,6 @@ class TestProfileCsv:
         message = rf"profiles\.csv:3: {count} hot days outside \[0, 366\]"
         with pytest.raises(DataError, match=message):
             read_profiles_csv(path, {"p": PeriodSpec("p", 2000, 2000)})
-
-
-class TestDeltaCsv:
-    def test_round_trip(self, tmp_path):
-        deltas = {"a": {1: 5, 2: -3}, "b": {1: 0, 2: 11}}
-        path = tmp_path / "deltas.csv"
-        write_delta_csv(deltas, path)
-        assert read_delta_csv(path) == deltas
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "deltas.csv"
-        path.write_text("model,node,delta\nm,1,2\n")
-        with pytest.raises(DataError, match=r"deltas\.csv:1"):
-            read_delta_csv(path)
 
 
 class TestEnsembleCsv:

@@ -520,6 +520,7 @@ CASES = [
         },
         "a94845b5f0f00cd0147d24523d06d5b40485a5e9ba6d238ced3ff44939291882",
     ),
+    ({"climate.models": ["mA", "mB", "mA"]}, None, "climate.models[2]: duplicate model 'mA'"),
 ]
 
 

@@ -16,7 +16,6 @@ from conftest import (
     oracle_degree,
     rail_density_net,
 )
-from freight_resilience import disruption, network
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.disruption import (
     RANKING_MODES,
@@ -90,17 +89,6 @@ class TestSequenceValidation:
             RemovalSequence(
                 "hot_days", (1, 2), model="m", beyond_criterion=frozenset({9})
             )
-
-    def test_truncated(self):
-        seq = RemovalSequence(
-            "hot_days", (4, 1, 5, 2), model="m", beyond_criterion=frozenset({5, 2})
-        )
-        head = seq.truncated(3)
-        assert head.order == (4, 1, 5)
-        assert head.beyond_criterion == frozenset({5})
-        assert len(head) == 3
-        with pytest.raises(ValueError):
-            seq.truncated(5)
 
 
 class TestRandomOrder:
@@ -217,27 +205,20 @@ class TestTargetedAdaptive:
         assert got == naive_adaptive_order(net, oracle)
 
     def test_rebuilds_no_network(self, monkeypatch):
-        # survivors are re-ranked on one mutable adjacency: no remove_nodes
-        # call and no FreightNetwork per removal
+        # survivors are re-ranked on one mutable adjacency: no
+        # FreightNetwork per removal
         net = grid_net(4, 5)
-        built, removals = [], []
+        built = []
         post_init = FreightNetwork.__post_init__
 
         def counted_init(self):
             built.append(self)
             post_init(self)
 
-        def counted_removal(*args):
-            removals.append(args)
-            return network_remove_nodes(*args)
-
-        network_remove_nodes = network.remove_nodes
         monkeypatch.setattr(FreightNetwork, "__post_init__", counted_init)
-        for module in (network, disruption):
-            monkeypatch.setattr(module, "remove_nodes", counted_removal, raising=False)
         for kind in CENTRALITY_KINDS:
             assert len(targeted_sequence(net, kind, mode="adaptive")) == 20
-        assert built == [] and removals == []
+        assert built == []
 
 
 class TestHotDayOrder:

@@ -17,6 +17,7 @@ from conftest import (
     make_net,
     oracle_curve_states,
     path_net,
+    sequence_prefix,
     star_net,
 )
 from freight_resilience.disruption import (
@@ -25,12 +26,10 @@ from freight_resilience.disruption import (
     random_sequence,
     targeted_sequence,
 )
-from freight_resilience import metrics
 from freight_resilience.errors import DataError
 from freight_resilience.metrics import (
     _CURVE_HEADER,
     CollapseRow,
-    CurveStep,
     RobustnessCurve,
     aggregate_curves,
     collapse_point,
@@ -40,9 +39,6 @@ from freight_resilience.metrics import (
     write_collapse_csv,
     write_curves_csv,
 )
-from freight_resilience.network import load_network
-from freight_resilience.pipeline import report_from_curves
-from freight_resilience.synth import SynthSpec, generate_synthetic
 
 
 def all_sequences_for(net, trial):
@@ -64,16 +60,16 @@ def assert_matches_oracle(net, seq):
     total = sum((Fraction(rec.tonnage) for rec in net.nodes), Fraction(0))
     tf = states[0][0]
     assert curve.tf == tf
-    assert len(curve.steps) == len(states)
-    for step, (ff, gcc_tons, remaining) in zip(curve.steps, states):
-        assert step.ff == ff
-        assert step.scf == ff / tf
+    assert len(curve.ff) == len(states)
+    for k, (ff, gcc_tons, remaining) in enumerate(states):
+        assert curve.ff[k] == ff
+        assert curve.scf[k] == ff / tf
         if total:
-            assert step.tonnage_fraction == float(remaining / total)
-            assert step.tonnage_fraction_gcc == float(gcc_tons / total)
+            assert curve.tonnage_fraction[k] == float(remaining / total)
+            assert curve.tonnage_fraction_gcc[k] == float(gcc_tons / total)
         else:  # no tonnage at all: everything counts as still carried
-            assert step.tonnage_fraction == 1.0
-            assert step.tonnage_fraction_gcc == (1.0 if ff else 0.0)
+            assert curve.tonnage_fraction[k] == 1.0
+            assert curve.tonnage_fraction_gcc[k] == (1.0 if ff else 0.0)
 
 
 class TestGccSize:
@@ -95,20 +91,18 @@ class TestGccSize:
 class TestReplayBasics:
     def test_star_hub_first(self, star5):
         curve = replay(star5, targeted_sequence(star5, "degree"))
-        first, second = curve.steps[0], curve.steps[1]
-        assert (first.step, first.node_id, first.ff, first.scf) == (0, None, 5, 1.0)
-        assert first.tonnage_fraction == 1.0
-        assert (second.node_id, second.ff, second.scf) == (1, 1, 0.2)
-        assert second.tonnage_fraction == 0.8
-        assert second.tonnage_fraction_gcc == 0.2
-        assert curve.steps[-1].ff == 0
+        assert (curve.ff[0], curve.scf[0], curve.tonnage_fraction[0]) == (5, 1.0, 1.0)
+        assert (curve.order[0], curve.ff[1], curve.scf[1]) == (1, 1, 0.2)
+        assert curve.tonnage_fraction[1] == 0.8
+        assert curve.tonnage_fraction_gcc[1] == 0.2
+        assert curve.ff[-1] == 0
         assert curve.order == (1, 2, 3, 4, 5)
 
     def test_partial_sequence(self, star5):
         seq = RemovalSequence("random", (3, 5), seed=0)
         curve = replay(star5, seq)
-        assert len(curve.steps) == 3
-        assert curve.steps[-1].ff == 3
+        assert len(curve.ff) == 3
+        assert curve.ff[-1] == 3
 
     def test_unknown_node_rejected(self, star5):
         with pytest.raises(ValueError, match="not in the network"):
@@ -123,9 +117,9 @@ class TestReplayBasics:
     def test_zero_total_tonnage(self):
         net = make_net(3, [(1, 2)], tons={1: 0.0, 2: 0.0, 3: 0.0})
         curve = replay(net, RemovalSequence("random", (1, 2, 3), seed=0))
-        assert [s.tonnage_fraction for s in curve.steps] == [1.0] * 4
-        assert curve.steps[-1].tonnage_fraction_gcc == 0.0
-        assert curve.steps[0].tonnage_fraction_gcc == 1.0
+        assert curve.tonnage_fraction == (1.0,) * 4
+        assert curve.tonnage_fraction_gcc[-1] == 0.0
+        assert curve.tonnage_fraction_gcc[0] == 1.0
 
 
 class TestReplayOracle:
@@ -145,7 +139,7 @@ class TestReplayOracle:
         net = make_net(15, er_edges(15, 0.25, rng), tons={i: float(i) for i in range(1, 16)})
         full = random_sequence(net, 4)
         for k in (0, 1, 7, 14):
-            assert_matches_oracle(net, full.truncated(k))
+            assert_matches_oracle(net, sequence_prefix(full, k))
 
     def test_closed_form_tonnage_identity(self):
         """Remaining tonnage equals 1 - removed/total, bit for bit."""
@@ -158,19 +152,19 @@ class TestReplayOracle:
             curve = replay(net, seq)
             total = sum((Fraction(tons[i]) for i in tons), Fraction(0))
             cum = Fraction(0)
-            assert curve.steps[0].tonnage_fraction == 1.0
+            assert curve.tonnage_fraction[0] == 1.0
             for k, v in enumerate(seq.order, start=1):
                 cum += Fraction(tons[v])
-                assert curve.steps[k].tonnage_fraction == float(1 - cum / total)
+                assert curve.tonnage_fraction[k] == float(1 - cum / total)
 
     def test_gcc_tie_takes_heavier_component(self):
         # removing 3 splits a 5-path into {1,2} and {4,5}; both have size
         # 2 but {4,5} carries more tonnage
         net = path_net(5, tons={1: 10.0, 2: 20.0, 3: 5.0, 4: 40.0, 5: 30.0})
         curve = replay(net, RemovalSequence("random", (3,), seed=0))
-        assert curve.steps[1].ff == 2
-        assert curve.steps[1].tonnage_fraction == float(Fraction(100, 105))
-        assert curve.steps[1].tonnage_fraction_gcc == float(Fraction(70, 105))
+        assert curve.ff[1] == 2
+        assert curve.tonnage_fraction[1] == float(Fraction(100, 105))
+        assert curve.tonnage_fraction_gcc[1] == float(Fraction(70, 105))
 
 
 class TestCurveInvariants:
@@ -180,14 +174,12 @@ class TestCurveInvariants:
             n = rng.randint(2, 18)
             net = make_net(n, er_edges(n, 0.35, rng))
             curve = replay(net, random_sequence(net, trial))
-            assert curve.steps[0].scf == 1.0
-            assert curve.steps[-1].scf == 0.0
-            assert curve.steps[-1].tonnage_fraction == 0.0
-            for prev, cur in zip(curve.steps, curve.steps[1:]):
-                assert cur.scf <= prev.scf
-                assert cur.tonnage_fraction <= prev.tonnage_fraction
-            for k, step in enumerate(curve.steps):
-                assert step.fraction_removed == k / n
+            assert curve.scf[0] == 1.0
+            assert curve.scf[-1] == 0.0
+            assert curve.tonnage_fraction[-1] == 0.0
+            for column in (curve.scf, curve.tonnage_fraction):
+                assert all(cur <= prev for prev, cur in zip(column, column[1:]))
+            assert curve.fraction_removed == tuple(k / n for k in range(n + 1))
 
     def test_hub_first_dominates_every_order(self):
         """On a star, removing the hub first is the worst case: no other
@@ -198,7 +190,7 @@ class TestCurveInvariants:
             for perm in itertools.permutations(range(1, n + 1)):
                 other = replay(net, RemovalSequence("random", perm, seed=0))
                 for k in range(n + 1):
-                    assert hub_first.steps[k].scf <= other.steps[k].scf
+                    assert hub_first.scf[k] <= other.scf[k]
 
 
 def columns_curve(**changes):
@@ -223,13 +215,10 @@ class TestStepAndCurveValidation:
         curve = columns_curve()
         assert curve.fraction_removed == (0.0, 1 / 3, 2 / 3)
         assert curve.scf == (1.0, 1 / 3, 1 / 3)
-        assert curve.steps[1] == CurveStep(1, 2, 1 / 3, 1, 1 / 3, 0.5, 0.25)
 
     def test_step_zero_node_id(self):
         """The intact row removes no node: ``order`` is one entry shorter
-        than the per-step columns, and the view leaves node_id None only
-        at step 0."""
-        assert [s.node_id for s in columns_curve().steps] == [None, 2, 1]
+        than the per-step columns."""
         for order in ((2,), (2, 1, 3)):
             with pytest.raises(ValueError, match="one entry per step"):
                 columns_curve(order=order)
@@ -337,9 +326,9 @@ class TestAggregate:
         curves = self.curves()
         ensemble = aggregate_curves(curves)
         assert ensemble.n_curves == len(curves)
-        for k in range(len(curves[0].steps)):
+        for k in range(len(curves[0].ff)):
             for field, stats in (("scf", ensemble.scf), ("tonnage_fraction", ensemble.tonnage_fraction)):
-                column = np.array([getattr(c.steps[k], field) for c in curves])
+                column = np.array([getattr(c, field)[k] for c in curves])
                 s = stats[k]
                 assert abs(s.mean - column.mean()) <= 1e-12
                 assert abs(s.sd - column.std(ddof=1)) <= 1e-12
@@ -640,9 +629,9 @@ def test_curves_csv_round_trip_property(tons, seed, cut):
     deltas = {v: rng.randint(-3, 5) for v in net.node_ids}
     seqs = [
         random_sequence(net, seed),
-        random_sequence(net, seed + 1).truncated(k),
+        sequence_prefix(random_sequence(net, seed + 1), k),
         targeted_sequence(net, "degree"),
-        hot_day_sequence(net, deltas, "mA").truncated(k),
+        sequence_prefix(hot_day_sequence(net, deltas, "mA"), k),
     ]
     curves = [replay(net, s) for s in seqs]
     with tempfile.TemporaryDirectory() as tmp:
@@ -656,25 +645,6 @@ def test_curves_csv_round_trip_property(tons, seed, cut):
         assert_columns_match_oracle(net, seq, curve)
 
 
-def test_no_step_objects_on_the_curve_path(monkeypatch, tmp_path):
-    """Replay, both curve CSV functions and a report from curves build
-    no per-step object: only the ``steps`` view does."""
-    built = []
-    monkeypatch.setattr(metrics, "CurveStep", lambda *args: built.append(args))
-    paths = generate_synthetic(SynthSpec(n_nodes=300, avg_degree=4.0, seed=2, models=()), tmp_path)
-    net = load_network(paths["nodes"], paths["edges"])
-    deltas = {v: v % 7 - 2 for v in net.node_ids}
-    seqs = [random_sequence(net, s) for s in range(17)]
-    seqs += [targeted_sequence(net, "degree"), hot_day_sequence(net, deltas, "mA")]
-    seqs.append(hot_day_sequence(net, {v: 3 - v % 5 for v in net.node_ids}, "mB"))
-    curves = [replay(net, s) for s in seqs]
-    write_curves_csv(curves, tmp_path / "curves.csv")
-    assert read_curves_csv(tmp_path / "curves.csv") == curves
-    report_from_curves(tmp_path / "curves.csv", tmp_path / "report")
-    assert len(curves) == 20 and built == []
-    assert len(curves[0].steps) == 301 and len(built) == 301  # the view uses the stub
-
-
 @pytest.mark.parametrize("n,p,seed", SEEDED_GRAPHS[:36])
 def test_replay_ff_matches_networkx(n, p, seed):
     """FF after every removal vs networkx components of the survivors."""
@@ -684,7 +654,7 @@ def test_replay_ff_matches_networkx(n, p, seed):
     graph.add_nodes_from(net.node_ids)
     graph.add_edges_from(net.edges)
     for seq in (random_sequence(net, seed), targeted_sequence(net, "degree")):
-        for step in replay(net, seq).steps:
-            survivors = set(net.node_ids).difference(seq.order[: step.step])
+        for k, ff in enumerate(replay(net, seq).ff):
+            survivors = set(net.node_ids).difference(seq.order[:k])
             sizes = [len(c) for c in nx.connected_components(graph.subgraph(survivors))]
-            assert step.ff == max(sizes, default=0)
+            assert ff == max(sizes, default=0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_net, make_node, path_net, star_net
+from conftest import make_net, make_node, star_net
 from freight_resilience.errors import DataError
 from freight_resilience.network import (
     FreightNetwork,
@@ -12,7 +12,6 @@ from freight_resilience.network import (
     average_degree,
     filter_mode,
     load_network,
-    remove_nodes,
     save_network,
 )
 
@@ -90,19 +89,6 @@ class TestDerivedQuantities:
 
     def test_average_degree_triangle(self):
         assert average_degree(make_net(3, [(1, 2), (2, 3), (1, 3)])) == 2.0
-
-    def test_remove_nodes(self):
-        net = path_net(4)
-        cut = remove_nodes(net, [2])
-        assert cut.node_ids == (1, 3, 4)
-        assert cut.edges == ((3, 4),)
-
-    def test_remove_nodes_rejects_unknown_and_duplicates(self):
-        net = path_net(3)
-        with pytest.raises(ValueError, match="unknown"):
-            remove_nodes(net, [7])
-        with pytest.raises(ValueError, match="duplicate"):
-            remove_nodes(net, [1, 1])
 
     def test_filter_mode(self):
         nodes = [

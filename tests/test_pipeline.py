@@ -24,9 +24,7 @@ from freight_resilience.climate import (
     HotDayProfile,
     count_gridded_series_csv,
     count_series_csv,
-    read_delta_csv,
     read_profiles_csv,
-    write_delta_csv,
     write_profiles_csv,
 )
 from freight_resilience.disruption import targeted_sequence
@@ -550,7 +548,6 @@ def write_loader_inputs(root):
         "mA,40.0,-90.0,1995-01-02,29.0\n"
     )
     write_demo_profiles(root / "profiles.csv", n=6)
-    write_delta_csv({"mA": {1: 3, 2: -1}}, root / "deltas.csv")
     net = load_network(root / "nodes.csv", root / "edges.csv")
     write_curves_csv([replay(net, targeted_sequence(net, "degree"))], root / "curves.csv")
     config = {"nodes": "nodes.csv", "edges": "edges.csv", "out_dir": "out", "seeds": 2}
@@ -570,7 +567,6 @@ LOADERS = {
         lambda path: count_gridded_series_csv([path], GRID_NODES, ALL_PERIODS.values()),
     ),
     "profiles": (("profiles.csv",), lambda path: read_profiles_csv(path, ALL_PERIODS)),
-    "deltas": (("deltas.csv",), read_delta_csv),
     "curves": (("curves.csv",), read_curves_csv),
 }
 
@@ -706,6 +702,13 @@ def test_only_owners_import_guarded_modules():
             for top in {m.split(".")[0] for m in modules} & importers.keys():
                 importers[top].append(path.name)
     assert importers == IMPORT_OWNERS
+
+
+def test_star_import_gives_every_name_in_all():
+    # a stale __all__ entry breaks only a star import
+    namespace: dict = {}
+    exec("from freight_resilience import *", namespace)
+    assert set(freight_resilience.__all__) <= namespace.keys()
 
 
 class TestReportFromCurves:
@@ -939,3 +942,34 @@ class TestClimateSourcesThroughRun:
         config = load_config(self.seed_config(tmp_path, climate))
         with pytest.raises(PipelineError, match="mZ"):
             run(config)
+
+    def test_model_missing_from_profiles_rejected(self, tmp_path):
+        config = self.seed_config(tmp_path, {"profiles": "data/profiles.csv", "models": ["mZ", "mA"]})
+        write_demo_profiles(tmp_path / "data" / "profiles.csv", n=6)
+        message = r"no profiles for model\(s\) \['mZ'\] at threshold 35\.0"
+        with pytest.raises(PipelineError, match=message) as excinfo:
+            run(load_config(config))
+        assert exit_code_for(excinfo.value) == 3
+
+    @pytest.mark.parametrize("form", ["profiles", "series"])
+    def test_listed_model_order_is_ignored(self, tmp_path, form):
+        """Both input forms take their models in sorted order, so listing
+        them in another order writes the same bytes."""
+        if form == "profiles":
+            climate = {"profiles": "data/profiles.csv"}
+        else:
+            climate = {
+                "series": ["data/tmax_mA.csv", "data/tmax_mB.csv"],
+                "threshold_c": 28.0,
+                "baseline": {"label": "early", "start_year": 1995, "end_year": 2004},
+                "futures": [{"label": "late", "start_year": 2014, "end_year": 2023}],
+            }
+        outputs = []
+        for models in (["mB", "mA"], ["mA", "mB"]):
+            root = tmp_path / "".join(models)
+            config = self.seed_config(root, {**climate, "models": models})
+            write_demo_profiles(root / "data" / "profiles.csv", n=6)
+            bundle = run(load_config(config))
+            outputs.append({rel: (bundle.out_dir / rel).read_bytes() for rel in bundle.files})
+        assert "hotday_profiles.csv" in outputs[0] and "curves.csv" in outputs[0]
+        assert outputs[0] == outputs[1]

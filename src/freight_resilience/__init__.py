@@ -52,6 +52,7 @@ __all__ = [
     "ReportBundle",
     "RobustnessCurve",
     "RunConfig",
+    "aggregate_curves",
     "average_degree",
     "betweenness_centrality",
     "closeness_centrality",

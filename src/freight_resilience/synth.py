@@ -5,7 +5,10 @@ and downscaled climate series, so every pipeline stage can run without
 restricted datasets. Networks are connected by construction: a random
 recursive tree plus degree-preferential extra edges up to the target
 average degree. Temperatures follow a seasonal sinusoid with a linear
-warming trend, a fixed per-model offset, and Gaussian noise.
+warming trend, a fixed per-model offset, and Gaussian noise. Each
+node's series is rendered as one block of records and written with
+``tables.write_blocks``. A model name is part of its series file's name
+(``tmax_<model>.csv``), so one holding a path separator or NUL is refused.
 
 Everything draws from ``random.Random(seed)`` through local helpers
 (rejection sampling, Fisher-Yates, Box-Muller) so the byte stream of
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -23,7 +27,7 @@ from pathlib import Path
 
 from .disruption import _rand_below, _shuffled
 from .network import MODES, FreightNetwork, NodeRecord, save_network
-from .tables import write_table
+from .tables import render_record, write_blocks
 
 DEFAULT_MODELS = ("synth-a", "synth-b", "synth-c")
 
@@ -62,6 +66,10 @@ class SynthSpec:
             raise ValueError("start_year must not exceed end_year")
         if len(set(self.models)) != len(self.models):
             raise ValueError("model names must be unique")
+        # a model name is part of its series file's name
+        for model in self.models:
+            if any(c and c in model for c in ("/", os.sep, os.altsep, "\0")):
+                raise ValueError(f"model name {model!r} holds a path separator or NUL")
 
     def edge_count(self) -> int:
         # connectivity needs a spanning tree, whatever the degree target
@@ -158,23 +166,25 @@ def _day_terms(spec: SynthSpec) -> list[tuple[str, float, float]]:
 def write_series_for_model(
     spec: SynthSpec, net: FreightNetwork, model: str, model_index: int, days: list, path
 ) -> None:
-    """One model's daily series for every node, seeded independently;
-    ``days`` is ``_day_terms(spec)``."""
+    """One model's daily series for every node, seeded independently, one
+    block of records per node; ``days`` is ``_day_terms(spec)``."""
     bias = (model_index - (len(spec.models) - 1) / 2) * 0.4
+    sd = spec.noise_sd_c
 
-    def rows():
-        for node in net.nodes:
-            # hash-derived sub-seed: stable across processes, unlike
-            # seeding Random with a tuple (which goes through hash())
-            digest = hashlib.sha256(f"{spec.seed}:{model}:{node.id}".encode()).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            base = _summer_peak_c(node.lat) - 12.0
-            for iso, seasonal, trend in days:
-                # summed left to right, as the pinned series bytes were made
-                value = base + seasonal + trend + bias + spec.noise_sd_c * _gauss(rng)
-                yield [model, node.id, iso, f"{value:.2f}"]
+    def block(node: NodeRecord) -> str:
+        # hash-derived sub-seed: stable across processes, unlike seeding
+        # Random with a tuple (which goes through hash())
+        digest = hashlib.sha256(f"{spec.seed}:{model}:{node.id}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        base = _summer_peak_c(node.lat) - 12.0
+        prefix = render_record((model, node.id))
+        # each value summed left to right, as the pinned series bytes were made
+        return "".join([
+            f"{prefix},{iso},{base + seasonal + trend + bias + sd * _gauss(rng):.2f}\n"
+            for iso, seasonal, trend in days
+        ])
 
-    write_table(path, ("model", "node_id", "date", "tmax_c"), rows())
+    write_blocks(path, ("model", "node_id", "date", "tmax_c"), map(block, net.nodes))
 
 
 def generate_synthetic(spec: SynthSpec, out_dir) -> dict[str, Path]:

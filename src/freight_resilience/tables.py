@@ -18,10 +18,11 @@ float as its shortest round-trip form (``repr``), and text quoted when it
 holds a comma, a quote or a line break. A carriage return counts as a
 line break too, which ``csv.writer`` quotes only when it is part of the
 line terminator (``render_record``). ``write_table`` takes rows of
-unformatted values. The long tables (curves and removal sequences) are
-rendered by their writers, one block of records per curve or sequence,
-and written with ``write_blocks``: their text cells go through
-``render_record`` and their numeric cells follow the same rule.
+unformatted values. The long tables (curves, removal sequences and
+synthetic daily series) are rendered by their writers, one block of
+records per curve, sequence or node series, and written with
+``write_blocks``: their text cells go through ``render_record`` and their
+numeric cells follow the same rule.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ test.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import random
 import tempfile
@@ -23,16 +24,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from freight_resilience import climate
+from freight_resilience import climate, synth
 from freight_resilience.climate import DEFAULT_THRESHOLD_C, PeriodSpec
 from freight_resilience.network import FreightNetwork, NodeRecord, load_network
 from freight_resilience.synth import SynthSpec, generate_synthetic
+from freight_resilience.tables import write_table
 
 
 def make_node(
@@ -401,6 +404,31 @@ def oracle_read_series(paths) -> dict[tuple[str, int], DailyTmaxSeries]:
         key: DailyTmaxSeries(key[0], key[1], *map(tuple, zip(*sorted(r))))
         for key, r in rows.items()
     }
+
+
+def oracle_write_series(spec: SynthSpec, out_dir) -> dict[str, Path]:
+    """Each model's ``tmax_<model>.csv`` of ``spec`` written one row at a time
+    through ``write_table``, as ``synth`` wrote them before it wrote one block
+    per node; paths keyed ``series:<model>`` as ``generate_synthetic`` keys them."""
+    net = synth.build_network(spec)
+    days = synth._day_terms(spec)
+    paths = {}
+    for k, model in enumerate(spec.models):
+        bias = (k - (len(spec.models) - 1) / 2) * 0.4
+
+        def rows():
+            for node in net.nodes:
+                digest = hashlib.sha256(f"{spec.seed}:{model}:{node.id}".encode()).digest()
+                rng = random.Random(int.from_bytes(digest[:8], "big"))
+                base = synth._summer_peak_c(node.lat) - 12.0
+                for iso, seasonal, trend in days:
+                    value = base + seasonal + trend + bias + spec.noise_sd_c * synth._gauss(rng)
+                    yield [model, node.id, iso, f"{value:.2f}"]
+
+        path = Path(out_dir) / f"tmax_{model}.csv"
+        write_table(path, ("model", "node_id", "date", "tmax_c"), rows())
+        paths[f"series:{model}"] = path
+    return paths
 
 
 @contextmanager

@@ -314,6 +314,15 @@ class TestSynthCommand:
         assert "error: start_year and end_year must be in 1..9999" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["a/b", "../esc"])
+    def test_model_name_with_path_separator_exits_two_writing_nothing(
+        self, tmp_path, capsys, model
+    ):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--models", "ok", model]) == 2
+        assert "path separator or NUL" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_synthesized_dataset_feeds_a_run(self, tmp_path):
         out = tmp_path / "synth"
         assert main(["synth", "--out", str(out), "--nodes", "9", "--avg-degree", "3.0",

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import re
+import types
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -705,10 +706,17 @@ def test_only_owners_import_guarded_modules():
 
 
 def test_star_import_gives_every_name_in_all():
-    # a stale __all__ entry breaks only a star import
+    # a stale __all__ entry breaks only a star import, and a missing one
+    # hides a public name from it
     namespace: dict = {}
     exec("from freight_resilience import *", namespace)
     assert set(freight_resilience.__all__) <= namespace.keys()
+    public = {
+        name
+        for name, value in vars(freight_resilience).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(freight_resilience.__all__)
 
 
 class TestReportFromCurves:

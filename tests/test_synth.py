@@ -1,10 +1,14 @@
 import hashlib
+import os
 import random
+import tempfile
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import count_hot_days, oracle_read_series
+from conftest import count_hot_days, oracle_read_series, oracle_write_series
 from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.metrics import gcc_size
 from freight_resilience.network import average_degree, load_network
@@ -36,6 +40,14 @@ class TestSpecValidation:
     def test_duplicate_models(self):
         with pytest.raises(ValueError, match="unique"):
             SynthSpec(n_nodes=5, avg_degree=2.0, seed=0, models=("a", "a"))
+
+    @pytest.mark.parametrize("model", ["a/b", "../esc", "/abs", "a\0b"])
+    def test_model_name_with_path_separator_or_nul(self, model):
+        with pytest.raises(ValueError, match="path separator or NUL"):
+            SynthSpec(n_nodes=5, avg_degree=2.0, seed=0, models=("ok", model))
+
+    def test_empty_model_name_accepted(self):
+        assert SynthSpec(n_nodes=5, avg_degree=2.0, seed=0, models=("",)).models == ("",)
 
     def test_edge_count_floor_is_spanning_tree(self):
         spec = SynthSpec(n_nodes=10, avg_degree=0.2, seed=0)
@@ -105,6 +117,57 @@ class TestDeterminism:
     def test_seed_changes_network(self):
         nets = {build_network(SynthSpec(n_nodes=15, avg_degree=3.0, seed=s)).edges for s in range(5)}
         assert len(nets) == 5
+
+
+# model names the csv dialect quotes or keeps as they are; path separators
+# ("\\" on Windows) and NUL are refused
+MODEL_NAMES = st.one_of(
+    st.sampled_from(["", "a,b", 'q"t', "cr\r", "lf\n", "crlf\r\n", " lead", "Zürich", "模型"]),
+    st.text(st.characters(blacklist_characters="/\\\0", blacklist_categories=("Cs",)), max_size=6),
+)
+NEAR_ZERO_LATS = ((51.0, 52.5), (50.0, 54.0))  # winter values cross 0 C
+
+
+def _assert_series_match_oracle(spec: SynthSpec) -> str:
+    """Every series file of ``spec`` against ``oracle_write_series``; returns
+    their text, joined."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = generate_synthetic(spec, os.path.join(tmp, "fast"))
+        expected = oracle_write_series(spec, tmp)
+        assert {r for r in paths if r.startswith("series:")} == expected.keys()
+        texts = []
+        for role, path in expected.items():
+            assert paths[role].read_bytes() == path.read_bytes(), role
+            texts.append(path.read_text(encoding="utf-8"))
+        return "".join(texts)
+
+
+class TestBlockWriter:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        models=st.lists(MODEL_NAMES, min_size=1, max_size=3, unique=True),
+        start=st.one_of(st.sampled_from([1898, 1899, 1998, 1999, 2098, 2099]), st.integers(1, 9999)),
+        span=st.integers(0, 2),
+        lat_range=st.sampled_from(((25.0, 49.0), *NEAR_ZERO_LATS)),
+        noise_sd=st.sampled_from([0.0, 0.5, 1.5]),
+        seed=st.integers(0, 2**32),
+        n_nodes=st.integers(3, 5),
+    )
+    def test_same_bytes_as_row_writer(self, models, start, span, lat_range, noise_sd, seed, n_nodes):
+        spec = SynthSpec(
+            n_nodes=n_nodes, avg_degree=1.5, seed=seed, models=tuple(models),
+            start_year=start, end_year=min(9999, start + span),
+            lat_range=lat_range, noise_sd_c=noise_sd,
+        )
+        _assert_series_match_oracle(spec)
+
+    @pytest.mark.parametrize("lat_range", NEAR_ZERO_LATS)
+    def test_negative_zero_cells(self, lat_range):
+        spec = SynthSpec(
+            n_nodes=4, avg_degree=1.5, seed=3, models=("m",), start_year=1899,
+            end_year=1901, lat_range=lat_range, noise_sd_c=0.5,
+        )
+        assert ",-0.00\n" in _assert_series_match_oracle(spec)
 
 
 class TestEmittedFiles:

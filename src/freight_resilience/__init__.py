@@ -28,7 +28,6 @@ from .climate import (
 )
 from .disruption import RemovalSequence, hot_day_sequence, random_sequence, targeted_sequence
 from .metrics import (
-    CollapseRow,
     CurveEnsemble,
     RobustnessCurve,
     aggregate_curves,
@@ -40,7 +39,6 @@ from .pipeline import ReportBundle, RunConfig, run
 
 __all__ = [
     "CentralityScores",
-    "CollapseRow",
     "CurveEnsemble",
     "EnsembleSummary",
     "FreightNetwork",

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .disruption import RANKING_MODES, SCENARIOS
 from .errors import EXIT_OK, ConfigError, exit_code_for
+from .metrics import DEFAULT_COLLAPSE_THRESHOLD
 from .network import MODES
 from .pipeline import STAGES, ReportBundle, load_config, report_from_curves, run
 from .synth import DEFAULT_MODELS, SynthSpec, generate_synthetic
@@ -29,6 +30,8 @@ _STAGE_PREFIX = {
     "simulate": ("ingest", "climate", "simulate"),
     "run": STAGES,
 }
+
+_COLLAPSE_HELP = f"SCF collapse threshold (default {DEFAULT_COLLAPSE_THRESHOLD})"
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -46,9 +49,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threshold-c", type=float, help="hot-day temperature threshold in Celsius"
     )
-    sub.add_argument(
-        "--scf-collapse", type=float, help="SCF collapse threshold (default 0.10)"
-    )
+    sub.add_argument("--scf-collapse", type=float, help=_COLLAPSE_HELP)
     sub.add_argument("--out", help="output directory (overrides config out_dir)")
 
 
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", required=True, help="curves CSV from an earlier simulate/run")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--scf-collapse", type=float, default=0.10, help="SCF collapse threshold (default 0.10)"
+        "--scf-collapse", type=float, default=DEFAULT_COLLAPSE_THRESHOLD, help=_COLLAPSE_HELP
     )
 
     p = sub.add_parser("synth", help="generate a seeded synthetic network and daily series")

@@ -20,6 +20,7 @@ remaining-tonnage column agree bit-for-bit with the closed form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count
@@ -30,7 +31,7 @@ from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
-from .tables import read_table, render_record, row_error, write_blocks, write_table
+from .tables import read_table, render_record, row_error, write_blocks
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -193,18 +194,17 @@ def collapse_point(
 
 
 @dataclass(frozen=True)
-class CollapseRow:
-    """Collapse fraction for one scenario/model cell (None: no collapse)."""
-
-    scenario: str
-    model: str | None
-    threshold: float
-    collapse_fraction: float | None
-
-
-@dataclass(frozen=True)
 class CurveEnsemble:
-    """Per-step spread across curves of one scenario (models or seeds)."""
+    """Per-step spread across curves of one scenario (models or seeds).
+
+    ``scf`` and ``tonnage_fraction`` map each step to the ``summarize`` of
+    its column across the curves, whose mean is clamped into [min, max];
+    ``scf_mean`` and ``tonnage_fraction_mean`` hold each step's plain
+    ``fsum / n_curves`` from the same pass, which may exceed that max or
+    fall below that min by one rounding. ``collapse_points`` holds each
+    curve's ``collapse_point``, in curve order; ``collapse`` summarizes
+    their fractions and is present only when every curve collapses.
+    """
 
     scenario: str
     n_curves: int
@@ -212,15 +212,26 @@ class CurveEnsemble:
     scf: Mapping[int, SummaryStats]
     tonnage_fraction: Mapping[int, SummaryStats]
     collapse: SummaryStats | None
+    scf_mean: tuple[float, ...]
+    tonnage_fraction_mean: tuple[float, ...]
+    collapse_points: tuple[tuple[int, float] | None, ...]
+
+
+def _step_summaries(columns, k: int) -> tuple[dict[int, SummaryStats], tuple[float, ...]]:
+    # one column of k values per step, read once for both figures
+    stats, means = {}, []
+    for j, column in enumerate(columns):
+        stats[j] = summarize(column)
+        means.append(math.fsum(column) / k)
+    return stats, tuple(means)
 
 
 def aggregate_curves(
     curves: Sequence[RobustnessCurve], threshold: float = DEFAULT_COLLAPSE_THRESHOLD
 ) -> CurveEnsemble:
-    """Summarize same-shape curves step by step.
+    """Summarize same-shape curves step by step, and find where each collapses.
 
-    All curves must share scenario, node count, and step count. The
-    collapse summary is present only when every curve collapses.
+    All curves must share scenario, node count, and step count.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -230,20 +241,21 @@ def aggregate_curves(
             raise ValueError("curves mix scenarios")
         if c.n_nodes != head.n_nodes or len(c.ff) != len(head.ff):
             raise ValueError("curves have mismatched shapes")
-    # one tuple of values across the curves per step
-    scf = dict(enumerate(map(summarize, zip(*(c.scf for c in curves)))))
-    ton = dict(enumerate(map(summarize, zip(*(c.tonnage_fraction for c in curves)))))
-    points = [collapse_point(c, threshold) for c in curves]
-    collapse = None
-    if all(p is not None for p in points):
-        collapse = summarize([frac for _, frac in points])
+    k = len(curves)
+    scf, scf_mean = _step_summaries(zip(*(c.scf for c in curves)), k)
+    ton, ton_mean = _step_summaries(zip(*(c.tonnage_fraction for c in curves)), k)
+    points = tuple(collapse_point(c, threshold) for c in curves)
+    collapse = None if None in points else summarize([frac for _, frac in points])
     return CurveEnsemble(
         scenario=head.scenario,
-        n_curves=len(curves),
+        n_curves=k,
         threshold=threshold,
         scf=scf,
         tonnage_fraction=ton,
         collapse=collapse,
+        scf_mean=scf_mean,
+        tonnage_fraction_mean=ton_mean,
+        collapse_points=points,
     )
 
 
@@ -346,7 +358,3 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
         curves.append(curve)
     return curves
 
-
-def write_collapse_csv(rows: Sequence[CollapseRow], path) -> None:
-    cells = ([r.scenario, r.model, r.threshold, r.collapse_fraction] for r in rows)
-    write_table(path, ("scenario", "model", "threshold", "collapse_fraction"), cells)

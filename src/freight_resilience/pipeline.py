@@ -62,13 +62,10 @@ from .disruption import (
 from .errors import ConfigError, DataError, PipelineError
 from .metrics import (
     DEFAULT_COLLAPSE_THRESHOLD,
-    CollapseRow,
     RobustnessCurve,
     aggregate_curves,
-    collapse_point,
     read_curves_csv,
     replay,
-    write_collapse_csv,
     write_curves_csv,
 )
 from .network import MODES, filter_mode, load_network, save_network
@@ -650,60 +647,6 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
     state["curves_by_scenario"] = by_scenario
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _collapse_rows(
-    by_scenario: Mapping[str, Sequence[RobustnessCurve]],
-    scenario_order: Sequence[str],
-    threshold: float,
-) -> list[CollapseRow]:
-    """One row per (scenario, model) cell; random seeds collapse to their
-    mean fraction. A cell where any curve never collapses reports None."""
-    rows = []
-    for scenario in scenario_order:
-        cells: dict[str | None, list[RobustnessCurve]] = {}
-        for curve in by_scenario[scenario]:
-            cells.setdefault(curve.model, []).append(curve)
-        for model, curves in cells.items():
-            points = [collapse_point(c, threshold) for c in curves]
-            if any(p is None for p in points):
-                value = None
-            else:
-                value = _mean([frac for _, frac in points])
-            rows.append(CollapseRow(scenario, model, threshold, value))
-    return rows
-
-
-def _plot_series(
-    by_scenario: Mapping[str, Sequence[RobustnessCurve]],
-    scenario_order: Sequence[str],
-    value_of: Callable[[RobustnessCurve], Sequence[float]],
-    limits: Mapping[str, int],
-) -> tuple[list[LineSeries], list[Band]]:
-    series: list[LineSeries] = []
-    bands: list[Band] = []
-    for i, scenario in enumerate(scenario_order):
-        curves = by_scenario[scenario]
-        color = PALETTE[i % len(PALETTE)]
-        stop = limits.get(scenario, len(curves[0].ff) - 1) + 1
-        xs = curves[0].fraction_removed[:stop]
-        # one value tuple per step, shared by the mean and the band
-        columns = list(zip(*(value_of(c)[:stop] for c in curves)))
-        if len(curves) == 1:
-            pts = tuple(zip(xs, (column[0] for column in columns)))
-            label = scenario
-        else:
-            pts = tuple(zip(xs, map(_mean, columns)))
-            lo = tuple(zip(xs, map(min, columns)))
-            hi = tuple(zip(xs, map(max, columns)))
-            bands.append(Band(lo=lo, hi=hi, color=color))
-            label = f"{scenario} (mean of {len(curves)})"
-        series.append(LineSeries(label=label, points=pts, color=color))
-    return series, bands
-
-
 def _plot_limits(sequences: Sequence[RemovalSequence]) -> dict[str, int]:
     # hot-day plots stop once every model has run out of positively
     # affected nodes; the CSVs keep the full curves
@@ -724,23 +667,39 @@ def emit_report(
     sequences: Sequence[RemovalSequence] = (),
     map_points: Sequence[tuple[float, float, float]] = (),
 ) -> None:
-    """Collapse tables, per-step ensembles, and SVG plots from curves."""
-    rows = _collapse_rows(by_scenario, scenario_order, threshold)
-    write_collapse_csv(rows, rec.path("collapse.csv"))
-    rec.add("collapse.csv")
-
-    ensemble_rows = []
+    """Collapse tables, per-step ensembles, and SVG plots from curves, all
+    read from one ``aggregate_curves`` pass per scenario."""
+    collapse_rows, ensemble_rows = [], []
+    ensembles = {}  # the multi-curve scenarios' ensembles, for their CSVs and bands
     for scenario in scenario_order:
-        ens = aggregate_curves(by_scenario[scenario], threshold)
+        curves = by_scenario[scenario]
+        ens = aggregate_curves(curves, threshold)
+        # one row per (scenario, model) cell: random seeds collapse to their
+        # mean fraction, and a cell where any curve never collapses has none
+        cells: dict[str | None, list] = {}
+        for curve, point in zip(curves, ens.collapse_points):
+            cells.setdefault(curve.model, []).append(point)
+        for model, points in cells.items():
+            value = None if None in points else math.fsum(p[1] for p in points) / len(points)
+            collapse_rows.append([scenario, model, threshold, value])
         s = ens.collapse
         spread = [None] * 4 if s is None else [s.mean, s.sd, s.min, s.max]
         ensemble_rows.append([scenario, threshold, *spread, ens.n_curves])
         if ens.n_curves > 1:
-            for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
-                name = f"ensemble_{target}_{scenario}.csv"
-                summary = EnsembleSummary(target=target, stats=stats, n_models=ens.n_curves)
-                write_ensemble_csv(summary, rec.path(name), key_name="step")
-                rec.add(name)
+            ensembles[scenario] = ens
+
+    write_table(
+        rec.path("collapse.csv"),
+        ("scenario", "model", "threshold", "collapse_fraction"),
+        collapse_rows,
+    )
+    rec.add("collapse.csv")
+    for ens in ensembles.values():
+        for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
+            name = f"ensemble_{target}_{ens.scenario}.csv"
+            summary = EnsembleSummary(target=target, stats=stats, n_models=ens.n_curves)
+            write_ensemble_csv(summary, rec.path(name), key_name="step")
+            rec.add(name)
     write_table(
         rec.path("collapse_ensemble.csv"),
         ("scenario", "threshold", "mean", "sd", "min", "max", "n_curves"),
@@ -750,29 +709,39 @@ def emit_report(
 
     limits = _plot_limits(sequences)
     where = f" ({mode})" if mode else ""
-    series, bands = _plot_series(by_scenario, scenario_order, lambda c: c.scf, limits)
-    rec.write_text(
-        "robustness.svg",
-        line_chart(
+
+    def chart(field: str, title: str, y_label: str) -> str:
+        # one line per scenario: a lone curve drawn as itself, else the plain
+        # per-step mean in its min-max band
+        series: list[LineSeries] = []
+        bands: list[Band] = []
+        for i, scenario in enumerate(scenario_order):
+            head = by_scenario[scenario][0]
+            color = PALETTE[i % len(PALETTE)]
+            stop = limits.get(scenario, len(head.ff) - 1) + 1
+            xs = head.fraction_removed[:stop]
+            ens = ensembles.get(scenario)
+            if ens is None:
+                series.append(LineSeries(scenario, tuple(zip(xs, getattr(head, field))), color))
+                continue
+            stats = getattr(ens, field)
+            lo = tuple((x, stats[j].min) for j, x in enumerate(xs))
+            hi = tuple((x, stats[j].max) for j, x in enumerate(xs))
+            bands.append(Band(lo, hi, color))
+            pts = tuple(zip(xs, getattr(ens, f"{field}_mean")))
+            series.append(LineSeries(f"{scenario} (mean of {ens.n_curves})", pts, color))
+        return line_chart(
             series,
-            title=f"Robustness under node disruption{where}",
+            title=f"{title}{where}",
             x_label="fraction of nodes removed",
-            y_label="SCF",
+            y_label=y_label,
             bands=bands,
-        ),
-    )
-    series, bands = _plot_series(
-        by_scenario, scenario_order, lambda c: c.tonnage_fraction, limits
-    )
+        )
+
+    rec.write_text("robustness.svg", chart("scf", "Robustness under node disruption", "SCF"))
     rec.write_text(
         "tonnage.svg",
-        line_chart(
-            series,
-            title=f"Tonnage capacity under node disruption{where}",
-            x_label="fraction of nodes removed",
-            y_label="tonnage fraction",
-            bands=bands,
-        ),
+        chart("tonnage_fraction", "Tonnage capacity under node disruption", "tonnage fraction"),
     )
     if map_points:
         rec.write_text(

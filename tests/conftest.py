@@ -6,9 +6,11 @@ per-source BFS, betweenness from pairwise path counting instead of
 dependency accumulation (and, for graphs too large for that, from
 Brandes' accumulation with one Fraction per predecessor edge instead of
 integers over a common denominator), and component sizes from per-state
-flood fill instead of incremental union-find, and hot-day counts from
+flood fill instead of incremental union-find, hot-day counts from
 whole series held in memory and scanned once per period instead of rows
-counted as they stream past. Agreement between routes
+counted as they stream past, and the report tables and plots
+(``oracle_emit_report``) from three passes over the curves instead of one
+``aggregate_curves`` pass per scenario. Agreement between routes
 is the point; none of them may be "simplified" to call the code under
 test.
 """
@@ -32,8 +34,17 @@ import pytest
 from hypothesis import strategies as st
 
 from freight_resilience import climate, synth
-from freight_resilience.climate import DEFAULT_THRESHOLD_C, PeriodSpec
+from freight_resilience.climate import (
+    DEFAULT_THRESHOLD_C,
+    EnsembleSummary,
+    PeriodSpec,
+    summarize,
+    write_ensemble_csv,
+)
+from freight_resilience.metrics import collapse_point
 from freight_resilience.network import FreightNetwork, NodeRecord, load_network
+from freight_resilience.pipeline import _plot_limits
+from freight_resilience.svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
 from freight_resilience.synth import SynthSpec, generate_synthetic
 from freight_resilience.tables import write_table
 
@@ -345,6 +356,102 @@ def sequence_prefix(seq, k: int):
     their own (hot-day rows beyond the criterion kept if among them)."""
     head = seq.order[:k]
     return replace(seq, order=head, beyond_criterion=seq.beyond_criterion & set(head))
+
+
+# ---------------------------------------------------------------------------
+# Report oracle
+
+
+def oracle_emit_report(
+    by_scenario, scenario_order, threshold, out_dir, *, mode=None, sequences=(), map_points=()
+) -> list[str]:
+    """The files ``pipeline.emit_report`` writes, built in three passes as it
+    built them before one ``aggregate_curves`` pass served them all: the
+    collapse rows call ``collapse_point`` on every curve, the ensembles call
+    it again while transposing each scenario, and each plot transposes each
+    scenario once more for its mean, min and max. Writes into ``out_dir``
+    and returns the file names in the order written."""
+    out = Path(out_dir)
+    names = []
+
+    def mean(values):
+        return math.fsum(values) / len(values)
+
+    rows = []
+    for scenario in scenario_order:
+        cells = {}
+        for curve in by_scenario[scenario]:
+            cells.setdefault(curve.model, []).append(curve)
+        for model, curves in cells.items():
+            points = [collapse_point(c, threshold) for c in curves]
+            value = None if any(p is None for p in points) else mean([f for _, f in points])
+            rows.append([scenario, model, threshold, value])
+    write_table(out / "collapse.csv", ("scenario", "model", "threshold", "collapse_fraction"), rows)
+    names.append("collapse.csv")
+
+    ensemble_rows = []
+    for scenario in scenario_order:
+        curves = by_scenario[scenario]
+        points = [collapse_point(c, threshold) for c in curves]
+        spread = [None] * 4
+        if all(p is not None for p in points):
+            s = summarize([frac for _, frac in points])
+            spread = [s.mean, s.sd, s.min, s.max]
+        ensemble_rows.append([scenario, threshold, *spread, len(curves)])
+        if len(curves) > 1:
+            for target in ("scf", "tonnage_fraction"):
+                columns = zip(*(getattr(c, target) for c in curves))
+                stats = dict(enumerate(map(summarize, columns)))
+                names.append(f"ensemble_{target}_{scenario}.csv")
+                summary = EnsembleSummary(target=target, stats=stats, n_models=len(curves))
+                write_ensemble_csv(summary, out / names[-1], key_name="step")
+    write_table(
+        out / "collapse_ensemble.csv",
+        ("scenario", "threshold", "mean", "sd", "min", "max", "n_curves"),
+        ensemble_rows,
+    )
+    names.append("collapse_ensemble.csv")
+
+    limits = _plot_limits(sequences)
+    where = f" ({mode})" if mode else ""
+    for name, title, target, y_label in (
+        ("robustness.svg", "Robustness under node disruption", "scf", "SCF"),
+        ("tonnage.svg", "Tonnage capacity under node disruption", "tonnage_fraction",
+         "tonnage fraction"),
+    ):
+        series, bands = [], []
+        for i, scenario in enumerate(scenario_order):
+            curves = by_scenario[scenario]
+            color = PALETTE[i % len(PALETTE)]
+            stop = limits.get(scenario, len(curves[0].ff) - 1) + 1
+            xs = curves[0].fraction_removed[:stop]
+            columns = list(zip(*(getattr(c, target)[:stop] for c in curves)))
+            if len(curves) == 1:
+                pts = tuple(zip(xs, (column[0] for column in columns)))
+                label = scenario
+            else:
+                pts = tuple(zip(xs, map(mean, columns)))
+                lo = tuple(zip(xs, map(min, columns)))
+                hi = tuple(zip(xs, map(max, columns)))
+                bands.append(Band(lo=lo, hi=hi, color=color))
+                label = f"{scenario} (mean of {len(curves)})"
+            series.append(LineSeries(label=label, points=pts, color=color))
+        chart = line_chart(
+            series,
+            title=f"{title}{where}",
+            x_label="fraction of nodes removed",
+            y_label=y_label,
+            bands=bands,
+        )
+        (out / name).write_text(chart, encoding="utf-8")
+        names.append(name)
+    if map_points:
+        chart = scatter_map(
+            map_points, title="Projected change in hot days per year-window", value_label="delta"
+        )
+        (out / "hotday_map.svg").write_text(chart, encoding="utf-8")
+        names.append("hotday_map.svg")
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from freight_resilience.cli import main
+from freight_resilience.cli import _build_parser, main
+from freight_resilience.metrics import DEFAULT_COLLAPSE_THRESHOLD
 from freight_resilience.pipeline import MANIFEST_NAME
 
 from test_pipeline import write_demo_profiles, write_mismatched_curves
@@ -262,6 +263,14 @@ class TestReportCommand:
         assert main(["report", "--curves", str(curves), "--out", str(report_dir)]) == 0
         assert (report_dir / "robustness.svg").is_file()
         assert (report_dir / "collapse.csv").is_file()
+
+    def test_scf_collapse_default_is_the_library_constant(self, capsys):
+        args = _build_parser().parse_args(["report", "--curves", "c.csv", "--out", "o"])
+        assert args.scf_collapse == DEFAULT_COLLAPSE_THRESHOLD
+        for command in ("report", "run"):
+            assert main([command, "--help"]) == 0
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert f"SCF collapse threshold (default {DEFAULT_COLLAPSE_THRESHOLD})" in help_text
 
     def test_mismatched_curve_shapes_exit_three(self, tmp_path, capsys):
         curves = write_mismatched_curves(tmp_path / "curves.csv")

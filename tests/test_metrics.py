@@ -29,14 +29,12 @@ from freight_resilience.disruption import (
 from freight_resilience.errors import DataError
 from freight_resilience.metrics import (
     _CURVE_HEADER,
-    CollapseRow,
     RobustnessCurve,
     aggregate_curves,
     collapse_point,
     gcc_size,
     read_curves_csv,
     replay,
-    write_collapse_csv,
     write_curves_csv,
 )
 
@@ -343,6 +341,15 @@ class TestAggregate:
         assert ensemble.collapse is not None
         assert abs(ensemble.collapse.mean - np.mean(points)) <= 1e-12
 
+    def test_plain_means_and_collapse_points_from_the_same_pass(self):
+        curves = self.curves()
+        ensemble = aggregate_curves(curves, 0.25)
+        assert ensemble.collapse_points == tuple(collapse_point(c, 0.25) for c in curves)
+        for field in ("scf", "tonnage_fraction"):
+            columns = list(zip(*(getattr(c, field) for c in curves)))
+            means = getattr(ensemble, f"{field}_mean")
+            assert means == tuple(math.fsum(col) / len(curves) for col in columns)
+
     def test_no_collapse_summary_when_any_curve_survives(self, star5):
         partial = replay(star5, RemovalSequence("random", (2,), seed=0))
         full = replay(star5, RemovalSequence("random", (2, 1, 3), seed=1))
@@ -524,21 +531,6 @@ class TestCurvesCsvFaults:
         path = write_edited_curve(tmp_path / "curves.csv", {(3, "fraction_removed"): "1e-320"})
         with pytest.raises(DataError, match=CURVE_FAULT):
             read_curves_csv(path)
-
-
-class TestCollapseCsv:
-    def test_layout(self, tmp_path):
-        rows = [
-            CollapseRow("random", None, 0.1, 0.55),
-            CollapseRow("hot_days", "mA", 0.1, None),
-        ]
-        path = tmp_path / "collapse.csv"
-        write_collapse_csv(rows, path)
-        assert path.read_text().splitlines() == [
-            "scenario,model,threshold,collapse_fraction",
-            "random,,0.1,0.55",
-            "hot_days,mA,0.1,",
-        ]
 
 
 @settings(max_examples=25, deadline=None)

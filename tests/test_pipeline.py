@@ -5,18 +5,21 @@ import json
 import math
 import multiprocessing
 import re
+import tempfile
 import types
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 import freight_resilience
-from conftest import make_node, rail_density_net, worker_counts
-from freight_resilience import centrality
+from conftest import make_node, oracle_emit_report, rail_density_net, worker_counts
+from freight_resilience import centrality, metrics, pipeline
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
     BASELINE,
@@ -26,21 +29,30 @@ from freight_resilience.climate import (
     count_gridded_series_csv,
     count_series_csv,
     read_profiles_csv,
+    summarize,
     write_profiles_csv,
 )
-from freight_resilience.disruption import targeted_sequence
+from freight_resilience.disruption import SCENARIOS, RemovalSequence, targeted_sequence
 from freight_resilience.errors import ConfigError, DataError, PipelineError, exit_code_for
 from freight_resilience.pipeline import (
     MANIFEST_NAME,
     STAGES,
     ClimateConfig,
     RunConfig,
+    _Recorder,
     config_digest_dict,
+    emit_report,
     load_config,
     report_from_curves,
     run,
 )
-from freight_resilience.metrics import read_curves_csv, replay, write_curves_csv
+from freight_resilience.metrics import (
+    RobustnessCurve,
+    aggregate_curves,
+    read_curves_csv,
+    replay,
+    write_curves_csv,
+)
 from freight_resilience.network import load_network
 from freight_resilience.synth import SynthSpec, generate_synthetic
 
@@ -813,6 +825,152 @@ class TestReportFromCurves:
         )
         with pytest.raises(DataError, match="no curves"):
             report_from_curves(empty, tmp_path / "r")
+
+
+    def test_collapse_csv_layout(self, tmp_path):
+        # a random cell has no model, and a cell that never collapses has
+        # no fraction: both are written as empty cells
+        random_curve = RobustnessCurve(
+            "random", None, 0, 20, 20, tuple(range(1, 12)),
+            tuple(20 - j for j in range(11)) + (2,), (1.0,) * 12, (1.0,) * 12,
+        )
+        partial = RobustnessCurve(
+            "hot_days", "mA", None, 20, 20, (1,), (20, 19), (1.0,) * 2, (1.0,) * 2
+        )
+        write_curves_csv([random_curve, partial], tmp_path / "curves.csv")
+        report = report_from_curves(tmp_path / "curves.csv", tmp_path / "r", threshold=0.1)
+        assert (report.out_dir / "collapse.csv").read_text().splitlines() == [
+            "scenario,model,threshold,collapse_fraction",
+            "random,,0.1,0.55",
+            "hot_days,mA,0.1,",
+        ]
+
+
+# scf and tonnage values where the plain mean of equal cells exceeds their
+# max: fsum([0.1] * 3) / 3 is 0.10000000000000002
+CELLS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenario_curves(draw, scenario: str, max_curves: int) -> list[RobustnessCurve]:
+    """Same-shape curves of one scenario: random seeds, one targeted curve,
+    or hot-day models; k < n_nodes gives partial curves."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    curves = []
+    for i in range(draw(st.integers(1, max_curves))):
+        tf = draw(st.integers(1, n))
+        ff = [tf]
+        for j in range(1, k + 1):
+            ff.append(draw(st.integers(0, min(ff[-1], n - j))))
+        ton = sorted(draw(st.lists(CELLS, min_size=k + 1, max_size=k + 1)), reverse=True)
+        gcc = draw(st.lists(CELLS, min_size=k + 1, max_size=k + 1))
+        order = draw(st.permutations(range(1, n + 1)))[:k]
+        model = f"m{i}" if scenario == "hot_days" else None
+        seed = i if scenario == "random" else None
+        curves.append(RobustnessCurve(scenario, model, seed, n, tf, tuple(order), tuple(ff),
+                                      tuple(ton), tuple(gcc)))
+    return curves
+
+
+@st.composite
+def report_inputs(draw):
+    """Curves by scenario in a drawn scenario order, a threshold, the
+    hot-day sequences whose criterion cuts their plots short, and a map."""
+    order = draw(st.lists(st.sampled_from(SCENARIOS), min_size=1, unique=True))
+    by_scenario = {
+        s: draw(scenario_curves(s, 1 if s.startswith("targeted") else 4)) for s in order
+    }
+    sequences = [
+        RemovalSequence("hot_days", c.order, model=c.model,
+                        beyond_criterion=frozenset(c.order[draw(st.integers(0, len(c.order))):]))
+        for c in by_scenario.get("hot_days", ())
+    ]
+    threshold = draw(st.sampled_from([0.1, 0.25, 0.5]) | st.floats(0.01, 0.99))
+    points = draw(st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), max_size=3))
+    return by_scenario, order, threshold, sequences, points
+
+
+def clamped_inputs():
+    """Three random curves that all collapse after one removal (fraction
+    0.1) at scf and tonnage 0.1, a lone targeted curve whose tonnage ends
+    at -0.0, and two hot-day models whose plots stop after one step."""
+    def curve(scenario, model, seed, ff, ton):
+        return RobustnessCurve(scenario, model, seed, 10, 10, (1, 2, 3), ff, ton, ton)
+
+    by_scenario = {
+        "random": [curve("random", None, s, (10, 1, 1, 0), (1.0, 0.1, 0.1, 0.0)) for s in range(3)],
+        "targeted_degree": [
+            curve("targeted_degree", None, None, (10, 9, 8, 7), (1.0, 0.5, 0.0, -0.0))
+        ],
+        "hot_days": [curve("hot_days", m, None, (10, 9, 5, 1), (1.0, 0.9, 0.5, 0.1)) for m in "AB"],
+    }
+    sequences = [
+        RemovalSequence("hot_days", c.order, model=c.model, beyond_criterion=frozenset({2, 3}))
+        for c in by_scenario["hot_days"]
+    ]
+    return by_scenario, list(by_scenario), 0.1, sequences, []
+
+
+class TestSinglePassReport:
+    @settings(max_examples=60, deadline=None)
+    @given(report_inputs(), st.sampled_from([None, "rail"]))
+    @example(clamped_inputs(), None)
+    def test_same_bytes_as_three_pass_oracle(self, inputs, mode):
+        by_scenario, order, threshold, sequences, points = inputs
+        extra = dict(mode=mode, sequences=sequences, map_points=points)
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(pipeline, "line_chart", wraps=pipeline.line_chart) as new_chart,
+            mock.patch.object(conftest, "line_chart", wraps=conftest.line_chart) as old_chart,
+        ):
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            new.mkdir()
+            old.mkdir()
+            rec = _Recorder(new)
+            emit_report(by_scenario, order, threshold, rec, **extra)
+            names = oracle_emit_report(by_scenario, order, threshold, old, **extra)
+            assert rec.relpaths == names
+            for name in names:
+                assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        # SVG coordinates keep two decimals, so compare the plotted values too
+        assert new_chart.call_args_list == old_chart.call_args_list
+
+    def test_collapse_point_once_per_curve(self, demo, tmp_path, monkeypatch):
+        bundle = run(load_config(demo))
+        n_curves = len(read_curves_csv(bundle.out_dir / "curves.csv"))
+        calls = []
+        collapse_point = metrics.collapse_point
+
+        def spy(curve, threshold):
+            calls.append(curve)
+            return collapse_point(curve, threshold)
+
+        monkeypatch.setattr(metrics, "collapse_point", spy)
+        report_from_curves(bundle.out_dir / "curves.csv", tmp_path / "r")
+        assert len(calls) == n_curves
+        assert len({id(c) for c in calls}) == n_curves
+
+    def test_plot_line_is_the_unclamped_mean(self, tmp_path):
+        # three curves at scf and tonnage 0.1 after two removals: the plain
+        # mean rounds above the max, so summarize clamps its mean and the
+        # plots do not
+        curves = [
+            RobustnessCurve("random", None, s, 10, 10, (1, 2, 3), (10, 9, 1, 0),
+                            (1.0, 0.5, 0.1, 0.0), (1.0, 0.5, 0.1, 0.0))
+            for s in range(3)
+        ]
+        plain = math.fsum([0.1] * 3) / 3
+        assert plain != summarize([0.1] * 3).mean
+        ens = aggregate_curves(curves)
+        assert ens.scf_mean[2] == ens.tonnage_fraction_mean[2] == plain
+        with mock.patch.object(pipeline, "line_chart", wraps=pipeline.line_chart) as chart:
+            emit_report({"random": curves}, ["random"], 0.1, _Recorder(tmp_path))
+        assert chart.call_count == 2  # robustness.svg and tonnage.svg
+        for call in chart.call_args_list:
+            ((line,),), (band,) = call.args, call.kwargs["bands"]
+            assert line.points[2] == (0.2, plain)
+            assert band.lo[2] == band.hi[2] == (0.2, 0.1)
 
 
 GRID_LATS = (25.0, 37.0, 49.0)

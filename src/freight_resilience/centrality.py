@@ -10,12 +10,16 @@ The kernels run on dense positions: ``FreightNetwork.dense_adjacency``
 lists each node's neighbours by position, and position order is id
 order, so "ties go to the lower id" is "ties go to the lower position".
 Distances and path counts live in flat lists. One all-sources sweep
-(``_sweep``) runs Brandes' accumulation and also yields every node's
-reach and distance sum, so a run's closeness and betweenness scores and
-all rank keys come from a single breadth-first search per node. Passes
-that need closeness alone (``closeness_centrality`` and every adaptive
-closeness re-ranking) grow all nodes' balls at once instead
-(``_ball_sums``): about diameter rounds of one big-int OR per edge.
+(``_sweep``) runs Brandes' accumulation, a single breadth-first search
+per node, so a run's betweenness scores and rank key come from it.
+Every closeness score and key (``all_scores``, ``closeness_centrality``
+and every adaptive closeness re-ranking) comes from one kernel that
+grows all nodes' balls at once (``_ball_sums``): about diameter rounds
+of one big-int OR per edge.
+
+Every ranking follows one rule, ``rank_order``: descending key, ties to
+the lower id. Adaptive ranking takes the first maximum of the survivors'
+keys in position order, which is the same rule.
 
 Path counts are exact integers. Brandes' accumulation runs in integers
 over one common denominator, and one exact ``Fraction`` per node is built
@@ -37,7 +41,6 @@ from .network import FreightNetwork
 from .tables import write_table
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness")
-RANKING_KINDS = CENTRALITY_KINDS + ("hot_days",)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ class RankedNodes:
     entries: tuple[tuple[int, int, float], ...]  # (rank, node_id, score)
 
     def __post_init__(self):
-        if self.kind not in RANKING_KINDS:
-            raise ValueError(f"kind must be one of {RANKING_KINDS}, got {self.kind!r}")
+        if self.kind not in CENTRALITY_KINDS:
+            raise ValueError(f"kind must be one of {CENTRALITY_KINDS}, got {self.kind!r}")
         for i, (rank, node, score) in enumerate(self.entries):
             if rank != i + 1:
                 raise ValueError("ranks must be 1..k in order")
@@ -86,17 +89,16 @@ class RankedNodes:
 
 
 def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
-    """Shortest-path counts, BFS order, each reached node's shortest-path
-    predecessors, and the sum of hop distances from position ``source``
-    over dense adjacency ``adj``. Unreached positions have count 0; they
-    and the source have predecessors None."""
+    """Shortest-path counts, BFS order and each reached node's shortest-path
+    predecessors from position ``source`` over dense adjacency ``adj``.
+    Unreached positions have count 0; they and the source have
+    predecessors None."""
     dist = [-1] * len(adj)
     sigma = [0] * len(adj)
     preds = [None] * len(adj)
     dist[source] = 0
     sigma[source] = 1
     order = [source]
-    total = 0
     for v in order:  # the order list is its own queue
         dv1 = dist[v] + 1
         sv = sigma[v]
@@ -107,11 +109,10 @@ def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
                 sigma[w] = sv
                 preds[w] = [v]
                 order.append(w)
-                total += dv1
             elif dw == dv1:
                 sigma[w] += sv
                 preds[w].append(v)
-    return sigma, order, preds, total
+    return sigma, order, preds
 
 
 def _ball_sums(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -144,8 +145,7 @@ def _ball_sums(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
 
 def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
-    """One all-sources pass: Brandes' accumulation plus each source's
-    (reach, sum of hop distances).
+    """One all-sources pass of Brandes' accumulation.
 
     For one source s, let sigma(v) count the shortest s-v paths, delta(v)
     be the dependency of s on v, and l be the lcm of sigma over the nodes
@@ -157,16 +157,13 @@ def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
     Each position keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
     over a common denominator g; when a source's l does not divide g, g
     grows to lcm(g, l) and every accumulator is rescaled. Returns the
-    accumulators by position, g, and the (reach, distance sum) of each
-    source in ``sources`` order. Each unordered pair is counted from both
-    endpoints, so betweenness is acc / (2 g).
+    accumulators by position and g. Each unordered pair is counted from
+    both endpoints, so betweenness is acc / (2 g).
     """
     acc = [0] * len(adj)
     g = 1
-    sums = []
     for s in sources:
-        sigma, order, preds, total = _bfs_counts(adj, s)
-        sums.append((len(order) - 1, total))
+        sigma, order, preds = _bfs_counts(adj, s)
         l = lcm(*map(sigma.__getitem__, order))
         if g % l:
             scale = l // gcd(g, l)
@@ -181,7 +178,7 @@ def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
             ow += l // sw
             for v in preds[w]:
                 omega[v] += ow
-    return acc, g, sums
+    return acc, g
 
 
 def _normalized_closeness(n: int, reach: int, total: int) -> float:
@@ -231,8 +228,7 @@ def _exact(net: FreightNetwork, acc: Sequence[int], g: int) -> dict[int, Fractio
 def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
     """Unordered-pair betweenness as exact rationals, from Brandes'
     accumulation in integers (see ``_sweep``)."""
-    acc, g, _ = _sweep(net.dense_adjacency, range(net.node_count))
-    return _exact(net, acc, g)
+    return _exact(net, *_sweep(net.dense_adjacency, range(net.node_count)))
 
 
 def _betweenness_scores(
@@ -258,12 +254,12 @@ def betweenness_centrality(net: FreightNetwork, normalized: bool = False) -> Cen
 def all_scores(
     net: FreightNetwork,
 ) -> tuple[tuple[CentralityScores, ...], dict[str, Mapping[int, object]]]:
-    """Raw and normalized scores of every kind from one all-sources sweep,
-    plus the key each kind ranks by: int degree, normalized closeness,
-    exact betweenness."""
+    """Raw and normalized scores of every kind from one all-sources sweep
+    and one ball growth, plus the key each kind ranks by: int degree,
+    normalized closeness, exact betweenness."""
     n = net.node_count
-    acc, g, sums = _sweep(net.dense_adjacency, range(n))
-    exact = _exact(net, acc, g)
+    exact = _exact(net, *_sweep(net.dense_adjacency, range(n)))
+    sums = _ball_sums(net.dense_adjacency)
     closeness = _closeness_scores(net, sums, True)
     score_sets = (
         degree_centrality(net, normalized=False),
@@ -299,15 +295,17 @@ def dense_rank_keys(
     raise ValueError(f"unknown centrality kind {kind!r}")
 
 
+def rank_order(keys: Mapping[int, object]) -> tuple[int, ...]:
+    """The ids of ``keys`` by descending key, ties to the lower id."""
+    return tuple(sorted(keys, key=lambda i: (-keys[i], i)))
+
+
 def rank_mapping(values: Mapping[int, float], k: int, kind: str) -> RankedNodes:
-    """Top-k ids from an arbitrary score mapping (ties by ascending id)."""
+    """Top-k ids of a centrality kind's score mapping, by ``rank_order``."""
     if not 1 <= k <= len(values):
         raise ValueError(f"k must be in [1, {len(values)}], got {k}")
-    ordered = sorted(values.items(), key=lambda item: (-values[item[0]], item[0]))
-    entries = tuple(
-        (rank, node, float(score)) for rank, (node, score) in enumerate(ordered[:k], start=1)
-    )
-    return RankedNodes(kind, entries)
+    top = rank_order(values)[:k]
+    return RankedNodes(kind, tuple((rank, i, float(values[i])) for rank, i in enumerate(top, 1)))
 
 
 def rank_nodes(scores: CentralityScores, k: int) -> RankedNodes:

@@ -24,7 +24,6 @@ from datetime import date
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .centrality import RankedNodes
 from .errors import DataError
 from .network import NodeRecord
 from .tables import read_range, read_table, row_error, split_table, write_table
@@ -155,24 +154,25 @@ def ensemble_stats(
     return EnsembleSummary(target=target, stats=stats, n_models=len(models))
 
 
-def top_k_frequency(rankings: Sequence[RankedNodes], k: int) -> dict[int, int]:
-    """How many models place each node in their top-k.
+def top_k_frequency(orders: Sequence[Sequence[int]], k: int) -> dict[int, int]:
+    """How many models place each node in their top-k, given each model's
+    node ids in ranking order.
 
-    Every ranking must cover the same node universe; values range from 0
+    Every order must cover the same node universe; values range from 0
     (absent everywhere) to the number of models.
     """
-    if not rankings:
+    if not orders:
         raise ValueError("need at least one ranking")
-    universe = set(rankings[0].node_ids)
-    for r in rankings[1:]:
-        if set(r.node_ids) != universe:
+    universe = set(orders[0])
+    for order in orders[1:]:
+        if set(order) != universe:
             raise ValueError("rankings cover inconsistent node universes")
-    for r in rankings:
-        if k > len(r.entries):
-            raise ValueError(f"k={k} exceeds ranking length {len(r.entries)}")
+    for order in orders:
+        if k > len(order):
+            raise ValueError(f"k={k} exceeds ranking length {len(order)}")
     freq = {node: 0 for node in sorted(universe)}
-    for r in rankings:
-        for node in r.node_ids[:k]:
+    for order in orders:
+        for node in order[:k]:
             freq[node] += 1
     return freq
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .centrality import CENTRALITY_KINDS, dense_rank_keys
+from .centrality import CENTRALITY_KINDS, dense_rank_keys, rank_order
 from .network import FreightNetwork
 from .tables import render_record, write_blocks
 
@@ -92,13 +92,6 @@ def random_sequence(net: FreightNetwork, seed: int) -> RemovalSequence:
     return RemovalSequence(scenario="random", order=tuple(order), seed=seed)
 
 
-def static_sequence(kind: str, scores: Mapping[int, object]) -> RemovalSequence:
-    """Targeted removal order ranked once from exact scores: highest
-    first, ties toward the lower node id."""
-    order = sorted(scores, key=lambda n: (-scores[n], n))
-    return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order), mode="static")
-
-
 def targeted_sequence(
     net: FreightNetwork, kind: str, mode: str = "static"
 ) -> RemovalSequence:
@@ -106,7 +99,7 @@ def targeted_sequence(
 
     Static mode ranks the intact network once; adaptive mode re-scores
     the surviving subnetwork before every removal. Ties break toward
-    the lower node id in both modes.
+    the lower node id in both modes (``rank_order``).
     """
     if kind not in CENTRALITY_KINDS:
         raise ValueError(f"unknown centrality kind {kind!r}")
@@ -116,7 +109,7 @@ def targeted_sequence(
     alive = list(range(net.node_count))
     if mode == "static":
         keys = dense_rank_keys(net.dense_adjacency, alive, kind)
-        return static_sequence(kind, {ids[v]: keys[v] for v in alive})
+        return RemovalSequence(scenario=f"targeted_{kind}", order=rank_order(dict(zip(ids, keys))))
     # one mutable adjacency; a victim leaves its neighbours' lists
     adj = [list(neighbours) for neighbours in net.dense_adjacency]
     order = []
@@ -143,11 +136,9 @@ def hot_day_sequence(
     missing = [n for n in net.node_ids if n not in delta]
     if missing:
         raise ValueError(f"missing hot-day delta for nodes {missing}")
-    order = sorted(net.node_ids, key=lambda n: (-delta[n], n))
+    order = rank_order({n: delta[n] for n in net.node_ids})
     beyond = frozenset(n for n in order if delta[n] <= 0)
-    return RemovalSequence(
-        scenario="hot_days", order=tuple(order), model=model, beyond_criterion=beyond
-    )
+    return RemovalSequence(scenario="hot_days", order=order, model=model, beyond_criterion=beyond)
 
 
 def write_sequences_csv(sequences: Sequence[RemovalSequence], path) -> None:

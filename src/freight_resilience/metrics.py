@@ -342,7 +342,11 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
             except ValueError as exc:
                 raise row_error(exc, row, len(_CURVE_HEADER), path, lineno) from exc
     curves = []
-    for (scenario, model, seed_cell), (seed, order, frac, ff, scf, ton, gcc) in groups.items():
+    for key in list(groups):
+        # drop each curve's lists once it is built, so they and the
+        # curves never all coexist
+        scenario, model, seed_cell = key
+        seed, order, frac, ff, scf, ton, gcc = groups.pop(key)
         try:
             if len(frac) > 1 and not frac[1] > 0.0:
                 raise ValueError("step 1 fraction_removed must be positive")

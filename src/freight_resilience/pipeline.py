@@ -27,6 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .centrality import (
     all_scores,
     rank_mapping,
+    rank_order,
     write_ranking_csv,
     write_scores_csv,
 )
@@ -55,7 +56,6 @@ from .disruption import (
     RemovalSequence,
     hot_day_sequence,
     random_sequence,
-    static_sequence,
     targeted_sequence,
     write_sequences_csv,
 )
@@ -448,10 +448,14 @@ def _write_manifest(
 
     files = {}
     for rel in sorted(relpaths):
-        data = (out / rel).read_bytes()
-        if status == "complete" and not data:
+        digest, size = hashlib.sha256(), 0
+        with open(out / rel, "rb") as fh:  # in blocks: an output may be large
+            for block in iter(partial(fh.read, 1 << 16), b""):
+                digest.update(block)
+                size += len(block)
+        if status == "complete" and not size:
             raise RuntimeError(f"declared output {rel!r} is empty")
-        files[rel] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        files[rel] = {"sha256": digest.hexdigest(), "bytes": size}
     doc = {
         "format": MANIFEST_FORMAT,
         "tool": {"name": "freight-resilience", "version": __version__},
@@ -508,11 +512,14 @@ def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     rec.add("centrality_scores.csv")
 
     names = {node.id: node.name for node in net.nodes}
+    static = {}  # each kind's static removal order, for the simulate stage
     for kind, keys in rank_keys.items():
         name = f"ranking_{kind}.csv"
-        write_ranking_csv(rank_mapping(keys, net.node_count, kind), names, rec.path(name))
+        ranked = rank_mapping(keys, net.node_count, kind)
+        write_ranking_csv(ranked, names, rec.path(name))
         rec.add(name)
-    state["rank_keys"] = rank_keys
+        static[f"targeted_{kind}"] = RemovalSequence(f"targeted_{kind}", ranked.node_ids)
+    state["static_sequences"] = static
 
 
 def _count_profiles(cc: ClimateConfig, net) -> dict[tuple[str, str], HotDayProfile]:
@@ -595,23 +602,18 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
     write_ensemble_csv(ensemble, rec.path("hotday_ensemble.csv"), key_name="node_id")
     rec.add("hotday_ensemble.csv")
 
-    n = net.node_count
-    rankings = [
-        rank_mapping({i: deltas[m][i] for i in net.node_ids}, n, "hot_days") for m in models
-    ]
-    k = min(cc.top_k, n)
-    freq = top_k_frequency(rankings, k)
-    top = sorted(freq, key=lambda i: (-freq[i], i))
+    sequences = [hot_day_sequence(net, deltas[m], m) for m in models]
+    k = min(cc.top_k, net.node_count)
+    freq = top_k_frequency([seq.order for seq in sequences], k)
     write_table(
         rec.path("hotday_topk.csv"),
         ("node_id", "appearances", "k", "n_models"),
-        ([node, freq[node], k, len(models)] for node in top),
+        ([node, freq[node], k, len(models)] for node in rank_order(freq)),
     )
     rec.add("hotday_topk.csv")
 
-    state["deltas"] = deltas
+    state["hot_day_sequences"] = sequences
     state["hotday_ensemble"] = ensemble
-    state["climate_models"] = models
 
 
 def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
@@ -624,18 +626,14 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
                 random_sequence(net, config.base_seed + i) for i in range(config.seeds)
             ]
         elif scenario in TARGETED_SCENARIOS:
-            kind = scenario.removeprefix("targeted_")
-            if config.ranking == "static" and "rank_keys" in state:
-                seqs = [static_sequence(kind, state["rank_keys"][kind])]
-            else:  # centrality stage skipped: score only this kind
-                seqs = [targeted_sequence(net, kind, config.ranking)]
+            if config.ranking == "static" and "static_sequences" in state:
+                seqs = [state["static_sequences"][scenario]]
+            else:  # adaptive, or centrality stage skipped: score only this kind
+                seqs = [targeted_sequence(net, scenario.removeprefix("targeted_"), config.ranking)]
         else:  # hot_days; climate stage ran earlier per config validation
-            if "deltas" not in state:
+            if "hot_day_sequences" not in state:
                 raise DataError("hot_days scenario requires climate inputs")
-            deltas = state["deltas"]
-            seqs = [
-                hot_day_sequence(net, deltas[m], m) for m in state["climate_models"]
-            ]
+            seqs = state["hot_day_sequences"]
         sequences.extend(seqs)
         by_scenario[scenario] = [replay(net, s) for s in seqs]
     write_sequences_csv(sequences, rec.path("sequences.csv"))

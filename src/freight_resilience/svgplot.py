@@ -21,6 +21,7 @@ PALETTE = (
 )
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 18, 46, 52
+_WIDTH, _LINE_HEIGHT, _MAP_HEIGHT = 760, 480, 520
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ def _span(values: Sequence[float]) -> tuple[float, float]:
 class _Frame:
     """Maps data coordinates onto the pixel plot area."""
 
-    def __init__(self, width, height, x_span, y_span):
+    def __init__(self, height, x_span, y_span):
         self.x0, self.x1 = x_span
         self.y0, self.y1 = y_span
         self.px0 = _MARGIN_L
-        self.px1 = width - _MARGIN_R
+        self.px1 = _WIDTH - _MARGIN_R
         self.py0 = _MARGIN_T
         self.py1 = height - _MARGIN_B
 
@@ -74,6 +75,34 @@ class _Frame:
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _start(height: int, title: str) -> list[str]:
+    """The svg tag, white background and centred title of a chart."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="24" font-size="15" text-anchor="middle" '
+        f'fill="#111111">{_esc(title)}</text>',
+    ]
+
+
+def _finish(parts: list[str], x: float, entries: Sequence[tuple[str, str]]) -> str:
+    """The chart's text, closed by a legend of (color, label) swatches at ``x``."""
+    parts.append('<g class="legend">')
+    for i, (color, label) in enumerate(entries):
+        y = _MARGIN_T + 6 + i * 16
+        parts.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y - 8)}" width="12" height="8" fill="{color}"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(x + 18)}" y="{_fmt(y)}" font-size="11" '
+            f'fill="#333333">{_esc(label)}</text>'
+        )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str) -> None:
@@ -124,8 +153,6 @@ def line_chart(
     x_label: str,
     y_label: str,
     bands: Sequence[Band] = (),
-    width: int = 760,
-    height: int = 480,
 ) -> str:
     """Overlaid line series with optional shaded envelopes and a legend."""
     if not series:
@@ -138,15 +165,8 @@ def line_chart(
     for band in bands:
         xs += [p[0] for run in (band.lo, band.hi) for p in run]
         ys += [p[1] for run in (band.lo, band.hi) for p in run]
-    frame = _Frame(width, height, _span(xs), _span(ys))
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="24" font-size="15" text-anchor="middle" '
-        f'fill="#111111">{_esc(title)}</text>',
-    ]
+    frame = _Frame(_LINE_HEIGHT, _span(xs), _span(ys))
+    parts = _start(_LINE_HEIGHT, title)
     _axes(parts, frame, x_label, y_label)
     for band in bands:
         ring = list(band.lo) + list(reversed(band.hi))
@@ -155,28 +175,14 @@ def line_chart(
             f'<path class="band" d="M {d} Z" fill="{band.color}" fill-opacity="0.25" '
             f'stroke="none"/>'
         )
-    for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+    colors = [s.color or PALETTE[i % len(PALETTE)] for i, s in enumerate(series)]
+    for s, color in zip(series, colors):
         pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in s.points)
         parts.append(
             f'<polyline class="series" fill="none" stroke="{color}" '
             f'stroke-width="1.8" points="{pts}"/>'
         )
-    parts.append('<g class="legend">')
-    for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
-        y = _MARGIN_T + 6 + i * 16
-        x = frame.px1 - 170
-        parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y - 8)}" width="12" height="8" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x + 18)}" y="{_fmt(y)}" font-size="11" '
-            f'fill="#333333">{_esc(s.label)}</text>'
-        )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _finish(parts, frame.px1 - 170, [(c, s.label) for s, c in zip(series, colors)])
 
 
 def _ramp(t: float) -> str:
@@ -195,8 +201,6 @@ def scatter_map(
     *,
     title: str,
     value_label: str,
-    width: int = 760,
-    height: int = 520,
 ) -> str:
     """Lon/lat scatter with a diverging color ramp over the values."""
     if not points:
@@ -204,7 +208,7 @@ def scatter_map(
     lons = [p[0] for p in points]
     lats = [p[1] for p in points]
     values = [p[2] for p in points]
-    frame = _Frame(width, height, _span(lons), _span(lats))
+    frame = _Frame(_MAP_HEIGHT, _span(lons), _span(lats))
     vmin, vmax = min(values), max(values)
 
     def color_for(v: float) -> str:
@@ -212,31 +216,13 @@ def scatter_map(
             return _ramp(0.5)
         return _ramp((v - vmin) / (vmax - vmin))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="24" font-size="15" text-anchor="middle" '
-        f'fill="#111111">{_esc(title)}</text>',
-    ]
+    parts = _start(_MAP_HEIGHT, title)
     _axes(parts, frame, "longitude", "latitude")
     for lon, lat, value in points:
         parts.append(
             f'<circle cx="{_fmt(frame.x(lon))}" cy="{_fmt(frame.y(lat))}" r="4.5" '
             f'fill="{color_for(value)}" stroke="#555555" stroke-width="0.5"/>'
         )
-    parts.append('<g class="legend">')
     swatches = [(vmin, 0.0), ((vmin + vmax) / 2, 0.5), (vmax, 1.0)]
-    for i, (value, t) in enumerate(swatches):
-        x = frame.px1 - 150
-        y = _MARGIN_T + 6 + i * 16
-        parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y - 8)}" width="12" height="8" fill="{_ramp(t)}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x + 18)}" y="{_fmt(y)}" font-size="11" '
-            f'fill="#333333">{_esc(value_label)} = {_fmt(value)}</text>'
-        )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    legend = [(_ramp(t), f"{value_label} = {_fmt(value)}") for value, t in swatches]
+    return _finish(parts, frame.px1 - 150, legend)

@@ -36,6 +36,7 @@ from freight_resilience.centrality import (
     degree_centrality,
     rank_mapping,
     rank_nodes,
+    rank_order,
     write_ranking_csv,
     write_scores_csv,
 )
@@ -125,18 +126,16 @@ def oracle_sums(net: FreightNetwork) -> list[tuple[int, int]]:
 @settings(max_examples=150, deadline=None)
 @given(mixed_graphs())
 def test_sweep_matches_oracles(net):
-    """One sweep gives Brandes' Fractions and every node's (reach, sum of
-    distances); ball growth gives the same pairs."""
+    """One sweep gives Brandes' Fractions; ball growth gives every node's
+    (reach, sum of distances)."""
     adj = net.dense_adjacency
-    acc, g, sums = _sweep(adj, range(net.node_count))
+    acc, g = _sweep(adj, range(net.node_count))
     exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
     assert exact == oracle_brandes_fractions(net)
     assert betweenness_exact(net) == exact
     if net.node_count <= 12:
         assert exact == oracle_betweenness(net)
-    expected = oracle_sums(net)
-    assert sums == expected
-    assert _ball_sums(adj) == expected
+    assert _ball_sums(adj) == oracle_sums(net)
 
 
 @pytest.mark.parametrize(
@@ -149,11 +148,10 @@ def test_kernels_on_dense_multipath_graphs(build):
     the 5-cube and the rail-density network."""
     net = build()
     adj = net.dense_adjacency
-    acc, g, sums = _sweep(adj, range(net.node_count))
+    acc, g = _sweep(adj, range(net.node_count))
     exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
     assert exact == oracle_brandes_fractions(net)
-    assert sums == oracle_sums(net)
-    assert _ball_sums(adj) == sums
+    assert _ball_sums(adj) == oracle_sums(net)
 
 
 def test_ball_sums_edge_cases():
@@ -313,6 +311,23 @@ class TestRanking:
         a = rank_mapping({1: 1.0, 2: 3.0, 3: 2.0}, k=3, kind="degree")
         b = rank_mapping({3: 2.0, 2: 3.0, 1: 1.0}, k=3, kind="degree")
         assert a == b
+
+    @given(st.dictionaries(st.integers(-50, 50), st.integers(-3, 3)))
+    def test_rank_order_is_first_maximum_repeated(self, keys):
+        # the adaptive rule, applied to keys that never change
+        left, expected = sorted(keys), []
+        while left:
+            expected.append(max(left, key=keys.__getitem__))
+            left.remove(expected[-1])
+        assert rank_order(keys) == tuple(expected)
+
+    def test_rank_order_compares_keys_exactly(self):
+        keys = {4: Fraction(1, 3), 2: Fraction(1, 3), 9: 1 / 3, 1: 0}
+        assert rank_order(keys) == (2, 4, 9, 1)  # 1/3 rounds down as a float
+
+    def test_hot_days_is_not_a_ranking_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            rank_mapping({1: 2, 2: 1}, k=2, kind="hot_days")
 
     def test_ranked_nodes_validates_order(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import DailyTmaxSeries, count_hot_days, make_node, oracle_read_series, worker_counts
 from freight_resilience import climate
-from freight_resilience.centrality import rank_mapping
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
@@ -249,10 +248,7 @@ def test_summary_brackets_mean(values):
 
 class TestTopKFrequency:
     def rankings(self):
-        return [
-            rank_mapping({1: 3.0, 2: 2.0, 3: 1.0}, k=3, kind="degree"),
-            rank_mapping({2: 9.0, 1: 8.0, 3: 0.0}, k=3, kind="degree"),
-        ]
+        return [(1, 2, 3), (2, 1, 3)]
 
     def test_counts(self):
         assert top_k_frequency(self.rankings(), k=1) == {1: 1, 2: 1, 3: 0}
@@ -263,10 +259,7 @@ class TestTopKFrequency:
             top_k_frequency(self.rankings(), k=4)
 
     def test_universe_mismatch(self):
-        mixed = [
-            rank_mapping({1: 1.0, 2: 0.5}, k=2, kind="degree"),
-            rank_mapping({1: 1.0, 9: 0.5}, k=2, kind="degree"),
-        ]
+        mixed = [(1, 2), (1, 9)]
         with pytest.raises(ValueError, match="universe"):
             top_k_frequency(mixed, k=1)
 

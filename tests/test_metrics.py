@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -384,6 +385,22 @@ class TestCurvesCsv:
         path = tmp_path / "curves.csv"
         write_curves_csv(curves, path)
         assert read_curves_csv(path) == curves
+
+    def test_read_peak_close_to_what_the_curves_keep(self, tmp_path):
+        # each curve's lists are dropped as the curve is built; lists kept
+        # until every curve exists would read about 1.7 here
+        net = make_net(60, er_edges(60, 0.08, random.Random(5)))
+        path = tmp_path / "curves.csv"
+        write_curves_csv([replay(net, random_sequence(net, s)) for s in range(40)], path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curves = read_curves_csv(path)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(curves) == 40
+        assert peak <= 1.2 * kept, f"peak {peak} B for {kept} B of curves"
 
     def test_intact_row_alone_reads_back_with_tf_nodes(self, tmp_path):
         # a documented limit: the file holds no node count, so a curve

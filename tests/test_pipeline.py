@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import re
 import tempfile
+import tracemalloc
 import types
 from dataclasses import replace
 from datetime import date, timedelta
@@ -341,6 +342,26 @@ class TestRun:
             assert entry["bytes"] == len(data)
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
+    def test_manifest_hashes_outputs_in_blocks(self, tmp_path):
+        data = bytes(range(256)) * (4 << 12)  # 4 MB
+        (tmp_path / "big.bin").write_bytes(data)
+        tracemalloc.start()
+        try:
+            pipeline._write_manifest(tmp_path, "0" * 64, ["big.bin"], "complete", None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak traced allocation {peak / 2**20:.2f} MB"
+        entry = manifest_of(tmp_path)["files"]["big.bin"]
+        assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+    def test_manifest_refuses_an_empty_output(self, tmp_path):
+        (tmp_path / "empty.csv").write_bytes(b"")
+        with pytest.raises(RuntimeError, match="'empty.csv' is empty"):
+            pipeline._write_manifest(tmp_path, "0" * 64, ["empty.csv"], "complete", None)
+        pipeline._write_manifest(tmp_path, "0" * 64, ["empty.csv"], "incomplete", "report")
+        assert manifest_of(tmp_path)["files"]["empty.csv"]["bytes"] == 0
+
     def test_deterministic_across_out_dirs(self, demo, tmp_path):
         config = load_config(demo)
         a = run(config)
@@ -495,6 +516,24 @@ class TestSharedCentrality:
         for kind in CENTRALITY_KINDS:
             order = tuple(int(r["node_id"]) for r in rows if r["scenario"] == f"targeted_{kind}")
             assert order == targeted_sequence(net, kind, "static").order
+
+    def test_full_static_run_ranks_each_order_once(self, demo, monkeypatch):
+        # the centrality and climate stages hand simulate finished orders
+        calls = {"hot_day_sequence": [], "targeted_sequence": []}
+        for name, seen in calls.items():
+            fn = getattr(pipeline, name)
+
+            def counted(*args, _fn=fn, _seen=seen):
+                _seen.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        bundle = run(load_config(demo))
+        assert [args[2] for args in calls["hot_day_sequence"]] == ["mA", "mB"]
+        assert calls["targeted_sequence"] == []
+        with (bundle.out_dir / "sequences.csv").open(newline="") as fh:
+            models = [r["model"] for r in csv.DictReader(fh) if r["scenario"] == "hot_days"]
+        assert sorted(set(models)) == ["mA", "mB"]
 
     def test_simulate_alone_scores_only_what_it_needs(self, demo, monkeypatch):
         config = replace(load_config(demo), scenarios=("random", "targeted_degree"))

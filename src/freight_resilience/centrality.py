@@ -10,8 +10,16 @@ The kernels run on dense positions: ``FreightNetwork.dense_adjacency``
 lists each node's neighbours by position, and position order is id
 order, so "ties go to the lower id" is "ties go to the lower position".
 Distances and path counts live in flat lists. One all-sources sweep
-(``_sweep``) runs Brandes' accumulation, a single breadth-first search
-per node, so a run's betweenness scores and rank key come from it.
+(``_sweep``) gives a run's betweenness scores and rank key, and every
+adaptive betweenness re-ranking. It first folds the trees hanging off
+the network into the nodes they hang from (``_peel``): each core node
+gets an integer weight, 1 plus the sizes of the trees folded into it.
+Brandes' accumulation then runs on the core alone, one breadth-first
+search per core node, with source and target counts weighted. The pairs
+that the trees fix are added in closed form: a node v of weight W in a
+component of C nodes, with folded subtrees of sizes c_i, carries
+((C - 1)^2 - sum of c_i^2 - (C - W)^2) / 2 pairs that every shortest
+path routes through it; for a folded node W is its subtree's size.
 Every closeness score and key (``all_scores``, ``closeness_centrality``
 and every adaptive closeness re-ranking) comes from one kernel that
 grows all nodes' balls at once (``_ball_sums``): about diameter rounds
@@ -30,12 +38,12 @@ only once, in the final, exactly rounded conversion of each score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .network import FreightNetwork
 from .tables import write_table
@@ -67,21 +75,28 @@ class CentralityScores:
 
 @dataclass(frozen=True)
 class RankedNodes:
-    """Top-k nodes ordered by non-increasing score, ties by ascending id."""
+    """Top-k nodes ordered by non-increasing score, ties by ascending id.
+
+    ``keys``, when given, are the exact keys the entries were ranked by,
+    one per entry, each rounding to the entry's score. The order is then
+    checked on the keys, since distinct keys can round to one float."""
 
     kind: str
     entries: tuple[tuple[int, int, float], ...]  # (rank, node_id, score)
+    keys: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in CENTRALITY_KINDS:
             raise ValueError(f"kind must be one of {CENTRALITY_KINDS}, got {self.kind!r}")
-        for i, (rank, node, score) in enumerate(self.entries):
+        scores = tuple(score for _, _, score in self.entries)
+        keys = self.keys or scores
+        if len(keys) != len(scores) or any(float(k) != v for k, v in zip(keys, scores)):
+            raise ValueError("keys must round to the entries' scores")
+        for i, (rank, node, _) in enumerate(self.entries):
             if rank != i + 1:
                 raise ValueError("ranks must be 1..k in order")
-            if i:
-                prev = self.entries[i - 1]
-                if score > prev[2] or (score == prev[2] and node < prev[1]):
-                    raise ValueError("entries must be sorted by (-score, id)")
+            if i and (-keys[i], node) < (-keys[i - 1], self.entries[i - 1][1]):
+                raise ValueError("entries must be sorted by (-score, id)")
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -144,40 +159,105 @@ def _ball_sums(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return [(k - 1, t) for k, t in zip(size, total)]
 
 
-def _sweep(adj: Sequence[Sequence[int]], sources: Iterable[int]):
-    """One all-sources pass of Brandes' accumulation.
+def _peel(adj: Sequence[Sequence[int]]):
+    """Fold the trees hanging off dense adjacency ``adj`` into the positions
+    they hang from: repeatedly fold a position with one neighbour left into
+    that neighbour. What is left is the core: every component with a cycle
+    keeps its 2-core, and a component that is a tree keeps one position.
 
-    For one source s, let sigma(v) count the shortest s-v paths, delta(v)
-    be the dependency of s on v, and l be the lcm of sigma over the nodes
-    s reaches. Then omega(v) = l * delta(v) / sigma(v) is an integer:
+    Returns ``(core, weight, squares, folds)``. ``core[v]`` lists v's
+    neighbours in the core, empty for a folded position and for a tree's
+    last position. ``weight[v]`` is 1 plus the sizes of the subtrees
+    folded into v, and ``squares[v]`` the sum of their squared sizes; for
+    a folded position these describe its own subtree. ``folds`` lists
+    (position, the position it folded into) in folding order."""
+    degree = [len(neighbours) for neighbours in adj]
+    weight = [1] * len(adj)
+    squares = [0] * len(adj)
+    folds = []
+    leaves = [v for v, d in enumerate(degree) if d == 1]
+    for x in leaves:  # the leaves list is its own queue
+        if degree[x] != 1:
+            continue  # its last neighbour folded into it: the last of a tree
+        degree[x] = 0
+        p = next(w for w in adj[x] if degree[w])  # folded positions have degree 0
+        folds.append((x, p))
+        weight[p] += weight[x]
+        squares[p] += weight[x] ** 2
+        degree[p] -= 1
+        if degree[p] == 1:
+            leaves.append(p)
+    core = [
+        [w for w in neighbours if degree[w]] if degree[v] else []
+        for v, neighbours in enumerate(adj)
+    ]
+    return core, weight, squares, folds
 
-        omega(v) = sum over successors w of v of (l / sigma(w) + omega(w))
 
-    where w succeeds v when v is one of w's shortest-path predecessors.
-    Each position keeps one int, delta(v) * g = sigma(v) * omega(v) * (g / l),
-    over a common denominator g; when a source's l does not divide g, g
-    grows to lcm(g, l) and every accumulator is rescaled. Returns the
-    accumulators by position and g. Each unordered pair is counted from
-    both endpoints, so betweenness is acc / (2 g).
+def _sweep(adj: Sequence[Sequence[int]]):
+    """Betweenness of every position of dense adjacency ``adj``: Brandes'
+    accumulation over the folded core (``_peel``) plus the pairs the
+    folded trees fix in closed form.
+
+    Core pairs. For core positions a != b, every position of a's trees
+    reaches every position of b's trees along the shortest a-b paths of
+    the core, so a core position v between them carries W(a) W(b) of
+    those pairs, shared as sigma_ab(v) / sigma_ab, where W is the weight.
+    One search per core position s with a core neighbour gives them. Let
+    sigma(v) count the shortest s-v paths, delta(v) be the weighted
+    dependency of s on v, and l be the lcm of sigma over the positions s
+    reaches. Then omega(v) = l * delta(v) / sigma(v) is an integer:
+
+        omega(v) = sum over successors w of v of (l / sigma(w) * W(w) + omega(w))
+
+    where w succeeds v when v is one of w's shortest-path predecessors,
+    and s adds W(s) * delta(v) to v. Each position keeps one int,
+    W(s) * delta(v) * g = W(s) * sigma(v) * omega(v) * (g / l), over a
+    common denominator g; when a source's l does not divide g, g grows to
+    lcm(g, l) and every accumulator is rescaled. Each unordered pair is
+    counted from both endpoints.
+
+    Tree pairs. Every other pair through v has an endpoint in v's folded
+    subtrees, of sizes c_i, and every shortest path of it runs through v.
+    Removing v leaves those subtrees and the rest of its component, of
+    size C - W(v) with C the component's size, and v carries every pair
+    split between two of these parts:
+
+        ((C - 1)**2 - sum of c_i**2 - (C - W(v))**2) / 2
+
+    For a folded position the subtrees are those folded into it and the
+    rest is everything else. These are added as integers times 2 g, so
+    betweenness is acc / (2 g). Returns the accumulators by position and
+    g. No folded position is searched, and neither is the last position
+    of a tree nor one with no neighbours (its accumulator is 0).
     """
+    core, weight, squares, folds = _peel(adj)
+    size = weight[:]  # becomes the size of each position's component
     acc = [0] * len(adj)
     g = 1
-    for s in sources:
-        sigma, order, preds = _bfs_counts(adj, s)
+    for s, neighbours in enumerate(core):
+        if not neighbours:
+            continue
+        sigma, order, preds = _bfs_counts(core, s)
+        size[s] = sum(map(weight.__getitem__, order))
         l = lcm(*map(sigma.__getitem__, order))
         if g % l:
             scale = l // gcd(g, l)
             g *= scale
             acc = [a * scale for a in acc]
-        step = g // l
+        step = g // l * weight[s]
         omega = [0] * len(adj)
-        for w in order[:0:-1]:  # every node but s, farthest first
+        for w in order[:0:-1]:  # every position but s, farthest first
             sw = sigma[w]
             ow = omega[w]
             acc[w] += sw * ow * step
-            ow += l // sw
+            ow += l // sw * weight[w]
             for v in preds[w]:
                 omega[v] += ow
+    for x, p in reversed(folds):
+        size[x] = size[p]
+    for v, (c, w) in enumerate(zip(size, weight)):
+        acc[v] += g * ((c - 1) ** 2 - squares[v] - (c - w) ** 2)
     return acc, g
 
 
@@ -228,7 +308,7 @@ def _exact(net: FreightNetwork, acc: Sequence[int], g: int) -> dict[int, Fractio
 def betweenness_exact(net: FreightNetwork) -> dict[int, Fraction]:
     """Unordered-pair betweenness as exact rationals, from Brandes'
     accumulation in integers (see ``_sweep``)."""
-    return _exact(net, *_sweep(net.dense_adjacency, range(net.node_count)))
+    return _exact(net, *_sweep(net.dense_adjacency))
 
 
 def _betweenness_scores(
@@ -258,7 +338,7 @@ def all_scores(
     and one ball growth, plus the key each kind ranks by: int degree,
     normalized closeness, exact betweenness."""
     n = net.node_count
-    exact = _exact(net, *_sweep(net.dense_adjacency, range(n)))
+    exact = _exact(net, *_sweep(net.dense_adjacency))
     sums = _ball_sums(net.dense_adjacency)
     closeness = _closeness_scores(net, sums, True)
     score_sets = (
@@ -291,7 +371,7 @@ def dense_rank_keys(
         n = len(alive)
         return [_normalized_closeness(n, reach, total) for reach, total in _ball_sums(adj)]
     if kind == "betweenness":
-        return _sweep(adj, alive)[0]
+        return _sweep(adj)[0]
     raise ValueError(f"unknown centrality kind {kind!r}")
 
 
@@ -305,7 +385,9 @@ def rank_mapping(values: Mapping[int, float], k: int, kind: str) -> RankedNodes:
     if not 1 <= k <= len(values):
         raise ValueError(f"k must be in [1, {len(values)}], got {k}")
     top = rank_order(values)[:k]
-    return RankedNodes(kind, tuple((rank, i, float(values[i])) for rank, i in enumerate(top, 1)))
+    keys = tuple(values[i] for i in top)
+    entries = tuple((rank, i, float(key)) for rank, (i, key) in enumerate(zip(top, keys), 1))
+    return RankedNodes(kind, entries, keys)
 
 
 def rank_nodes(scores: CentralityScores, k: int) -> RankedNodes:

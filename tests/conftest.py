@@ -78,6 +78,12 @@ def er_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < p]
 
 
+def tree_edges(first: int, n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Hang each of ids first+1..n from a random lower id: over ids 1..n,
+    ``tree_edges(1, n, rng)`` is a random tree."""
+    return [(rng.randint(1, v - 1), v) for v in range(first + 1, n + 1)]
+
+
 # (n, p, seed) of seeded Erdos-Renyi test graphs, 5 to 30 nodes
 SEEDED_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
     (5 + (s * 7) % 26, p) for s in range(40) for p in (0.1, 0.3, 0.6)
@@ -129,18 +135,27 @@ def rail_density_net() -> FreightNetwork:
 @st.composite
 def mixed_graphs(draw, max_parts: int = 3):
     """Disjoint unions of up to ``max_parts`` parts, each an Erdos-Renyi
-    graph, a grid, a star, a path or a single node. Zero parts give the
+    graph, a grid, a star, a path, a single node, a random tree or an
+    Erdos-Renyi graph with random trees hung off it. Zero parts give the
     empty graph; several give disconnected graphs, isolated nodes
     included. Ids are distinct with gaps and handed out in shuffled
     order, so id order is not construction order."""
     edges: list[tuple[int, int]] = []
     n = 0
-    for shape in draw(st.lists(st.sampled_from(("er", "grid", "star", "path", "single")),
-                               max_size=max_parts)):
+    shapes = ("er", "grid", "star", "path", "single", "tree", "er_trees")
+    for shape in draw(st.lists(st.sampled_from(shapes), max_size=max_parts)):
+        if shape in ("er", "tree", "er_trees"):
+            rng = random.Random(draw(st.integers(0, 2**32)))
         if shape == "er":
             k = draw(st.integers(2, 8))
-            rng = random.Random(draw(st.integers(0, 2**32)))
             part = er_edges(k, draw(st.sampled_from((0.2, 0.4, 0.7))), rng)
+        elif shape == "tree":
+            k = draw(st.integers(2, 12))
+            part = tree_edges(1, k, rng)
+        elif shape == "er_trees":
+            core = draw(st.integers(3, 7))
+            k = core + draw(st.integers(1, 8))
+            part = er_edges(core, draw(st.sampled_from((0.4, 0.7))), rng) + tree_edges(core, k, rng)
         elif shape == "grid":
             rows, cols = draw(st.integers(1, 3)), draw(st.integers(2, 4))
             k, part = rows * cols, list(grid_net(rows, cols).edges)
@@ -289,6 +304,21 @@ def oracle_brandes_fractions(net: FreightNetwork) -> dict[int, Fraction]:
                 bc[w] += delta[w]
     # each unordered pair was counted from both endpoints
     return {i: value / 2 for i, value in bc.items()}
+
+
+def oracle_two_core(adjacency) -> set[int]:
+    """Ids of the 2-core of an id -> neighbour ids mapping: drop every node
+    with fewer than two neighbours left, a whole round at a time, until
+    none is dropped."""
+    adj = {v: set(neighbours) for v, neighbours in adjacency.items()}
+    while True:
+        low = [v for v, neighbours in adj.items() if len(neighbours) < 2]
+        if not low:
+            return set(adj)
+        for v in low:
+            for w in adj.pop(v):
+                if w in adj:
+                    adj[w].discard(v)
 
 
 def oracle_degree(net: FreightNetwork) -> dict[int, int]:

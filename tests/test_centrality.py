@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +21,18 @@ from conftest import (
     oracle_closeness,
     oracle_degree,
     oracle_distance_matrix,
+    oracle_two_core,
     path_net,
     rail_density_net,
     star_net,
+    tree_edges,
 )
+from freight_resilience import centrality
 from freight_resilience.centrality import (
     CentralityScores,
     RankedNodes,
     _ball_sums,
+    _peel,
     _sweep,
     all_scores,
     betweenness_centrality,
@@ -129,7 +134,7 @@ def test_sweep_matches_oracles(net):
     """One sweep gives Brandes' Fractions; ball growth gives every node's
     (reach, sum of distances)."""
     adj = net.dense_adjacency
-    acc, g = _sweep(adj, range(net.node_count))
+    acc, g = _sweep(adj)
     exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
     assert exact == oracle_brandes_fractions(net)
     assert betweenness_exact(net) == exact
@@ -148,10 +153,60 @@ def test_kernels_on_dense_multipath_graphs(build):
     the 5-cube and the rail-density network."""
     net = build()
     adj = net.dense_adjacency
-    acc, g = _sweep(adj, range(net.node_count))
+    acc, g = _sweep(adj)
     exact = {v: Fraction(a, 2 * g) for v, a in zip(net.node_ids, acc)}
     assert exact == oracle_brandes_fractions(net)
     assert _ball_sums(adj) == oracle_sums(net)
+
+
+def forest_net() -> FreightNetwork:
+    """A random 7-node tree, a 5-node star and an isolated node."""
+    star = [(8, v) for v in range(9, 13)]
+    return make_net(13, tree_edges(1, 7, random.Random(4)) + star)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_net(15, tree_edges(1, 15, random.Random(3))),
+        forest_net,
+        lambda: make_net(2, [(1, 2)]),
+        # a 5-cycle with the chain 5-6-7-8 hanging off it
+        lambda: make_net(8, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6), (6, 7), (7, 8)]),
+        lambda: star_net(7),
+    ],
+    ids=["all-tree", "forest", "single-edge", "pendant-chain-off-cycle", "star"],
+)
+def test_folded_shapes_match_oracles(build):
+    net = build()
+    assert betweenness_exact(net) == oracle_brandes_fractions(net) == oracle_betweenness(net)
+
+
+def test_star_folds_into_its_hub():
+    # the hub is the only core node, weighted with every leaf, and has no
+    # core neighbour to search from
+    core, weight, squares, folds = _peel(star_net(7).dense_adjacency)
+    assert core == [[]] * 7
+    assert weight[0] == 7 and squares[0] == 6
+    assert sorted(folds) == [(leaf, 0) for leaf in range(1, 7)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_graphs())
+def test_sweep_searches_only_the_two_core(net):
+    """One search from each position of the 2-core, none from a node of a
+    folded tree."""
+    sources = []
+    search = centrality._bfs_counts
+
+    def counted(adj, source):
+        sources.append(source)
+        return search(adj, source)
+
+    with mock.patch.object(centrality, "_bfs_counts", counted):
+        betweenness_exact(net)
+    core = oracle_two_core(net.adjacency)
+    assert sources == [k for k, v in enumerate(net.node_ids) if v in core]
 
 
 def test_ball_sums_edge_cases():
@@ -329,11 +384,26 @@ class TestRanking:
         with pytest.raises(ValueError, match="kind must be one of"):
             rank_mapping({1: 2, 2: 1}, k=2, kind="hot_days")
 
+    def test_exact_keys_that_round_alike_keep_their_order(self):
+        # both keys round to 1.0; the higher one, node 2, ranks first
+        keys = {1: Fraction(10**17 + 1, 10**17), 2: Fraction(10**17 + 2, 10**17)}
+        ranked = rank_mapping(keys, 2, "betweenness")
+        assert ranked.entries == ((1, 2, 1.0), (2, 1, 1.0))
+        # the same entries without the keys read as a broken id tie
+        with pytest.raises(ValueError, match="sorted"):
+            RankedNodes("betweenness", ranked.entries)
+        with pytest.raises(ValueError, match="sorted"):  # keys in ascending order
+            RankedNodes("betweenness", ranked.entries, (keys[1], keys[2]))
+        with pytest.raises(ValueError, match="round"):
+            RankedNodes("betweenness", ranked.entries, (Fraction(3), Fraction(2)))
+
     def test_ranked_nodes_validates_order(self):
         with pytest.raises(ValueError):
             RankedNodes("degree", ((1, 1, 1.0), (2, 2, 5.0)))  # score increases
         with pytest.raises(ValueError):
             RankedNodes("degree", ((1, 1, 1.0), (3, 2, 0.5)))  # rank gap
+        with pytest.raises(ValueError):
+            RankedNodes("degree", ((1, 3, 2.0), (2, 1, 2.0)))  # tie not by id
 
 
 class TestScoreContainers:

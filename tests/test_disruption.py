@@ -15,6 +15,7 @@ from conftest import (
     oracle_closeness_fractions,
     oracle_degree,
     rail_density_net,
+    tree_edges,
 )
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.disruption import (
@@ -44,6 +45,20 @@ def naive_adaptive_order(net, score_fn):
         order.append(victim)
         remaining.discard(victim)
     return tuple(order)
+
+
+def pendant_heavy_net(name: str) -> FreightNetwork:
+    """``er-with-trees-<seed>``: a sparse Erdos-Renyi core of 4-8 nodes
+    with 6-12 tree nodes hung off it; ``cycle-with-chains``: an 8-cycle
+    with a 3-node chain off every node; ``ladder``: the 2 x 9 grid."""
+    if name == "cycle-with-chains":
+        return make_net(32, [(i, i % 8 + 1) for i in range(1, 9)] + [(v, v + 8) for v in range(1, 25)])
+    if name == "ladder":
+        return grid_net(2, 9)
+    rng = random.Random(int(name.rsplit("-", 1)[1]))
+    core = rng.randint(4, 8)
+    n = core + rng.randint(6, 12)
+    return make_net(n, er_edges(core, 0.5, rng) + tree_edges(core, n, rng))
 
 
 class TestScenarioTables:
@@ -203,6 +218,15 @@ class TestTargetedAdaptive:
         net = rail_density_net()
         got = targeted_sequence(net, kind, mode="adaptive").order
         assert got == naive_adaptive_order(net, oracle)
+
+    @pytest.mark.parametrize(
+        "name", [*(f"er-with-trees-{seed}" for seed in range(6)), "cycle-with-chains", "ladder"]
+    )
+    def test_betweenness_matches_naive_recompute_on_pendant_heavy_graphs(self, name):
+        # the survivors fall apart into trees and paths as nodes go
+        net = pendant_heavy_net(name)
+        got = targeted_sequence(net, "betweenness", mode="adaptive").order
+        assert got == naive_adaptive_order(net, oracle_betweenness)
 
     def test_rebuilds_no_network(self, monkeypatch):
         # survivors are re-ranked on one mutable adjacency: no

@@ -504,8 +504,12 @@ class TestSharedCentrality:
         config = load_config(demo)
         sources = count_searches(monkeypatch)
         run(config)
-        n = load_network(config.nodes, config.edges).node_count
-        assert sorted(sources) == list(range(n))  # one shared sweep
+        net = load_network(config.nodes, config.edges)
+        core = conftest.oracle_two_core(net.adjacency)
+        # one shared sweep, searching once from each position of the
+        # 2-core and never from a node of a tree folded into it
+        assert 0 < len(core) < net.node_count
+        assert sorted(sources) == [k for k, v in enumerate(net.node_ids) if v in core]
 
     def test_static_orders_match_targeted_sequence(self, demo):
         bundle = run(load_config(demo))
@@ -544,14 +548,19 @@ class TestSharedCentrality:
 
     def test_adaptive_search_counts(self, monkeypatch):
         # adaptive closeness grows balls instead of searching; adaptive
-        # betweenness searches once from every survivor before each removal
+        # betweenness searches once from every survivor in the survivors'
+        # 2-core before each removal
         net = rail_density_net()
         sources = count_searches(monkeypatch)
         targeted_sequence(net, "closeness", "adaptive")
         assert sources == []
-        targeted_sequence(net, "betweenness", "adaptive")
-        n = net.node_count
-        assert len(sources) == sum(range(1, n + 1))
+        order = targeted_sequence(net, "betweenness", "adaptive").order
+        alive, expected = set(net.node_ids), 0
+        for victim in order:
+            survivors = {v: [w for w in net.adjacency[v] if w in alive] for v in alive}
+            expected += len(conftest.oracle_two_core(survivors))
+            alive.remove(victim)
+        assert 0 < len(sources) == expected < sum(range(1, net.node_count + 1))
 
 
 class TestAdaptiveRun:

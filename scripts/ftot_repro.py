@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from freight_resilience.centrality import betweenness_exact, rank_mapping
+from freight_resilience.centrality import betweenness_exact, rank_order
 from freight_resilience.disruption import targeted_sequence
 from freight_resilience.metrics import collapse_point, replay
 from freight_resilience.network import average_degree, load_network
@@ -77,11 +77,12 @@ def main(argv=None) -> int:
     )
 
     water_net, _ = curves["water"]
-    ranked = rank_mapping(betweenness_exact(water_net), 5, "betweenness")
+    exact = betweenness_exact(water_net)
+    top = rank_order(exact)[:5]
     print("water betweenness top 5:")
-    for rank, node, score in ranked.entries:
-        print(f"  {rank}. {water_net.node_by_id[node].name} ({score:.1f})")
-    top_name = water_net.node_by_id[ranked.node_ids[0]].name
+    for rank, node in enumerate(top, 1):
+        print(f"  {rank}. {water_net.node_by_id[node].name} ({float(exact[node]):.1f})")
+    top_name = water_net.node_by_id[top[0]].name
     all_ok &= check("top water hub", "new orleans" in top_name.lower(), True)
 
     print("all checks passed" if all_ok else "some checks FAILED")

@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 from .network import FreightNetwork, NodeRecord, average_degree, load_network
 from .centrality import (
     CentralityScores,
-    RankedNodes,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
-    rank_nodes,
 )
 from .climate import (
-    EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
     ensemble_stats,
@@ -40,12 +37,10 @@ from .pipeline import ReportBundle, RunConfig, run
 __all__ = [
     "CentralityScores",
     "CurveEnsemble",
-    "EnsembleSummary",
     "FreightNetwork",
     "HotDayProfile",
     "NodeRecord",
     "PeriodSpec",
-    "RankedNodes",
     "RemovalSequence",
     "ReportBundle",
     "RobustnessCurve",
@@ -62,7 +57,6 @@ __all__ = [
     "hot_day_sequence",
     "load_network",
     "map_nodes_to_grid",
-    "rank_nodes",
     "random_sequence",
     "replay",
     "run",

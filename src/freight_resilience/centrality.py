@@ -38,7 +38,7 @@ only once, in the final, exactly rounded conversion of each score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -71,36 +71,6 @@ class CentralityScores:
                 raise ValueError(f"negative score {value} for node {node}")
             if self.normalized and value > 1:
                 raise ValueError(f"normalized score {value} > 1 for node {node}")
-
-
-@dataclass(frozen=True)
-class RankedNodes:
-    """Top-k nodes ordered by non-increasing score, ties by ascending id.
-
-    ``keys``, when given, are the exact keys the entries were ranked by,
-    one per entry, each rounding to the entry's score. The order is then
-    checked on the keys, since distinct keys can round to one float."""
-
-    kind: str
-    entries: tuple[tuple[int, int, float], ...]  # (rank, node_id, score)
-    keys: tuple = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in CENTRALITY_KINDS:
-            raise ValueError(f"kind must be one of {CENTRALITY_KINDS}, got {self.kind!r}")
-        scores = tuple(score for _, _, score in self.entries)
-        keys = self.keys or scores
-        if len(keys) != len(scores) or any(float(k) != v for k, v in zip(keys, scores)):
-            raise ValueError("keys must round to the entries' scores")
-        for i, (rank, node, _) in enumerate(self.entries):
-            if rank != i + 1:
-                raise ValueError("ranks must be 1..k in order")
-            if i and (-keys[i], node) < (-keys[i - 1], self.entries[i - 1][1]):
-                raise ValueError("entries must be sorted by (-score, id)")
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(node for _, node, _ in self.entries)
 
 
 def _bfs_counts(adj: Sequence[Sequence[int]], source: int):
@@ -380,21 +350,6 @@ def rank_order(keys: Mapping[int, object]) -> tuple[int, ...]:
     return tuple(sorted(keys, key=lambda i: (-keys[i], i)))
 
 
-def rank_mapping(values: Mapping[int, float], k: int, kind: str) -> RankedNodes:
-    """Top-k ids of a centrality kind's score mapping, by ``rank_order``."""
-    if not 1 <= k <= len(values):
-        raise ValueError(f"k must be in [1, {len(values)}], got {k}")
-    top = rank_order(values)[:k]
-    keys = tuple(values[i] for i in top)
-    entries = tuple((rank, i, float(key)) for rank, (i, key) in enumerate(zip(top, keys), 1))
-    return RankedNodes(kind, entries, keys)
-
-
-def rank_nodes(scores: CentralityScores, k: int) -> RankedNodes:
-    """Top-k by descending score; deterministic (ties by ascending node id)."""
-    return rank_mapping(scores.scores, k, scores.kind)
-
-
 def write_scores_csv(all_scores: Sequence[CentralityScores], path) -> None:
     """Export score sets as ``node_id,kind,score,normalized`` rows."""
     rows = (
@@ -405,7 +360,12 @@ def write_scores_csv(all_scores: Sequence[CentralityScores], path) -> None:
     write_table(path, ("node_id", "kind", "score", "normalized"), rows)
 
 
-def write_ranking_csv(ranked: RankedNodes, names: Mapping[int, str], path) -> None:
-    """Export a ranking as ``rank,node_id,name,score`` rows."""
-    rows = ([rank, node, names.get(node, ""), score] for rank, node, score in ranked.entries)
+def write_ranking_csv(
+    order: Sequence[int], keys: Mapping[int, object], names: Mapping[int, str], path
+) -> None:
+    """Export ids in ranking ``order`` as ``rank,node_id,name,score`` rows,
+    each score the float of the id's exact rank key."""
+    rows = (
+        [rank, node, names.get(node, ""), float(keys[node])] for rank, node in enumerate(order, 1)
+    )
     write_table(path, ("rank", "node_id", "name", "score"), rows)

@@ -87,23 +87,6 @@ class SummaryStats:
             raise ValueError("requires min <= mean <= max and sd >= 0")
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Mean/sd/min/max across climate models, keyed per node or per step.
-
-    ``sd`` is the sample standard deviation; with a single model it is
-    reported as 0 and ``single_model`` flags the degenerate case.
-    """
-
-    target: str
-    stats: Mapping[object, SummaryStats]
-    n_models: int
-
-    @property
-    def single_model(self) -> bool:
-        return self.n_models == 1
-
-
 def hot_day_delta(future: HotDayProfile, baseline: HotDayProfile) -> dict[int, int]:
     """Per-node change in hot days, future minus baseline (may be negative)."""
     if future.model != baseline.model:
@@ -133,13 +116,10 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     return SummaryStats(mean=mean, sd=sd, min=lo, max=hi)
 
 
-def ensemble_stats(
-    per_model: Mapping[str, Mapping[int, float]], target: str = "delta_hot_days"
-) -> EnsembleSummary:
-    """Per-node mean/sd/min/max across models.
-
-    All models must cover the same node set. One model is legal: sd is 0
-    and the summary is flagged via ``single_model``.
+def ensemble_stats(per_model: Mapping[str, Mapping[int, float]]) -> dict[int, SummaryStats]:
+    """Per-node mean/sd/min/max across models, ``sd`` the sample standard
+    deviation. All models must cover the same node set. One model is
+    legal: its sd is 0.
     """
     if not per_model:
         raise ValueError("need at least one model")
@@ -148,10 +128,9 @@ def ensemble_stats(
     for m in models[1:]:
         if set(per_model[m]) != node_set:
             raise ValueError(f"model {m!r} covers a different node set")
-    stats = {
+    return {
         node: summarize([float(per_model[m][node]) for m in models]) for node in sorted(node_set)
     }
-    return EnsembleSummary(target=target, stats=stats, n_models=len(models))
 
 
 def top_k_frequency(orders: Sequence[Sequence[int]], k: int) -> dict[int, int]:
@@ -472,8 +451,9 @@ def write_delta_csv(deltas: Mapping[str, Mapping[int, int]], path) -> None:
     write_table(path, _DELTA_HEADER, rows)
 
 
-def write_ensemble_csv(summary: EnsembleSummary, path, key_name: str = "node_id") -> None:
-    """Export an ensemble summary (``<key>,mean,sd,min,max,n_models``)."""
-    stats = sorted(summary.stats.items())
-    rows = ([key, s.mean, s.sd, s.min, s.max, summary.n_models] for key, s in stats)
+def write_ensemble_csv(
+    stats: Mapping[object, SummaryStats], n_models: int, path, key_name: str
+) -> None:
+    """Export per-key ensemble stats (``<key_name>,mean,sd,min,max,n_models``)."""
+    rows = ([key, s.mean, s.sd, s.min, s.max, n_models] for key, s in sorted(stats.items()))
     write_table(path, (key_name, "mean", "sd", "min", "max", "n_models"), rows)

@@ -208,7 +208,6 @@ class CurveEnsemble:
 
     scenario: str
     n_curves: int
-    threshold: float
     scf: Mapping[int, SummaryStats]
     tonnage_fraction: Mapping[int, SummaryStats]
     collapse: SummaryStats | None
@@ -249,7 +248,6 @@ def aggregate_curves(
     return CurveEnsemble(
         scenario=head.scenario,
         n_curves=k,
-        threshold=threshold,
         scf=scf,
         tonnage_fraction=ton,
         collapse=collapse,

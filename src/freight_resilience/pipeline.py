@@ -26,7 +26,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .centrality import (
     all_scores,
-    rank_mapping,
     rank_order,
     write_ranking_csv,
     write_scores_csv,
@@ -36,7 +35,6 @@ from .climate import (
     DEFAULT_THRESHOLD_C,
     FUTURE_FAR,
     FUTURE_NEAR,
-    EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
     count_gridded_series_csv,
@@ -515,10 +513,10 @@ def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     static = {}  # each kind's static removal order, for the simulate stage
     for kind, keys in rank_keys.items():
         name = f"ranking_{kind}.csv"
-        ranked = rank_mapping(keys, net.node_count, kind)
-        write_ranking_csv(ranked, names, rec.path(name))
+        order = rank_order(keys)
+        write_ranking_csv(order, keys, names, rec.path(name))
         rec.add(name)
-        static[f"targeted_{kind}"] = RemovalSequence(f"targeted_{kind}", ranked.node_ids)
+        static[f"targeted_{kind}"] = RemovalSequence(f"targeted_{kind}", order)
     state["static_sequences"] = static
 
 
@@ -579,6 +577,13 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
             raise DataError(
                 f"model {model!r}: profiles missing for {cc.baseline.label} or {target.label}"
             )
+        differing = set(base.counts).symmetric_difference(future.counts)
+        if differing:
+            raise DataError(
+                f"model {model!r}: {cc.baseline.label} and {target.label} {source} cover "
+                f"different nodes, first differing node id {min(differing)}",
+                path=cc.profiles,
+            )
         deltas[model] = hot_day_delta(future, base)
         uncovered = [n for n in net.node_ids if n not in deltas[model]]
         if uncovered:
@@ -595,11 +600,8 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
     write_delta_csv(deltas, rec.path("hotday_deltas.csv"))
     rec.add("hotday_deltas.csv")
 
-    ensemble = ensemble_stats(
-        {m: {n: float(v) for n, v in d.items()} for m, d in deltas.items()},
-        target="delta_hot_days",
-    )
-    write_ensemble_csv(ensemble, rec.path("hotday_ensemble.csv"), key_name="node_id")
+    ensemble = ensemble_stats(deltas)
+    write_ensemble_csv(ensemble, len(models), rec.path("hotday_ensemble.csv"), "node_id")
     rec.add("hotday_ensemble.csv")
 
     sequences = [hot_day_sequence(net, deltas[m], m) for m in models]
@@ -695,8 +697,7 @@ def emit_report(
     for ens in ensembles.values():
         for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
             name = f"ensemble_{target}_{ens.scenario}.csv"
-            summary = EnsembleSummary(target=target, stats=stats, n_models=ens.n_curves)
-            write_ensemble_csv(summary, rec.path(name), key_name="step")
+            write_ensemble_csv(stats, ens.n_curves, rec.path(name), "step")
             rec.add(name)
     write_table(
         rec.path("collapse_ensemble.csv"),
@@ -756,7 +757,7 @@ def _stage_report(config: RunConfig, rec: _Recorder, state: dict) -> None:
     net = state["net"]
     map_points: list[tuple[float, float, float]] = []
     if "hotday_ensemble" in state:
-        stats = state["hotday_ensemble"].stats
+        stats = state["hotday_ensemble"]
         map_points = [
             (node.lon, node.lat, stats[node.id].mean) for node in net.nodes if node.id in stats
         ]
@@ -833,6 +834,9 @@ def report_from_curves(curves_csv, out_dir, threshold: float = DEFAULT_COLLAPSE_
         raise DataError("curves file contains no curves", path=curves_csv)
     by_scenario: dict[str, list[RobustnessCurve]] = {}
     for curve in curves:
+        # a scenario name becomes part of an output file name
+        if curve.scenario not in SCENARIOS:
+            raise DataError(f"unknown scenario {curve.scenario!r}", path=curves_csv)
         group = by_scenario.setdefault(curve.scenario, [])
         head = group[0] if group else curve
         # the ensembles and plots compare curves of one scenario step by step

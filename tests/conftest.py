@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 from freight_resilience import climate, synth
 from freight_resilience.climate import (
     DEFAULT_THRESHOLD_C,
-    EnsembleSummary,
     PeriodSpec,
     summarize,
     write_ensemble_csv,
@@ -433,8 +432,7 @@ def oracle_emit_report(
                 columns = zip(*(getattr(c, target) for c in curves))
                 stats = dict(enumerate(map(summarize, columns)))
                 names.append(f"ensemble_{target}_{scenario}.csv")
-                summary = EnsembleSummary(target=target, stats=stats, n_models=len(curves))
-                write_ensemble_csv(summary, out / names[-1], key_name="step")
+                write_ensemble_csv(stats, len(curves), out / names[-1], "step")
     write_table(
         out / "collapse_ensemble.csv",
         ("scenario", "threshold", "mean", "sd", "min", "max", "n_curves"),

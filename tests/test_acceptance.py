@@ -33,7 +33,7 @@ from freight_resilience.centrality import (
     betweenness_exact,
     closeness_centrality,
     degree_centrality,
-    rank_mapping,
+    rank_order,
 )
 from freight_resilience.climate import (
     BASELINE,
@@ -165,8 +165,8 @@ def test_acceptance_4_star_analytics():
                 "closeness": closeness_centrality(net).scores,
                 "betweenness": betweenness_exact(net),
             }
-            for kind, mapping in scores.items():
-                assert rank_mapping(mapping, 1, kind).node_ids[0] == 1
+            for mapping in scores.values():
+                assert rank_order(mapping)[0] == 1
             curve = replay(net, targeted_sequence(net, "degree"))
             assert collapse_point(curve, 0.10) == (1, 1 / n)
 
@@ -303,7 +303,7 @@ def test_acceptance_8_published_networks():
 
         assert abs(rail_curve.tonnage_fraction[20] - 0.30) <= 0.03
 
-        top = rank_mapping(betweenness_exact(water), 1, "betweenness").node_ids[0]
+        top = rank_order(betweenness_exact(water))[0]
         assert "new orleans" in water.node_by_id[top].name.lower()
 
 

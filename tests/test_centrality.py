@@ -30,7 +30,6 @@ from conftest import (
 from freight_resilience import centrality
 from freight_resilience.centrality import (
     CentralityScores,
-    RankedNodes,
     _ball_sums,
     _peel,
     _sweep,
@@ -39,8 +38,6 @@ from freight_resilience.centrality import (
     betweenness_exact,
     closeness_centrality,
     degree_centrality,
-    rank_mapping,
-    rank_nodes,
     rank_order,
     write_ranking_csv,
     write_scores_csv,
@@ -345,27 +342,29 @@ def test_relabeling_invariance(seed, n):
         assert all(moved[shift[v]] == original[v] for v in original)
 
 
+def ranking_lines(order, keys, tmp_path):
+    path = tmp_path / "ranking.csv"
+    write_ranking_csv(order, keys, {}, path)
+    return path.read_text().splitlines()[1:]
+
+
 class TestRanking:
-    def test_tie_broken_by_ascending_id(self):
-        ranked = rank_mapping({3: 2.0, 1: 2.0, 2: 1.0}, k=2, kind="degree")
-        assert ranked.entries == ((1, 1, 2.0), (2, 3, 2.0))
+    def test_tie_broken_by_ascending_id(self, tmp_path):
+        keys = {3: 2.0, 1: 2.0, 2: 1.0}
+        assert rank_order(keys) == (1, 3, 2)
+        lines = ranking_lines(rank_order(keys), keys, tmp_path)
+        assert lines == ["1,1,,2.0", "2,3,,2.0", "3,2,,1.0"]
 
-    def test_rank_nodes_star(self, star5):
-        ranked = rank_nodes(degree_centrality(star5), k=3)
-        assert ranked.node_ids[0] == 1
-        assert ranked.entries[0][0] == 1
+    def test_star_hub_ranks_first(self, star5):
+        assert rank_order(degree_centrality(star5).scores)[0] == 1
 
-    def test_k_bounds(self, star5):
-        scores = degree_centrality(star5)
-        with pytest.raises(ValueError):
-            rank_nodes(scores, k=0)
-        with pytest.raises(ValueError):
-            rank_nodes(scores, k=6)
-
-    def test_order_independent_of_mapping_insertion(self):
-        a = rank_mapping({1: 1.0, 2: 3.0, 3: 2.0}, k=3, kind="degree")
-        b = rank_mapping({3: 2.0, 2: 3.0, 1: 1.0}, k=3, kind="degree")
-        assert a == b
+    def test_order_independent_of_mapping_insertion(self, tmp_path):
+        a = {1: 1.0, 2: 3.0, 3: 2.0}
+        b = {3: 2.0, 2: 3.0, 1: 1.0}
+        assert rank_order(a) == rank_order(b) == (2, 3, 1)
+        expected = ["1,2,,3.0", "2,3,,2.0", "3,1,,1.0"]
+        assert ranking_lines(rank_order(a), a, tmp_path) == expected
+        assert ranking_lines(rank_order(b), b, tmp_path) == expected
 
     @given(st.dictionaries(st.integers(-50, 50), st.integers(-3, 3)))
     def test_rank_order_is_first_maximum_repeated(self, keys):
@@ -380,30 +379,12 @@ class TestRanking:
         keys = {4: Fraction(1, 3), 2: Fraction(1, 3), 9: 1 / 3, 1: 0}
         assert rank_order(keys) == (2, 4, 9, 1)  # 1/3 rounds down as a float
 
-    def test_hot_days_is_not_a_ranking_kind(self):
-        with pytest.raises(ValueError, match="kind must be one of"):
-            rank_mapping({1: 2, 2: 1}, k=2, kind="hot_days")
-
-    def test_exact_keys_that_round_alike_keep_their_order(self):
-        # both keys round to 1.0; the higher one, node 2, ranks first
+    def test_exact_keys_that_round_alike_keep_their_order(self, tmp_path):
+        # both keys round to 1.0; the higher one, node 2, ranks first, and
+        # the rows keep that order although their scores read as an id tie
         keys = {1: Fraction(10**17 + 1, 10**17), 2: Fraction(10**17 + 2, 10**17)}
-        ranked = rank_mapping(keys, 2, "betweenness")
-        assert ranked.entries == ((1, 2, 1.0), (2, 1, 1.0))
-        # the same entries without the keys read as a broken id tie
-        with pytest.raises(ValueError, match="sorted"):
-            RankedNodes("betweenness", ranked.entries)
-        with pytest.raises(ValueError, match="sorted"):  # keys in ascending order
-            RankedNodes("betweenness", ranked.entries, (keys[1], keys[2]))
-        with pytest.raises(ValueError, match="round"):
-            RankedNodes("betweenness", ranked.entries, (Fraction(3), Fraction(2)))
-
-    def test_ranked_nodes_validates_order(self):
-        with pytest.raises(ValueError):
-            RankedNodes("degree", ((1, 1, 1.0), (2, 2, 5.0)))  # score increases
-        with pytest.raises(ValueError):
-            RankedNodes("degree", ((1, 1, 1.0), (3, 2, 0.5)))  # rank gap
-        with pytest.raises(ValueError):
-            RankedNodes("degree", ((1, 3, 2.0), (2, 1, 2.0)))  # tie not by id
+        assert rank_order(keys) == (2, 1)
+        assert ranking_lines(rank_order(keys), keys, tmp_path) == ["1,2,,1.0", "2,1,,1.0"]
 
 
 class TestScoreContainers:
@@ -432,6 +413,7 @@ class TestCsvExports:
     def test_ranking_csv_shape(self, tmp_path, star5):
         path = tmp_path / "ranking.csv"
         names = {i: f"n{i}" for i in star5.node_ids}
-        write_ranking_csv(rank_nodes(degree_centrality(star5), k=2), names, path)
+        keys = {i: star5.degree(i) for i in star5.node_ids}
+        write_ranking_csv(rank_order(keys)[:2], keys, names, path)
         lines = path.read_text().splitlines()
         assert lines == ["rank,node_id,name,score", "1,1,n1,4.0", "2,2,n2,1.0"]

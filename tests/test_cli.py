@@ -248,6 +248,28 @@ class TestClimateNodeSets:
             in capsys.readouterr().err
         )
 
+    def test_periods_covering_different_nodes_exit_three(self, tmp_path, capsys):
+        # mA's 2021-2050 profile has a node 7 that its baseline lacks
+        data = tmp_path / "data"
+        generate_synthetic(SynthSpec(n_nodes=6, avg_degree=3.0, seed=1, models=()), data)
+        rows = [f"mA,1991-2020,{i},10,35.0" for i in range(1, 7)]
+        rows += [f"mA,2021-2050,{i},{10 + i},35.0" for i in range(1, 8)]
+        header = "model,period_label,node_id,hot_days,threshold_c"
+        (data / "profiles.csv").write_text("\n".join([header, *rows]) + "\n")
+        config = {
+            "nodes": "data/nodes.csv",
+            "edges": "data/edges.csv",
+            "out_dir": "out",
+            "scenarios": ["random", "hot_days"],
+            "climate": {"profiles": "data/profiles.csv"},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        assert (
+            "profiles.csv: model 'mA': 1991-2020 and 2021-2050 profiles cover different "
+            "nodes, first differing node id 7" in capsys.readouterr().err
+        )
+
     def test_same_extra_node_in_every_model_is_kept(self, demo):
         use_model_series(demo, {m: [*range(1, 11), 99] for m in ("mA", "mB")})
         assert main(["run", "--config", str(demo)]) == 0
@@ -278,6 +300,21 @@ class TestReportCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "curves.csv" in err and "mismatched shapes" in err
+
+    def test_unknown_scenario_exit_three_and_writes_nothing(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(
+            "scenario,model,seed,step,node_id,fraction_removed,ff,scf,"
+            "tonnage_fraction,tonnage_fraction_gcc\n"
+            + "".join(
+                f"a/b,,{seed},0,,0.0,2,1.0,1.0,1.0\na/b,,{seed},1,{seed + 1},0.5,1,0.5,0.5,0.5\n"
+                for seed in (0, 1)
+            )
+        )
+        code = main(["report", "--curves", str(curves), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "curves.csv: unknown scenario 'a/b'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_curves_file(self, tmp_path, capsys):
         code = main(

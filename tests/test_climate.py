@@ -21,7 +21,6 @@ from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
     FUTURE_NEAR,
-    EnsembleSummary,
     HotDayProfile,
     PeriodSpec,
     RegularGrid,
@@ -196,16 +195,15 @@ class TestProfilesAndDeltas:
 
 class TestEnsemble:
     def test_two_model_stats(self):
-        summary = ensemble_stats({"a": {1: 10.0}, "b": {1: 20.0}})
-        s = summary.stats[1]
+        s = ensemble_stats({"a": {1: 10.0}, "b": {1: 20.0}})[1]
         assert (s.mean, s.min, s.max) == (15.0, 10.0, 20.0)
         assert s.sd == math.sqrt(50.0)  # sample variance over n-1
-        assert summary.n_models == 2 and not summary.single_model
 
     def test_single_model_sd_zero(self):
-        summary = ensemble_stats({"only": {1: 12.0, 2: 3.0}})
-        assert summary.single_model
-        assert all(s.sd == 0.0 for s in summary.stats.values())
+        stats = ensemble_stats({"only": {1: 12, 2: 3}})
+        assert list(stats) == [1, 2]
+        assert all(s.sd == 0.0 and s.mean == s.min == s.max for s in stats.values())
+        assert all(type(s.min) is float for s in stats.values())  # int counts are floated
 
     def test_node_set_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different node set"):
@@ -222,10 +220,10 @@ class TestEnsemble:
         per_model = {
             f"m{k}": {n: rng.uniform(-40, 120) for n in range(1, 30)} for k in range(8)
         }
-        summary = ensemble_stats(per_model)
+        stats = ensemble_stats(per_model)
         for node in range(1, 30):
             column = np.array([per_model[m][node] for m in sorted(per_model)])
-            s = summary.stats[node]
+            s = stats[node]
             assert abs(s.mean - column.mean()) <= 1e-12 * max(1.0, abs(s.mean))
             assert abs(s.sd - column.std(ddof=1)) <= 1e-9
             assert s.min == column.min() and s.max == column.max()
@@ -747,20 +745,19 @@ class TestProfileCsv:
 
 class TestEnsembleCsv:
     def test_layout_and_float_repr(self, tmp_path):
-        summary = EnsembleSummary(
-            "delta_hot_days",
-            {2: summarize([1.0, 2.0]), 1: summarize([0.25, 0.75])},
-            n_models=2,
-        )
+        stats = {2: summarize([1.0, 2.0]), 1: summarize([0.25, 0.75])}
         path = tmp_path / "ens.csv"
-        write_ensemble_csv(summary, path)
+        write_ensemble_csv(stats, 2, path, "node_id")
         lines = path.read_text().splitlines()
         assert lines[0] == "node_id,mean,sd,min,max,n_models"
         assert lines[1].startswith("1,0.5,")  # keys sorted
         assert lines[2].split(",")[1] == "1.5"
+        assert all(line.endswith(",2") for line in lines[1:])
 
     def test_custom_key_name(self, tmp_path):
-        summary = EnsembleSummary("scf", {0: summarize([1.0])}, n_models=1)
         path = tmp_path / "ens.csv"
-        write_ensemble_csv(summary, path, key_name="step")
-        assert path.read_text().splitlines()[0].startswith("step,")
+        write_ensemble_csv({0: summarize([1.0])}, 1, path, "step")
+        assert path.read_text().splitlines() == [
+            "step,mean,sd,min,max,n_models",
+            "0,1.0,0.0,1.0,1.0,1",
+        ]

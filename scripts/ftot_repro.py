@@ -69,9 +69,10 @@ def main(argv=None) -> int:
         all_ok &= check("targeted-degree collapse fraction", frac, *exp["collapse"])
 
     rail_net, rail_curve = curves["rail"]
+    tonnage = rail_curve.tonnage_fraction
     all_ok &= check(
         "rail tonnage fraction after 20 removals",
-        rail_curve.tonnage_fraction[20],
+        tonnage[20] if len(tonnage) > 20 else float("nan"),  # a network of 20 nodes or fewer
         0.30,
         0.03,
     )

@@ -10,7 +10,8 @@ Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
 distance. They are counted as they are read, never held as rows, and
-large inputs in worker processes, one per usable CPU, at most two.
+inputs of 4 MB or more over byte ranges in the workers of
+``tables.fork_map``, with one date cache per worker.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
 """
@@ -21,12 +22,20 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .network import NodeRecord
-from .tables import read_range, read_table, row_error, split_table, write_table
+from .tables import (
+    fork_map,
+    pool_size,
+    read_range,
+    read_table,
+    row_error,
+    split_table,
+    write_table,
+)
 
 DEFAULT_THRESHOLD_C = 35.0
 
@@ -226,11 +235,9 @@ _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 # Measured on a 2-CPU host, pool start and merge included: 2 workers took
 # 1.26-1.29x the in-process time at 0.5-1 MB, 0.92x at 2 MB and 0.70-0.73x
-# at 4-8 MB, so a smaller input is counted in-process. More workers than 2
-# gained nothing there and each adds about 25 MB, so the count uses at most
-# that many. Each worker gets about _RANGES_PER_WORKER byte ranges.
+# at 4-8 MB, so a smaller input is counted in-process. Each worker gets
+# about _RANGES_PER_WORKER byte ranges.
 _SERIAL_BELOW_BYTES = 4 << 20
-_MAX_WORKERS = 2
 _RANGES_PER_WORKER = 2
 
 
@@ -243,13 +250,16 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
     if not math.isfinite(threshold_c):
         raise ValueError("threshold must be finite")
     paths = list(paths)
-    args = (key_of, len(header), tuple((p.start_year, p.end_year) for p in periods), threshold_c)
+    # the date cache lives for this count: in this process, or in each
+    # worker, which inherits it empty and shares it across its ranges
+    spans = tuple((p.start_year, p.end_year) for p in periods)
+    args = ({}, key_of, len(header), spans, threshold_c)
     series = _count_in_workers(paths, header, args)
     if series is None:
-        series, days = {}, {}
+        series = {}
         for path in paths:
             with read_table(path, header) as records:
-                _tally(records, path, series, days, *args)
+                _tally(records, path, series, *args)
     return {key: tuple(counts) for key, (counts, _) in series.items()}
 
 
@@ -290,48 +300,39 @@ def _tally(records, path, series, days, key_of, width, spans, threshold_c) -> di
 
 def _count_in_workers(paths, header, args, workers=None, range_bytes=None) -> dict | None:
     """``_tally``'s series for the files, counted over line-aligned byte
-    ranges in up to ``workers`` forked processes (default: one per usable
-    CPU, at most ``_MAX_WORKERS``) and merged in range order, so keys keep their order of first
+    ranges by ``fork_map`` in ``workers`` processes (default: ``pool_size``)
+    and merged in range order, so keys keep their order of first
     appearance. Counts add; the day masks of one series must be disjoint.
     None, for the caller to count in-process, where the files are small
     (unless ``range_bytes`` is given) or cannot be split, and after any
     fault, quoted cell or date seen in two ranges: the in-process loop then
     names the first fault in (file, line) order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = workers or min(cpus, _MAX_WORKERS)
-    if workers < 2:
-        return None
     try:
         sizes = [os.path.getsize(path) for path in paths]
     except OSError:
         return None
-    if range_bytes is None:
-        if sum(sizes) < _SERIAL_BELOW_BYTES:
-            return None
-        range_bytes = -(-sum(sizes) // (_RANGES_PER_WORKER * workers))
+    workers = workers or pool_size(sum(sizes), 0 if range_bytes else _SERIAL_BELOW_BYTES)
+    if workers < 2:
+        return None
+    range_bytes = range_bytes or -(-sum(sizes) // (_RANGES_PER_WORKER * workers))
     tasks = []
     for path, size in zip(paths, sizes):
         ranges = split_table(path, header, -(-size // range_bytes))
         if ranges is None:
             return None
         tasks += [(path, start, end) for start, end in ranges]
-    if len(tasks) < 2:
-        return None
-    import multiprocessing  # here, not at the top: the imports cost about 1.5 MB
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    return fork_map(partial(_count_range, args=args), tasks, _merge_counts, workers)
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    fork = multiprocessing.get_context("fork")
-    try:  # a pool that cannot start, or loses a worker, leaves the count to one process
-        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=fork) as pool:
-            parts = list(pool.map(_count_range, *zip(*tasks), repeat(args)))
-    except (OSError, ImportError, BrokenExecutor):
-        return None
+
+def _count_range(path, start, end, args) -> dict:
+    """``_tally`` over one range of ``path``, in a worker process."""
+    with read_range(path, start, end) as records:
+        return _tally(records, path, {}, *args)
+
+
+def _merge_counts(parts) -> dict | None:
     series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     for part in parts:
-        if part is None:
-            return None
         for key, (counts, seen) in part.items():
             total, total_seen = series.setdefault(key, ([0] * len(counts), {}))
             for k, n in enumerate(counts):
@@ -342,16 +343,6 @@ def _count_in_workers(paths, header, args, workers=None, range_bytes=None) -> di
                     return None
                 total_seen[year] = before | mask
     return series
-
-
-def _count_range(path, start, end, args):
-    """``_tally`` over one range of ``path``, in a worker process; None at
-    any fault, which the in-process pass reports."""
-    try:
-        with read_range(path, start, end) as records:
-            return _tally(records, path, {}, {}, *args)
-    except (ValueError, OSError, DataError):
-        return None
 
 
 def _node_key(row: list[str]) -> tuple[str, int]:

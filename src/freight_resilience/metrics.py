@@ -21,17 +21,27 @@ remaining-tonnage column agree bit-for-bit with the closed form
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, count
 from operator import ge, le
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
-from .tables import read_table, render_record, row_error, write_blocks
+from .tables import (
+    fork_map,
+    pool_size,
+    read_range,
+    read_table,
+    render_record,
+    row_error,
+    split_table,
+    write_blocks,
+)
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -79,13 +89,25 @@ class RobustnessCurve:
 
     @cached_property
     def fraction_removed(self) -> tuple[float, ...]:
-        n = self.n_nodes
-        return tuple(j / n for j in range(len(self.ff)))
+        n, steps = self.n_nodes, len(self.ff)
+        return _fractions(n) if steps == n + 1 else tuple(j / n for j in range(steps))
 
     @cached_property
     def scf(self) -> tuple[float, ...]:
         tf = self.tf
         return tuple(f / tf for f in self.ff)
+
+    def __getstate__(self) -> dict:
+        # a copy derives its own columns, so that its fraction_removed is
+        # the tuple its process shares
+        return {k: v for k, v in vars(self).items() if k not in ("fraction_removed", "scf")}
+
+
+@lru_cache(maxsize=4)
+def _fractions(n: int) -> tuple[float, ...]:
+    # j / n for every step of a full curve: one tuple for all the full
+    # curves of a node count
+    return tuple(j / n for j in range(n + 1))
 
 
 def _largest_components(net: FreightNetwork, removed: Sequence[int]) -> list[tuple[int, int]]:
@@ -274,89 +296,201 @@ _CURVE_HEADER = [
 ]
 
 
-def write_curves_csv(curves: Sequence[RobustnessCurve], path) -> None:
-    # a fraction_removed cell depends only on the step and the node count,
-    # and the ff and scf cells only on ff and tf, so each text is built once
-    # per value (scf by the arithmetic of RobustnessCurve.scf); each curve
-    # is one block of records
-    fractions = {n: [repr(j / n) for j in range(n + 1)] for n in {c.n_nodes for c in curves}}
-    ff_scf = {tf: [f"{f},{f / tf!r}" for f in range(tf + 1)] for tf in {c.tf for c in curves}}
+def render_curve(c: RobustnessCurve) -> str:
+    """The records of ``c`` in curves.csv, as one block of text."""
+    head = render_record((c.scenario, c.model, c.seed))
+    ff_text = _ff_scf_texts(c.tf)
+    columns = (
+        ("", *c.order), _fraction_texts(c.n_nodes), c.ff, c.tonnage_fraction, c.tonnage_fraction_gcc
+    )
+    return "".join([
+        f"{head},{j},{v},{x},{ff_text[f]},{t!r},{g!r}\n"
+        for j, v, x, f, t, g in zip(count(), *columns)
+    ])
 
-    def block(c: RobustnessCurve) -> str:
-        head = render_record((c.scenario, c.model, c.seed))
-        ff_text = ff_scf[c.tf]
-        columns = (
-            ("", *c.order), fractions[c.n_nodes], c.ff, c.tonnage_fraction, c.tonnage_fraction_gcc
-        )
-        return "".join([
-            f"{head},{j},{v},{x},{ff_text[f]},{t!r},{g!r}\n"
-            for j, v, x, f, t, g in zip(count(), *columns)
-        ])
 
-    write_blocks(path, _CURVE_HEADER, map(block, curves))
+# a fraction_removed cell depends only on the step and the node count, and
+# the ff and scf cells only on ff and tf, so each text is built once per
+# value (scf by the arithmetic of RobustnessCurve.scf)
+@lru_cache(maxsize=4)
+def _fraction_texts(n: int) -> tuple[str, ...]:
+    return tuple(map(repr, _fractions(n)))
+
+
+@lru_cache(maxsize=4)
+def _ff_scf_texts(tf: int) -> tuple[str, ...]:
+    return tuple(f"{f},{f / tf!r}" for f in range(tf + 1))
+
+
+def write_curve_blocks(blocks: Iterable[str], path) -> None:
+    """Write curves.csv from blocks of records made by ``render_curve``."""
+    write_blocks(path, _CURVE_HEADER, blocks)
+
+
+def write_curves_csv(curves: Iterable[RobustnessCurve], path) -> None:
+    write_curve_blocks(map(render_curve, curves), path)
+
+
+# Measured on a 2-CPU host, pool start included, on files of 2,000-node
+# trials (medians of 7 runs): 2 workers took 1.6x the in-process time at
+# 2.9 MB, 1.4x at 4.5 MB, 1.1x at 6.8 and 9 MB and 0.7x at 11 and 15 MB, so
+# a smaller file is read in-process. Each worker gets about
+# _RANGES_PER_WORKER byte ranges: 4, 16, 32 and 64 took the same time
+# within the host's noise at 15 MB.
+_SERIAL_BELOW_BYTES = 10 << 20
+_RANGES_PER_WORKER = 4
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:
     """Rebuild curves from a curves CSV (rows grouped per curve, in step
     order, as written by write_curves_csv).
 
-    A fault in one row raises DataError at its line; a fault in a whole
-    curve (its values disagree with each other) names the curve.
+    A fault in one row raises DataError at its line, as does a row that
+    takes up a curve again after another curve's rows; a fault in a whole
+    curve (its values disagree with each other) names the curve. Each
+    curve is built as soon as its rows end, in file order. A large file is
+    read over byte ranges in worker processes, with the same curves and
+    errors.
 
     The file holds no node count: ``n_nodes`` is 1 / the step-1
     ``fraction_removed``. A curve with no removals has no step 1 and
     reads back with ``n_nodes = tf``, short of the network's node count
     when the largest component is smaller than the network.
     """
-    # (scenario, model, seed cells) -> seed and the columns as read:
-    # order, fraction_removed, ff, scf, tonnage_fraction, tonnage_fraction_gcc
-    groups: dict[tuple[str, str, str], tuple] = {}
-    key = None
-    with read_table(path, _CURVE_HEADER) as records:
-        for lineno, row in records:
-            try:
-                (scenario, model, seed, step, node,
-                 frac_cell, ff_cell, scf_cell, ton_cell, gcc_cell) = row
-                if (scenario, model, seed) != key:
-                    key = (scenario, model, seed)
-                    if key not in groups:
-                        groups[key] = (int(seed) if seed else None, [], [], [], [], [], [])
-                    _, order, frac, ff, scf, ton, gcc = groups[key]
-                step = int(step)
-                if step != len(ff):
-                    expected = "a step-0 row" if not ff else f"step {len(ff)}"
-                    raise ValueError(f"step {step} where the curve needs {expected}")
-                if step:
-                    if not node:
-                        raise ValueError(f"step {step} names no removed node_id")
-                    order.append(int(node))
-                elif node:
-                    raise ValueError("the step-0 row must leave node_id blank")
-                frac.append(float(frac_cell))
-                ff.append(int(ff_cell))
-                scf.append(float(scf_cell))
-                ton.append(float(ton_cell))
-                gcc.append(float(gcc_cell))
-            except ValueError as exc:
-                raise row_error(exc, row, len(_CURVE_HEADER), path, lineno) from exc
-    curves = []
-    for key in list(groups):
-        # drop each curve's lists once it is built, so they and the
-        # curves never all coexist
-        scenario, model, seed_cell = key
-        seed, order, frac, ff, scf, ton, gcc = groups.pop(key)
-        try:
-            if len(frac) > 1 and not frac[1] > 0.0:
-                raise ValueError("step 1 fraction_removed must be positive")
-            n_nodes = round(1 / frac[1]) if len(frac) > 1 else ff[0]
-            columns = map(tuple, (order, ff, ton, gcc))
-            curve = RobustnessCurve(scenario, model or None, seed, n_nodes, ff[0], *columns)
-            if tuple(frac) != curve.fraction_removed:
-                raise ValueError("fraction_removed is not step/n_nodes")
-            if tuple(scf) != curve.scf:
-                raise ValueError("scf is not ff/tf")
-        except (ValueError, OverflowError) as exc:  # overflow: a subnormal step-1 fraction
-            raise DataError(f"curve {scenario!r}/{model!r}/{seed_cell!r}: {exc}", path=path) from exc
-        curves.append(curve)
+    curves = _read_in_workers(path)
+    if curves is None:
+        with read_table(path, _CURVE_HEADER) as records:
+            curves = [_build_curve(run, path) for run in _curve_runs(records, path)]
     return curves
 
+
+def _curve_runs(records, path, resumed: bool = False) -> Iterator[tuple]:
+    """The runs of rows of one curve each in ``records``, each yielded once
+    the next run begins or the records end, as ``(key, seed, start,
+    columns)``: the (scenario, model, seed) cells, the seed, the step of
+    the run's first row and the columns as read (order, fraction_removed,
+    ff, scf, tonnage_fraction, tonnage_fraction_gcc). Steps run on from
+    ``start``, which is 0 except for the first run of a ``resumed`` range of
+    the file. A row fault, and a key that an earlier run had, raise
+    DataError at the row's line."""
+    seen = set()
+    key = run = None
+    for lineno, row in records:
+        try:
+            (scenario, model, seed, step, node,
+             frac_cell, ff_cell, scf_cell, ton_cell, gcc_cell) = row
+            if (scenario, model, seed) != key:
+                if run is not None:
+                    yield run
+                key = (scenario, model, seed)
+                if key in seen:
+                    raise ValueError(
+                        f"curve {scenario!r}/{model!r}/{seed!r} resumes after another curve's rows"
+                    )
+                seen.add(key)
+                start = int(step) if resumed and run is None else 0
+                order, frac, ff, scf, ton, gcc = columns = ([], [], [], [], [], [])
+                run = (key, int(seed) if seed else None, start, columns)
+            step = int(step)
+            if step != start + len(ff):
+                expected = f"step {start + len(ff)}" if ff else "a step-0 row"
+                raise ValueError(f"step {step} where the curve needs {expected}")
+            if step:
+                if not node:
+                    raise ValueError(f"step {step} names no removed node_id")
+                order.append(int(node))
+            elif node:
+                raise ValueError("the step-0 row must leave node_id blank")
+            frac.append(float(frac_cell))
+            ff.append(int(ff_cell))
+            scf.append(float(scf_cell))
+            ton.append(float(ton_cell))
+            gcc.append(float(gcc_cell))
+        except ValueError as exc:
+            raise row_error(exc, row, len(_CURVE_HEADER), path, lineno) from exc
+    if run is not None:
+        yield run
+
+
+def _build_curve(run: tuple, path) -> RobustnessCurve:
+    """The curve of one whole run from ``_curve_runs``, checked against the
+    fraction_removed and scf cells as read."""
+    (scenario, model, seed_cell), seed, _, (order, frac, ff, scf, ton, gcc) = run
+    try:
+        if len(frac) > 1 and not frac[1] > 0.0:
+            raise ValueError("step 1 fraction_removed must be positive")
+        n_nodes = round(1 / frac[1]) if len(frac) > 1 else ff[0]
+        columns = map(tuple, (order, ff, ton, gcc))
+        curve = RobustnessCurve(scenario, model or None, seed, n_nodes, ff[0], *columns)
+        if tuple(frac) != curve.fraction_removed:
+            raise ValueError("fraction_removed is not step/n_nodes")
+        if tuple(scf) != curve.scf:
+            raise ValueError("scf is not ff/tf")
+    except (ValueError, OverflowError) as exc:  # overflow: a subnormal step-1 fraction
+        raise DataError(f"curve {scenario!r}/{model!r}/{seed_cell!r}: {exc}", path=path) from exc
+    return curve
+
+
+def _read_in_workers(path) -> list[RobustnessCurve] | None:
+    """``read_curves_csv`` over line-aligned byte ranges of ``path``, read by
+    ``fork_map``; None, for the caller to read in-process, where the file is
+    small or missing, cannot be split or has a quoted cell, and after any
+    fault."""
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return None
+    workers = pool_size(size, _SERIAL_BELOW_BYTES)
+    if workers < 2:
+        return None
+    ranges = split_table(path, _CURVE_HEADER, _RANGES_PER_WORKER * workers)
+    if ranges is None:
+        return None
+    return fork_map(partial(_read_range, path), ranges, partial(_join_ranges, path), workers)
+
+
+def _read_range(path, start: int, end: int) -> tuple:
+    """The runs of one range of a curves file, in a worker process: its
+    first and last runs as read, since the ranges around it may hold more
+    of their rows (the last is None where the first is the only run), and
+    the curves of the runs between them."""
+    with read_range(path, start, end) as records:
+        runs = _curve_runs(records, path, resumed=True)
+        head, curves, tail = next(runs), [], None
+        for run in runs:
+            if tail is not None:
+                curves.append(_build_curve(tail, path))
+            tail = run
+    return head, curves, tail
+
+
+def _join_ranges(path, parts: Iterator[tuple]) -> list[RobustnessCurve] | None:
+    """The curves of the ranges' ``_read_range`` parts, in file order, each
+    run cut by a range end joined up again; None where a cut run does not
+    continue in the next range, a curve fails its checks or two curves have
+    one key."""
+    curves, pending = [], None
+    try:
+        for head, built, tail in parts:
+            key, _, start, columns = head
+            if pending is not None and pending[0] == key:
+                if start != len(pending[3][2]):
+                    return None
+                for mine, more in zip(pending[3], columns):
+                    mine.extend(more)
+            else:
+                if pending is not None:
+                    curves.append(_build_curve(pending, path))
+                if start:
+                    return None
+                pending = head
+            if tail is not None:
+                curves.append(_build_curve(pending, path))
+                curves += built
+                pending = tail
+        curves.append(_build_curve(pending, path))
+    except DataError:
+        return None
+    if len({(c.scenario, c.model, c.seed) for c in curves}) < len(curves):
+        return None
+    return curves

@@ -322,6 +322,20 @@ class TestReportCommand:
         )
         assert code == 3
 
+    def test_curve_resumed_after_another_exits_three(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(
+            "scenario,model,seed,step,node_id,fraction_removed,ff,scf,"
+            "tonnage_fraction,tonnage_fraction_gcc\n"
+            "random,,1,0,,0.0,2,1.0,1.0,1.0\n"
+            "random,,2,0,,0.0,2,1.0,1.0,1.0\n"
+            "random,,1,1,1,0.5,1,0.5,0.5,0.5\n"
+            "random,,2,1,2,0.5,1,0.5,0.5,0.5\n"
+        )
+        code = main(["report", "--curves", str(curves), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "curves.csv:4: curve 'random'/''/'1' resumes" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_generates_dataset(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import tempfile
 import tracemalloc
@@ -458,6 +459,35 @@ class TestCurvesCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             read_curves_csv(tmp_path / "none.csv")
+
+    def test_curve_resumed_after_another_curve_names_its_line(self, tmp_path):
+        # two 2-step curves whose rows alternate: write_curves_csv never
+        # writes this, and the rows are not joined up again
+        path = tmp_path / "curves.csv"
+        path.write_text(
+            ",".join(_CURVE_HEADER) + "\n"
+            "random,,1,0,,0.0,2,1.0,1.0,1.0\n"
+            "random,,2,0,,0.0,2,1.0,1.0,1.0\n"
+            "random,,1,1,1,0.5,1,0.5,0.5,0.5\n"
+            "random,,2,1,2,0.5,1,0.5,0.5,0.5\n"
+        )
+        message = r"curves\.csv:4: curve 'random'/''/'1' resumes after another curve's rows"
+        with pytest.raises(DataError, match=message):
+            read_curves_csv(path)
+
+    def test_curves_of_one_node_count_share_fraction_removed(self, tmp_path):
+        net = make_net(30, er_edges(30, 0.1, random.Random(3)))
+        full = [replay(net, random_sequence(net, s)) for s in range(3)]
+        partial = replay(net, RemovalSequence("random", full[0].order[:7], seed=9))
+        path = tmp_path / "curves.csv"
+        write_curves_csv([*full, partial], path)
+        copies = pickle.loads(pickle.dumps([*full, partial]))
+        for curves in (full + [partial], read_curves_csv(path), copies):
+            *whole, part = curves
+            assert whole[0].fraction_removed is full[0].fraction_removed
+            assert all(c.fraction_removed is whole[0].fraction_removed for c in whole)
+            assert whole[0].fraction_removed == tuple(j / 30 for j in range(31))
+            assert part.fraction_removed == tuple(j / 30 for j in range(8))
 
 
 def write_edited_curve(path, edits):

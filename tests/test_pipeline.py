@@ -741,12 +741,12 @@ class TestMalformedInputs:
 # module -> the only package files that may import it: every CSV table
 # goes through one dialect module, exact rationals stay in the one kernel
 # that needs them (replay and the per-step paths use plain ints), and only
-# the climate counter starts worker processes
+# the one fork pool, tables.fork_map, starts worker processes
 IMPORT_OWNERS = {
     "csv": ["tables.py"],
     "fractions": ["centrality.py"],
-    "multiprocessing": ["climate.py"],
-    "concurrent": ["climate.py"],
+    "multiprocessing": ["tables.py"],
+    "concurrent": ["tables.py"],
 }
 
 

@@ -37,18 +37,22 @@ def test_run_demo_prints_the_collapse_table(tmp_path, capsys):
     assert (tmp_path / "out" / "collapse.csv").is_file()
 
 
-@pytest.fixture
-def ftot_stand_ins(tmp_path):
+def write_ftot_stand_ins(root, rail_nodes):
     """Synthetic networks in the FTOT export layout (``<mode>_nodes.csv``,
-    ``<mode>_edges.csv``); the rail one is large enough for the
-    20-removal tonnage check."""
-    for mode, n_nodes, degree in (("rail", 30, 6.0), ("water", 12, 3.0)):
-        staging = tmp_path / mode
+    ``<mode>_edges.csv``): ``rail_nodes`` rail nodes and 12 water nodes."""
+    for mode, n_nodes, degree in (("rail", rail_nodes, 6.0), ("water", 12, 3.0)):
+        staging = root / mode
         spec = SynthSpec(n_nodes=n_nodes, avg_degree=degree, seed=3, mode=mode, models=())
         paths = generate_synthetic(spec, staging)
         for role in ("nodes", "edges"):
-            paths[role].rename(tmp_path / f"{mode}_{role}.csv")
-    return tmp_path
+            paths[role].rename(root / f"{mode}_{role}.csv")
+    return root
+
+
+@pytest.fixture
+def ftot_stand_ins(tmp_path):
+    # the rail network is large enough for the 20-removal tonnage check
+    return write_ftot_stand_ins(tmp_path, 30)
 
 
 def test_ftot_repro_runs_on_stand_ins(ftot_stand_ins, capsys):
@@ -64,3 +68,15 @@ def test_ftot_repro_runs_on_stand_ins(ftot_stand_ins, capsys):
         for rank, node in enumerate(rank_order(exact)[:5], 1)
     ]
     assert out[out.index("water betweenness top 5:"):].splitlines()[1:6] == expected
+
+
+def test_ftot_repro_fails_the_tonnage_check_on_a_small_rail_network(tmp_path, capsys):
+    # 12 rail nodes allow only 12 removals: the check after 20 fails, and
+    # the other checks still run
+    ftot_repro = load_script("ftot_repro")
+    assert ftot_repro.main([str(write_ftot_stand_ins(tmp_path, 12))]) == 1
+    out = capsys.readouterr().out
+    check = re.search(r"^  rail tonnage fraction after 20 removals +measured (.*)$", out, re.M)
+    assert check and check[1].startswith("nan ") and check[1].endswith("[MISMATCH]")
+    assert "water betweenness top 5:" in out
+    assert out.rstrip().endswith("some checks FAILED")

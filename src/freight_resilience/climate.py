@@ -10,8 +10,8 @@ Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
 distance. They are counted as they are read, never held as rows, and
-inputs of 4 MB or more over byte ranges in the workers of
-``tables.fork_map``, with one date cache per worker.
+inputs of 4 MB or more over byte ranges in worker processes
+(``tables.map_ranges``), with one date cache per worker.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
 """
@@ -19,23 +19,13 @@ models with shortened calendars are compared via period totals.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .network import NodeRecord
-from .tables import (
-    fork_map,
-    pool_size,
-    read_range,
-    read_table,
-    row_error,
-    split_table,
-    write_table,
-)
+from .tables import map_ranges, read_table, row_error, write_table
 
 DEFAULT_THRESHOLD_C = 35.0
 
@@ -244,9 +234,10 @@ _RANGES_PER_WORKER = 2
 def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
     row's series key from the columns before the last two (date, tmax), and
-    checks the row's width. Large inputs are counted over byte ranges in
-    worker processes (``_count_in_workers``); what they cannot settle is
-    counted here by the same loop, ``_tally``, which raises every error."""
+    checks the row's width. Large inputs are counted over line-aligned byte
+    ranges in worker processes (``tables.map_ranges``) and merged in range
+    order (``_merge_counts``); what they cannot settle is counted here by the
+    same loop, ``_tally``, which raises every error."""
     if not math.isfinite(threshold_c):
         raise ValueError("threshold must be finite")
     paths = list(paths)
@@ -254,7 +245,14 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
     # worker, which inherits it empty and shares it across its ranges
     spans = tuple((p.start_year, p.end_year) for p in periods)
     args = ({}, key_of, len(header), spans, threshold_c)
-    series = _count_in_workers(paths, header, args)
+    series = map_ranges(
+        lambda records, path: _tally(records, path, {}, *args),
+        paths,
+        header,
+        _merge_counts,
+        _SERIAL_BELOW_BYTES,
+        _RANGES_PER_WORKER,
+    )
     if series is None:
         series = {}
         for path in paths:
@@ -298,39 +296,11 @@ def _tally(records, path, series, days, key_of, width, spans, threshold_c) -> di
     return series
 
 
-def _count_in_workers(paths, header, args, workers=None, range_bytes=None) -> dict | None:
-    """``_tally``'s series for the files, counted over line-aligned byte
-    ranges by ``fork_map`` in ``workers`` processes (default: ``pool_size``)
-    and merged in range order, so keys keep their order of first
-    appearance. Counts add; the day masks of one series must be disjoint.
-    None, for the caller to count in-process, where the files are small
-    (unless ``range_bytes`` is given) or cannot be split, and after any
-    fault, quoted cell or date seen in two ranges: the in-process loop then
-    names the first fault in (file, line) order."""
-    try:
-        sizes = [os.path.getsize(path) for path in paths]
-    except OSError:
-        return None
-    workers = workers or pool_size(sum(sizes), 0 if range_bytes else _SERIAL_BELOW_BYTES)
-    if workers < 2:
-        return None
-    range_bytes = range_bytes or -(-sum(sizes) // (_RANGES_PER_WORKER * workers))
-    tasks = []
-    for path, size in zip(paths, sizes):
-        ranges = split_table(path, header, -(-size // range_bytes))
-        if ranges is None:
-            return None
-        tasks += [(path, start, end) for start, end in ranges]
-    return fork_map(partial(_count_range, args=args), tasks, _merge_counts, workers)
-
-
-def _count_range(path, start, end, args) -> dict:
-    """``_tally`` over one range of ``path``, in a worker process."""
-    with read_range(path, start, end) as records:
-        return _tally(records, path, {}, *args)
-
-
 def _merge_counts(parts) -> dict | None:
+    """The workers' series merged in range order, so keys keep their order
+    of first appearance: counts add, and a series' day masks must be
+    disjoint. None where a date is seen in two ranges, for the in-process
+    loop to name the first repeat in (file, line) order."""
     series: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     for part in parts:
         for key, (counts, seen) in part.items():
@@ -385,11 +355,12 @@ def count_gridded_series_csv(
     paths = list(paths)
     header = ("model", "lat", "lon", "date", "tmax_c")
     cells = _count_rows(paths, header, _cell_key, periods, threshold_c)
+    files = ", ".join(map(str, paths))
     try:  # an empty or irregular grid, or a node outside it
         grid = RegularGrid(*(tuple(sorted({key[i] for key in cells})) for i in (1, 2)))
         mapping = map_nodes_to_grid(nodes, grid)
     except ValueError as exc:
-        raise DataError(str(exc), path=", ".join(map(str, paths))) from exc
+        raise DataError(str(exc), path=files) from exc
     models = sorted({model for model, _, _ in cells})
     out = {}
     for node in nodes:
@@ -397,7 +368,8 @@ def count_gridded_series_csv(
         for model in models:
             counts = cells.get((model, lat, lon))
             if counts is None:
-                raise DataError(f"no series for model {model!r} at grid cell ({lat}, {lon})")
+                message = f"no series for model {model!r} at grid cell ({lat}, {lon})"
+                raise DataError(message, path=files)
             out[(model, node.id)] = counts
     return out
 

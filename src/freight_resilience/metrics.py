@@ -16,14 +16,17 @@ per step. Tonnages are integers over one common power-of-two denominator
 column is one correctly rounded int / int division, which makes the
 remaining-tonnage column agree bit-for-bit with the closed form
 1 - removed/total.
+
+curves.csv holds one run of rows per curve. A large file is read in
+worker processes over byte ranges cut only between curves
+(``tables.map_ranges``), so each worker builds whole curves.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from operator import ge, le
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,16 +35,7 @@ from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
-from .tables import (
-    fork_map,
-    pool_size,
-    read_range,
-    read_table,
-    render_record,
-    row_error,
-    split_table,
-    write_blocks,
-)
+from .tables import map_ranges, read_table, render_record, row_error, write_blocks
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -349,30 +343,42 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
     takes up a curve again after another curve's rows; a fault in a whole
     curve (its values disagree with each other) names the curve. Each
     curve is built as soon as its rows end, in file order. A large file is
-    read over byte ranges in worker processes, with the same curves and
-    errors.
+    read in worker processes over byte ranges that each hold whole curves,
+    with the same curves and errors.
 
     The file holds no node count: ``n_nodes`` is 1 / the step-1
     ``fraction_removed``. A curve with no removals has no step 1 and
     reads back with ``n_nodes = tf``, short of the network's node count
     when the largest component is smaller than the network.
     """
-    curves = _read_in_workers(path)
+    curves = map_ranges(
+        _read_curves,
+        [path],
+        _CURVE_HEADER,
+        _join_ranges,
+        _SERIAL_BELOW_BYTES,
+        _RANGES_PER_WORKER,
+        key_cells=3,
+    )
     if curves is None:
         with read_table(path, _CURVE_HEADER) as records:
-            curves = [_build_curve(run, path) for run in _curve_runs(records, path)]
+            curves = _read_curves(records, path)
     return curves
 
 
-def _curve_runs(records, path, resumed: bool = False) -> Iterator[tuple]:
+def _read_curves(records, path) -> list[RobustnessCurve]:
+    """The curves of ``records``, a whole curves file or, in a worker
+    process, one of its ranges, which starts at a curve's step-0 row."""
+    return [_build_curve(run, path) for run in _curve_runs(records, path)]
+
+
+def _curve_runs(records, path) -> Iterator[tuple]:
     """The runs of rows of one curve each in ``records``, each yielded once
-    the next run begins or the records end, as ``(key, seed, start,
-    columns)``: the (scenario, model, seed) cells, the seed, the step of
-    the run's first row and the columns as read (order, fraction_removed,
-    ff, scf, tonnage_fraction, tonnage_fraction_gcc). Steps run on from
-    ``start``, which is 0 except for the first run of a ``resumed`` range of
-    the file. A row fault, and a key that an earlier run had, raise
-    DataError at the row's line."""
+    the next run begins or the records end, as ``(key, seed, columns)``: the
+    (scenario, model, seed) cells, the seed and the columns as read (order,
+    fraction_removed, ff, scf, tonnage_fraction, tonnage_fraction_gcc),
+    whose steps run from 0. A row fault, and a key that an earlier run had,
+    raise DataError at the row's line."""
     seen = set()
     key = run = None
     for lineno, row in records:
@@ -388,12 +394,11 @@ def _curve_runs(records, path, resumed: bool = False) -> Iterator[tuple]:
                         f"curve {scenario!r}/{model!r}/{seed!r} resumes after another curve's rows"
                     )
                 seen.add(key)
-                start = int(step) if resumed and run is None else 0
                 order, frac, ff, scf, ton, gcc = columns = ([], [], [], [], [], [])
-                run = (key, int(seed) if seed else None, start, columns)
+                run = (key, int(seed) if seed else None, columns)
             step = int(step)
-            if step != start + len(ff):
-                expected = f"step {start + len(ff)}" if ff else "a step-0 row"
+            if step != len(ff):
+                expected = f"step {len(ff)}" if ff else "a step-0 row"
                 raise ValueError(f"step {step} where the curve needs {expected}")
             if step:
                 if not node:
@@ -415,7 +420,7 @@ def _curve_runs(records, path, resumed: bool = False) -> Iterator[tuple]:
 def _build_curve(run: tuple, path) -> RobustnessCurve:
     """The curve of one whole run from ``_curve_runs``, checked against the
     fraction_removed and scf cells as read."""
-    (scenario, model, seed_cell), seed, _, (order, frac, ff, scf, ton, gcc) = run
+    (scenario, model, seed_cell), seed, (order, frac, ff, scf, ton, gcc) = run
     try:
         if len(frac) > 1 and not frac[1] > 0.0:
             raise ValueError("step 1 fraction_removed must be positive")
@@ -431,66 +436,11 @@ def _build_curve(run: tuple, path) -> RobustnessCurve:
     return curve
 
 
-def _read_in_workers(path) -> list[RobustnessCurve] | None:
-    """``read_curves_csv`` over line-aligned byte ranges of ``path``, read by
-    ``fork_map``; None, for the caller to read in-process, where the file is
-    small or missing, cannot be split or has a quoted cell, and after any
-    fault."""
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return None
-    workers = pool_size(size, _SERIAL_BELOW_BYTES)
-    if workers < 2:
-        return None
-    ranges = split_table(path, _CURVE_HEADER, _RANGES_PER_WORKER * workers)
-    if ranges is None:
-        return None
-    return fork_map(partial(_read_range, path), ranges, partial(_join_ranges, path), workers)
-
-
-def _read_range(path, start: int, end: int) -> tuple:
-    """The runs of one range of a curves file, in a worker process: its
-    first and last runs as read, since the ranges around it may hold more
-    of their rows (the last is None where the first is the only run), and
-    the curves of the runs between them."""
-    with read_range(path, start, end) as records:
-        runs = _curve_runs(records, path, resumed=True)
-        head, curves, tail = next(runs), [], None
-        for run in runs:
-            if tail is not None:
-                curves.append(_build_curve(tail, path))
-            tail = run
-    return head, curves, tail
-
-
-def _join_ranges(path, parts: Iterator[tuple]) -> list[RobustnessCurve] | None:
-    """The curves of the ranges' ``_read_range`` parts, in file order, each
-    run cut by a range end joined up again; None where a cut run does not
-    continue in the next range, a curve fails its checks or two curves have
-    one key."""
-    curves, pending = [], None
-    try:
-        for head, built, tail in parts:
-            key, _, start, columns = head
-            if pending is not None and pending[0] == key:
-                if start != len(pending[3][2]):
-                    return None
-                for mine, more in zip(pending[3], columns):
-                    mine.extend(more)
-            else:
-                if pending is not None:
-                    curves.append(_build_curve(pending, path))
-                if start:
-                    return None
-                pending = head
-            if tail is not None:
-                curves.append(_build_curve(pending, path))
-                curves += built
-                pending = tail
-        curves.append(_build_curve(pending, path))
-    except DataError:
-        return None
+def _join_ranges(parts: Iterator[list[RobustnessCurve]]) -> list[RobustnessCurve] | None:
+    """The curves of the ranges, in file order; None where two curves share
+    a key, as where one curve's rows resume after another's, for the
+    in-process reader to name the line."""
+    curves = [curve for part in parts for curve in part]
     if len({(c.scenario, c.model, c.seed) for c in curves}) < len(curves):
         return None
     return curves

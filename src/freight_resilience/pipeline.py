@@ -498,7 +498,7 @@ def _stage_ingest(config: RunConfig, rec: _Recorder, state: dict) -> None:
     if config.mode is not None:
         net = filter_mode(net, config.mode)
     if net.node_count == 0:
-        raise DataError(f"no nodes remain after filtering mode={config.mode!r}")
+        raise DataError(f"no nodes remain after filtering mode={config.mode!r}", path=config.nodes)
     save_network(net, rec.path("network_nodes.csv"), rec.path("network_edges.csv"))
     rec.add("network_nodes.csv")
     rec.add("network_edges.csv")
@@ -552,19 +552,18 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
             for prof in read_profiles_csv(cc.profiles, cc.periods())
             if prof.threshold_c == cc.threshold_c  # other thresholds are not ours
         }
-        source, where = "profiles", f" at threshold {cc.threshold_c}"
-        empty = f"{cc.profiles}: no profiles{where}"
+        source, where, inputs = "profiles", f" at threshold {cc.threshold_c}", cc.profiles
     else:
         profiles = _count_profiles(cc, net)
         source, where = "daily series", ""
-        empty = "no daily series found in the climate inputs"
+        inputs = ", ".join(cc.series or cc.grid_series)
     found = sorted({model for model, _ in profiles})
     if not found:
-        raise DataError(empty)
+        raise DataError(f"no {source}{where}", path=inputs)
     models = sorted(cc.models) if cc.models else found
     missing = sorted(set(models) - set(found))
     if missing:
-        raise DataError(f"no {source} for model(s) {missing}{where}")
+        raise DataError(f"no {source} for model(s) {missing}{where}", path=inputs)
     profiles = {key: profiles[key] for key in sorted(profiles) if key[0] in models}
 
     write_profiles_csv(list(profiles.values()), rec.path("hotday_profiles.csv"))
@@ -577,27 +576,30 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
         future = profiles.get((model, target.label))
         if base is None or future is None:
             raise DataError(
-                f"model {model!r}: profiles missing for {cc.baseline.label} or {target.label}"
+                f"model {model!r}: profiles missing for {cc.baseline.label} or {target.label}",
+                path=inputs,
             )
         differing = set(base.counts).symmetric_difference(future.counts)
         if differing:
             raise DataError(
                 f"model {model!r}: {cc.baseline.label} and {target.label} {source} cover "
                 f"different nodes, first differing node id {min(differing)}",
-                path=cc.profiles,
+                path=inputs,
             )
         deltas[model] = hot_day_delta(future, base)
         uncovered = [n for n in net.node_ids if n not in deltas[model]]
         if uncovered:
             raise DataError(
                 f"model {model!r}: no hot-day data for {len(uncovered)} network node(s), "
-                f"first missing id {uncovered[0]}"
+                f"first missing id {uncovered[0]}",
+                path=inputs,
             )
         differing = set(deltas[model]).symmetric_difference(deltas[models[0]])
         if differing:
             raise DataError(
                 f"model {model!r} covers a different node set than {models[0]!r}: "
-                f"first differing node id {min(differing)}"
+                f"first differing node id {min(differing)}",
+                path=inputs,
             )
     write_delta_csv(deltas, rec.path("hotday_deltas.csv"))
     rec.add("hotday_deltas.csv")

@@ -10,10 +10,12 @@ DataError "expected N fields, got M" at its line (``row_error``).
 
 A long table without quoted cells can be read in pieces: ``split_table``
 cuts the records after its header into byte ranges that end at line
-ends, and ``read_range`` reads one of them, as ``read_rows`` would.
-``fork_map`` runs such pieces of work, or any others, in worker
-processes forked from this one (``pool_size`` says how many), and it is
-the only place that starts processes.
+ends, or only where a key of leading cells changes, and ``read_range``
+reads one of them, as ``read_rows`` would. ``fork_map`` runs pieces of
+work in worker processes forked from this one (``pool_size`` says how
+many), and it is the only place that starts processes; ``map_ranges``
+runs a reader over the ranges of tables in it, and it is the only place
+that cuts tables for it.
 
 Output tables are UTF-8 with ``\\n`` line endings. A cell is written as
 ``csv.writer`` writes it: ``None`` as an empty cell, an int as ``str``, a
@@ -35,6 +37,7 @@ import csv
 import io
 import os
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -92,12 +95,17 @@ def read_table(path, header: Sequence[str]) -> Iterator[Rows]:
         yield rows
 
 
-def split_table(path, header: Sequence[str], parts: int) -> list[tuple[int, int]] | None:
+def split_table(
+    path, header: Sequence[str], parts: int, key_cells: int = 0
+) -> list[tuple[int, int]] | None:
     """At most ``parts`` byte ranges ``(start, end)`` of about equal size that
-    cover the records after the header of ``path``, each ending at a line end; None
-    for a file that does not open, whose first line is not the header
-    alone, or that has a line too long to cut. It reads the header line
-    and one line per cut, nothing else."""
+    cover the records after the header of ``path``, each ending at a line end.
+    With ``key_cells``, a range ends only where the first ``key_cells`` cells
+    change: it runs on over the lines after the cut that share the first
+    such line's cells. None for a file that does not open, whose first line
+    is not the header alone, or where a line read at a cut is too long or
+    holds a quote. It reads the header line and the lines at each cut,
+    nothing else."""
     head = render_record(header).encode()
     try:
         with Path(path).open("rb") as fh:
@@ -109,10 +117,19 @@ def split_table(path, header: Sequence[str], parts: int) -> list[tuple[int, int]
             ranges = []
             while start < total:
                 fh.seek(start + size - 1)  # the range ends after the line holding this byte
-                line = fh.readline(1 << 16)
-                end = min(fh.tell(), total)
-                if end < total and not line.endswith(b"\n"):
-                    return None
+                line, key = fh.readline(1 << 16), None
+                while True:
+                    end = min(fh.tell(), total)
+                    if b'"' in line or end < total and not line.endswith(b"\n"):
+                        return None
+                    if not key_cells or end == total:
+                        break
+                    # read on to the end of the run of the first whole line's key
+                    line = fh.readline(1 << 16)
+                    cells = line.split(b",", key_cells)[:key_cells]
+                    if key not in (None, cells):
+                        break
+                    key = cells
                 ranges.append((start, end))
                 start = end
             return ranges
@@ -155,6 +172,46 @@ def pool_size(size: int, serial_below: int) -> int:
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return min(cpus, _MAX_WORKERS)
+
+
+def map_ranges(
+    read: Callable[[Rows, object], R],
+    paths: Sequence,
+    header: Sequence[str],
+    consume: Callable[[Iterator[R]], T],
+    serial_below: int,
+    ranges_per_worker: int,
+    key_cells: int = 0,
+) -> T | None:
+    """``fork_map`` over byte ranges of the tables at ``paths``:
+    ``consume(results)``, where ``results`` yields ``read(records, path)`` for
+    the records of each range (``read_range``) of each file, in file and
+    range order. Each file is cut by ``split_table``, with ``key_cells``,
+    into ranges of about one size, about ``ranges_per_worker`` of them per
+    worker; ``serial_below`` is the caller's cutoff in bytes for
+    ``pool_size``. None, for the caller to read in-process, where the files
+    are small or missing, where one cannot be split, and wherever
+    ``fork_map`` gives None."""
+    try:
+        sizes = [os.path.getsize(path) for path in paths]
+    except OSError:
+        return None
+    workers = pool_size(sum(sizes), serial_below)
+    if workers < 2:
+        return None
+    range_bytes = -(-sum(sizes) // (ranges_per_worker * workers)) or 1
+    tasks = []
+    for path, size in zip(paths, sizes):
+        ranges = split_table(path, header, -(-size // range_bytes), key_cells)
+        if ranges is None:
+            return None
+        tasks += [(path, start, end) for start, end in ranges]
+    return fork_map(partial(_read_in_range, read), tasks, consume, workers)
+
+
+def _read_in_range(read: Callable[[Rows, object], R], path, start: int, end: int) -> R:
+    with read_range(path, start, end) as records:
+        return read(records, path)
 
 
 class _TaskFailed(Exception):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import random
 import tempfile
 from contextlib import contextmanager
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from freight_resilience import climate, synth
+from freight_resilience import climate, synth, tables
 from freight_resilience.climate import (
     DEFAULT_THRESHOLD_C,
     PeriodSpec,
@@ -567,17 +568,31 @@ def oracle_write_series(spec: SynthSpec, out_dir) -> dict[str, Path]:
 
 
 @contextmanager
-def worker_counts(workers: int | None = None, range_bytes: int | None = None):
-    """Record what ``climate._count_in_workers`` returns inside the block:
-    the merged counts of the worker processes, or None where the count fell
-    back to one process. ``workers`` fixes the number of workers (1 counts
-    in one process), and a ``range_bytes`` splits inputs of any size."""
-    returns = []
-    count = climate._count_in_workers
+def fork_map_returns(module, **constants):
+    """Record what ``tables.fork_map`` returns to ``module`` inside the block:
+    what the caller made of its workers' results, or None where it fell back
+    to one process. The replay calls ``fork_map`` itself; the climate count
+    and the curves reader reach it through ``tables.map_ranges``.
+    ``constants`` patches module constants (a cutoff of 0 pools inputs of
+    any size), and two CPUs are usable whatever the host has."""
+    fork_map, returns = tables.fork_map, []
 
-    def spy(paths, header, args):
-        returns.append(count(paths, header, args, workers, range_bytes))
+    def spy(*args):
+        returns.append(fork_map(*args))
         return returns[-1]
 
-    with mock.patch.object(climate, "_count_in_workers", spy):
+    with (
+        mock.patch.object(module if hasattr(module, "fork_map") else tables, "fork_map", spy),
+        mock.patch.multiple(module, **constants),
+        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+    ):
         yield returns
+
+
+def counted_in_ranges(paths, range_bytes: int):
+    """``fork_map_returns`` for the climate count of ``paths`` in 2 workers,
+    over byte ranges of at most about ``range_bytes`` (a missing path counts
+    as empty)."""
+    total = sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
+    ranges_per_worker = -(-total // (2 * range_bytes)) or 1
+    return fork_map_returns(climate, _SERIAL_BELOW_BYTES=0, _RANGES_PER_WORKER=ranges_per_worker)

@@ -15,11 +15,13 @@ import time
 from contextlib import contextmanager
 from datetime import date
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import (
+    counted_in_ranges,
     er_edges,
     make_net,
     oracle_betweenness,
@@ -27,8 +29,8 @@ from conftest import (
     oracle_curve_states,
     oracle_degree,
     star_net,
-    worker_counts,
 )
+from freight_resilience import climate
 from freight_resilience.centrality import (
     betweenness_exact,
     closeness_centrality,
@@ -193,8 +195,9 @@ def test_acceptance_5_hot_day_counter(tmp_path):
         days = "".join(f"m,1,2000-01-{k:02},35.0\n" for k in range(1, 31))
         flat.write_text("model,node_id,date,tmax_c\n" + days)
         # in one process, and in two over ranges of about 64 KB that split series
-        for workers, range_bytes in ((1, None), (2, 1 << 16)):
-            with worker_counts(workers, range_bytes):
+        one_process = mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf)
+        for block in (one_process, counted_in_ranges([series], 1 << 16)):
+            with block:
                 for threshold in (30.0, 35.0, 40.0):
                     expected = {("m", node): [0] for node in range(1, 7)}
                     for n, d, v in rows:

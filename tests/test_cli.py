@@ -277,6 +277,58 @@ class TestClimateNodeSets:
         assert [line.split(",")[1] for line in deltas[1:]].count("99") == 2
 
 
+def drop_near_future_profiles(config: Path) -> None:
+    path = config.parent / "data" / "profiles.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if ",2021-2050," not in line))
+
+
+def add_model_at_one_cell(config: Path) -> None:
+    use_daily_series(config, "grid")
+    with (config.parent / "data" / "tmax.csv").open("a") as fh:
+        fh.write("m2,49.0,-67.0,2000-01-01,36.0\n")
+
+
+def use_models(config: Path, models: list[str]) -> None:
+    doc = json.loads(config.read_text())
+    doc["climate"]["models"] = models
+    config.write_text(json.dumps(doc))
+
+
+# faults that a stage finds in its inputs as a whole: (edit of the demo
+# config, extra flags, the input file the message names, the message)
+WHOLE_INPUT_FAULTS = {
+    "mode-filtered-empty": (None, ["--mode", "water"], "nodes.csv", "no nodes remain"),
+    "model-not-found": (
+        lambda c: use_models(c, ["mA", "mZ"]), [], "profiles.csv", "no profiles for model(s)"
+    ),
+    "period-missing": (drop_near_future_profiles, [], "profiles.csv", "profiles missing for"),
+    "nodes-uncovered": (
+        lambda c: use_model_series(c, {"mA": list(range(1, 10))}),
+        [],
+        "tmax.csv",
+        "no hot-day data for 1 network node(s)",
+    ),
+    "node-sets-differ": (
+        lambda c: use_model_series(c, {"mA": [*range(1, 11), 99], "mB": list(range(1, 11))}),
+        [],
+        "tmax.csv",
+        "covers a different node set than",
+    ),
+    "grid-cell-missing": (add_model_at_one_cell, [], "tmax.csv", "no series for model 'm2'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WHOLE_INPUT_FAULTS))
+def test_whole_input_faults_exit_three_naming_the_input(demo, capsys, fault):
+    edit, flags, name, message = WHOLE_INPUT_FAULTS[fault]
+    if edit is not None:
+        edit(demo)
+    assert main(["run", "--config", str(demo), *flags]) == 3
+    err = capsys.readouterr().err
+    assert f"{demo.parent / 'data' / name}: " in err and message in err, err
+
+
 class TestReportCommand:
     def test_report_from_run(self, demo, tmp_path, capsys):
         assert main(["run", "--config", str(demo)]) == 0

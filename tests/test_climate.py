@@ -15,8 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DailyTmaxSeries, count_hot_days, make_node, oracle_read_series, worker_counts
-from freight_resilience import climate
+from conftest import (
+    DailyTmaxSeries,
+    count_hot_days,
+    counted_in_ranges,
+    make_node,
+    oracle_read_series,
+)
+from freight_resilience import climate, tables
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
@@ -40,13 +46,18 @@ from freight_resilience.errors import DataError
 
 
 def both(count, *args, range_bytes=16):
-    """``count(*args)`` in one process and over byte ranges of about
-    ``range_bytes`` in 2 worker processes. Both must return the same counts
-    in the same key order, or raise the same error text, which is raised
-    again. Returns the counts and whether the workers' counts were used."""
+    """``count(*args)`` in one process and over byte ranges of at most about
+    ``range_bytes`` in 2 worker processes (``args[0]`` holds the paths).
+    Both must return the same counts in the same key order, or raise the
+    same error text, which is raised again. Returns the counts and whether
+    the workers' counts were used."""
     outcomes = []
-    for workers, size in ((1, None), (2, range_bytes)):
-        with worker_counts(workers, size) as returns:
+    for pooled in (False, True):
+        if pooled:
+            block = counted_in_ranges(args[0], range_bytes)
+        else:
+            block = mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf)
+        with block as returns:
             try:
                 outcomes.append(list(count(*args).items()))
             except (DataError, ValueError) as exc:
@@ -56,7 +67,7 @@ def both(count, *args, range_bytes=16):
         assert (type(split), str(split)) == (type(serial), str(serial))
         raise serial
     assert split == serial
-    return dict(serial), returns[-1] is not None
+    return dict(serial), bool(returns) and returns[-1] is not None
 
 
 def make_series(start, values, model="m1", node_id=1):
@@ -411,7 +422,7 @@ class TestSeriesCsv:
         tracemalloc.start()
         try:
             periods = (BASELINE, PeriodSpec("p", 2000, 2004))
-            with worker_counts(workers=1):
+            with mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf):
                 counts = count_series_csv([path], periods, 35.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -428,7 +439,7 @@ SERIES_ROWS = "".join(
 SERIES_COUNTS = {("m1", 1): (12, 12), ("m1", 2): (12, 12)}
 
 
-def exit_in_worker(path, start, end, args):
+def exit_in_worker(args):
     """A task that ends its worker process, as an out-of-memory kill would."""
     os._exit(1)
 
@@ -499,7 +510,7 @@ class TestSplitCount:
     def test_no_child_process_outlives_a_count(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(SERIES_HEADER + SERIES_ROWS)
-        with worker_counts(workers=2, range_bytes=64) as returns:
+        with counted_in_ranges([path], 64) as returns:
             assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS
             assert returns[0] is not None
             assert multiprocessing.active_children() == []
@@ -522,10 +533,10 @@ class TestSplitCount:
         path = tmp_path / "series.csv"
         patches = [
             mock.patch.object(futures, "ProcessPoolExecutor", pool) if pool else nullcontext(),
-            mock.patch.object(climate, "_count_range", task) if task else nullcontext(),
+            mock.patch.object(tables, "_run", task) if task else nullcontext(),
         ]
-        with patches[0], patches[1], worker_counts(workers=2, range_bytes=64) as returns:
-            path.write_text(SERIES_HEADER + SERIES_ROWS)
+        path.write_text(SERIES_HEADER + SERIES_ROWS)
+        with patches[0], patches[1], counted_in_ranges([path], 64) as returns:
             assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS
             path.write_text(SERIES_HEADER + SERIES_ROWS + "m1,1,2000-07-31,oops\n")
             with pytest.raises(DataError, match=r"series\.csv:62: could not convert"):
@@ -538,7 +549,7 @@ class TestSplitCount:
         path.write_text(SERIES_HEADER + SERIES_ROWS)
         pool = mock.Mock(wraps=futures.ProcessPoolExecutor)
         with (
-            mock.patch.object(climate.os, "sched_getaffinity", return_value=set(range(8))),
+            mock.patch.object(os, "sched_getaffinity", return_value=set(range(8)), create=True),
             mock.patch.object(climate, "_SERIAL_BELOW_BYTES", 0),
             mock.patch.object(futures, "ProcessPoolExecutor", pool),
         ):

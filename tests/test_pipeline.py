@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import conftest
 import freight_resilience
-from conftest import make_node, oracle_emit_report, rail_density_net, worker_counts
+from conftest import counted_in_ranges, make_node, oracle_emit_report, rail_density_net
 from freight_resilience import centrality, metrics, pipeline
 from freight_resilience.centrality import CENTRALITY_KINDS
 from freight_resilience.climate import (
@@ -749,11 +749,22 @@ IMPORT_OWNERS = {
     "concurrent": ["tables.py"],
 }
 
+# function -> the only top-level definitions that may name it: tables
+# splits tables and reads their ranges for the pool in one place,
+# map_ranges, and the replay is the one other user of fork_map
+NAME_OWNERS = {
+    "split_table": {"tables.py:map_ranges"},
+    "read_range": {"tables.py:_read_in_range"},
+    "fork_map": {"pipeline.py:_replay_in_workers", "tables.py:map_ranges"},
+}
+
 
 def test_only_owners_import_guarded_modules():
     importers: dict[str, list[str]] = {module: [] for module in IMPORT_OWNERS}
+    users: dict[str, set[str]] = {name: set() for name in NAME_OWNERS}
     for path in sorted(Path(freight_resilience.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -762,7 +773,13 @@ def test_only_owners_import_guarded_modules():
                 continue
             for top in {m.split(".")[0] for m in modules} & importers.keys():
                 importers[top].append(path.name)
+        for scope in tree.body:  # calls, and the functions passed as values
+            for node in ast.walk(scope):
+                name = getattr(node, "id", getattr(node, "attr", None))  # Name, Attribute
+                if name in users:
+                    users[name].add(f"{path.name}:{getattr(scope, 'name', '<module>')}")
     assert importers == IMPORT_OWNERS
+    assert users == NAME_OWNERS
 
 
 def test_star_import_gives_every_name_in_all():
@@ -1104,17 +1121,20 @@ class TestClimateSourcesThroughRun:
 
     @pytest.mark.parametrize("form", sorted(RECORDED))
     def test_outputs_match_recorded_bytes(self, tmp_path, form):
-        assert self.digests(tmp_path, form) == self.RECORDED[form]
+        assert self.digests(self.config(tmp_path, form)) == self.RECORDED[form]
 
     @pytest.mark.parametrize("form", sorted(RECORDED))
     def test_recorded_bytes_hold_when_counted_in_workers(self, tmp_path, form):
-        # each file of about 1.6 MB is cut into ranges of about 64 KB
-        with worker_counts(workers=2, range_bytes=1 << 16) as returns:
-            assert self.digests(tmp_path, form) == self.RECORDED[form]
+        # each file of about 1.4 MB (series) or 0.9 MB (grid) is cut into
+        # ranges of at most about 64 KB
+        config = self.config(tmp_path, form)
+        paths = config.climate.series + config.climate.grid_series
+        with counted_in_ranges(paths, 1 << 16) as returns:
+            assert self.digests(config) == self.RECORDED[form]
         assert len(returns) == 1 and returns[0] is not None
         assert multiprocessing.active_children() == []
 
-    def digests(self, tmp_path, form) -> tuple[str, str]:
+    def config(self, tmp_path, form) -> RunConfig:
         periods = {
             "baseline": {"label": "b", "start_year": 1995, "end_year": 1997},
             "futures": [
@@ -1128,7 +1148,11 @@ class TestClimateSourcesThroughRun:
             (tmp_path / "data").mkdir()
             names = write_grid_series(tmp_path / "data")
             climate = {"grid_series": [f"data/{n}" for n in names], "threshold_c": 30.0}
-        bundle = run(load_config(self.seed_config(tmp_path, {**climate, **periods})))
+        return load_config(self.seed_config(tmp_path, {**climate, **periods}))
+
+    @staticmethod
+    def digests(config) -> tuple[str, str]:
+        bundle = run(config)
         return tuple(
             hashlib.sha256((bundle.out_dir / name).read_bytes()).hexdigest()
             for name in ("hotday_profiles.csv", "hotday_deltas.csv")

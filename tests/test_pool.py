@@ -14,7 +14,6 @@ import random
 import subprocess
 import sys
 from concurrent import futures
-from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import er_edges, make_net
+from conftest import er_edges, fork_map_returns, make_net
 from freight_resilience import climate, metrics, pipeline, tables
 from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.cli import main
@@ -31,27 +30,6 @@ from freight_resilience.errors import DataError
 from freight_resilience.metrics import read_curves_csv, replay, write_curves_csv
 from freight_resilience.pipeline import load_config, run
 from freight_resilience.synth import SynthSpec, generate_synthetic
-
-
-@contextmanager
-def fork_map_returns(module, **constants):
-    """Record what ``fork_map`` returns to ``module`` inside the block: what
-    the caller made of its workers' results, or None where it fell back to
-    one process. ``constants`` patches module constants (a cutoff of 0
-    pools inputs of any size), and two CPUs are usable whatever the host
-    has."""
-    returns = []
-
-    def spy(*args):
-        returns.append(tables.fork_map(*args))
-        return returns[-1]
-
-    with (
-        mock.patch.object(module, "fork_map", spy),
-        mock.patch.multiple(module, **constants),
-        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
-    ):
-        yield returns
 
 
 def exit_in_worker(args):
@@ -226,9 +204,9 @@ def test_ranges_read_back_the_written_curves(
     assert [(c.order, c.ff, c.tonnage_fraction, c.tonnage_fraction_gcc) for c in read] == columns
 
 
-def test_curve_straddling_cuts_is_joined(tmp_path):
-    # 40 ranges over 7 curves: each curve is cut at least once, most of
-    # them several times
+def test_curve_longer_than_a_range_is_read_whole(tmp_path):
+    # 40 ranges over 7 curves before the cuts move to the curves' ends:
+    # each curve is longer than a range
     path = tmp_path / "curves.csv"
     curves = seven_curves()
     write_curves_csv(curves, path)
@@ -245,34 +223,30 @@ def test_quoted_model_name_falls_back_to_one_process(tmp_path):
     assert read_both(path, 4) == (curves, False)
 
 
-def run_of(curve, start, stop, key=("random", "", "0")):
-    """Steps ``start`` to ``stop - 1`` of ``curve`` as ``_curve_runs`` yields
-    them from rows whose first cells are ``key``."""
-    columns = [curve.order[max(start, 1) - 1 : stop - 1]]
-    columns += [
-        column[start:stop]
-        for column in (curve.fraction_removed, curve.ff, curve.scf, curve.tonnage_fraction)
-    ]
-    columns.append(curve.tonnage_fraction_gcc[start:stop])
-    return key, int(key[2]), start, tuple(map(list, columns))
+@pytest.mark.parametrize("ranges_per_worker", [1, 3, 20])
+def test_every_range_starts_at_a_step_0_row(tmp_path, ranges_per_worker):
+    path = tmp_path / "curves.csv"
+    curves = seven_curves()
+    write_curves_csv(curves, path)
+    split, cuts = tables.split_table, []
 
+    def record(*args):
+        cuts.append(split(*args))
+        return cuts[-1]
 
-def test_join_takes_only_runs_that_go_on_at_the_cut(tmp_path):
-    # the columns agree with each other in every case: only the step
-    # cells at the cut, which one process checks row by row, are wrong
-    curve = seven_curves()[0]
-
-    def join(head, start):
-        key, seed, _, columns = head
-        parts = [(run_of(curve, 0, 17), [], None), ((key, seed, start, columns), [], None)]
-        return metrics._join_ranges(tmp_path, iter(parts))
-
-    assert join(run_of(curve, 17, 41), 17) == [curve]
-    # step cells 18, 19, ... where the curve needs 17, 18, ...
-    assert join(run_of(curve, 17, 41), 18) is None
-    # the next curve's step cells start at 3
-    assert join(run_of(curve, 0, 41, key=("random", "", "1")), 3) is None
-    assert len(join(run_of(curve, 0, 41, key=("random", "", "1")), 0)) == 2
+    constants = {"_SERIAL_BELOW_BYTES": 0, "_RANGES_PER_WORKER": ranges_per_worker}
+    with (
+        mock.patch.object(tables, "split_table", record),
+        fork_map_returns(metrics, **constants) as returns,
+    ):
+        assert read_curves_csv(path) == curves
+    assert returns[0] is not None
+    [ranges] = cuts
+    data = path.read_bytes()
+    assert ranges[0][0] == data.index(b"\n") + 1 and ranges[-1][1] == len(data)
+    assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+    assert [data[start:end].split(b",", 4)[3] for start, end in ranges] == [b"0"] * len(ranges)
+    assert 2 <= len(ranges) <= min(2 * ranges_per_worker, len(curves))
 
 
 def set_cell(lines, line, column, text):

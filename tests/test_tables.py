@@ -186,3 +186,66 @@ def test_split_table_refuses_what_it_cannot_cut(tmp_path):
         path.write_text(text)
         assert tables.split_table(path, ("a", "b"), 2) is None
     assert tables.split_table(tmp_path / "absent.csv", ("a", "b"), 2) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "ab"]), st.sampled_from(["", "1"]), st.integers(1, 12)),
+        max_size=12,
+    ),
+    key_cells=st.integers(1, 2),
+    crlf=st.booleans(),
+    parts=st.integers(1, 40),
+)
+def test_key_ranges_end_only_where_the_key_changes(runs, key_cells, crlf, parts):
+    """Cut with ``key_cells``, the ranges still cover the records after the
+    header, each once and in order, and each range after the first starts
+    on a line whose first ``key_cells`` cells differ from the line's before
+    it, however many ranges a run of one key would span."""
+    end = "\r\n" if crlf else "\n"
+    head = f"k,v,n{end}".encode()
+    lines = [f"{k},{v},{i}{end}".encode() for k, v, n in runs for i in range(n)]
+    starts = [len(head) + sum(map(len, lines[:i])) for i in range(len(lines))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "table.csv")
+        path.write_bytes(head + b"".join(lines))
+        ranges = tables.split_table(path, ("k", "v", "n"), parts, key_cells)
+        assert [start for start, _ in ranges[:1]] == starts[:1]
+        assert [end for _, end in ranges[-1:]] == [path.stat().st_size] * bool(lines)
+        assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        assert len(ranges) <= parts
+        for start, _ in ranges[1:]:
+            i = starts.index(start)
+            assert lines[i - 1].split(b",")[:key_cells] != lines[i].split(b",")[:key_cells]
+        with read_rows(path) as records:
+            whole = [row for _, row in records][1:]
+        pieces = []
+        for start, end in ranges:
+            with tables.read_range(path, start, end) as records:
+                pieces += [row for _, row in records]
+    assert pieces == whole
+
+
+def test_key_run_longer_than_a_range_stays_whole(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("k,n\n" + "".join(f"a,{i:03}\n" for i in range(500)) + "b,000\n")
+    size = path.stat().st_size
+    assert tables.split_table(path, ("k", "n"), 10, key_cells=1) == [(4, size - 6), (size - 6, size)]
+    assert len(tables.split_table(path, ("k", "n"), 10)) == 10
+
+
+def test_key_cut_refuses_a_quote_or_long_line_inside_a_run(tmp_path):
+    # the first cut falls in the run of key "a", and the fault lies further
+    # on in that run, where only the key cut reads
+    path = tmp_path / "table.csv"
+    run = [f"a,{i:04}\n" for i in range(1000)]
+
+    def write(fault):
+        path.write_text("k,n\n" + "".join(run[:900] + [fault] + run[900:]) + "b,0000\n")
+
+    write('a,"q"\n')
+    assert len(tables.split_table(path, ("k", "n"), 2)) == 2
+    assert tables.split_table(path, ("k", "n"), 2, key_cells=1) is None
+    write("a," + "9" * 70_000 + "\n")
+    assert tables.split_table(path, ("k", "n"), 40, key_cells=1) is None

@@ -9,8 +9,9 @@ the model ensemble.
 Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
-distance. They are counted as they are read, never held as rows, and
-inputs of 4 MB or more over byte ranges in worker processes
+distance. They are counted as they are read, never held as rows, and a
+run of rows of one series and one year is counted in local state. Inputs
+of 8 MB or more are counted over byte ranges in worker processes
 (``tables.map_ranges``), with one date cache per worker.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
@@ -223,26 +224,30 @@ _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c"
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 
-# Measured on a 2-CPU host, pool start and merge included: 2 workers took
-# 1.26-1.29x the in-process time at 0.5-1 MB, 0.92x at 2 MB and 0.70-0.73x
-# at 4-8 MB, so a smaller input is counted in-process. Each worker gets
-# about _RANGES_PER_WORKER byte ranges.
-_SERIAL_BELOW_BYTES = 4 << 20
+# Measured on a 2-CPU host, pool start and merge included, one count per
+# fresh process, in-process and pooled in turn (7-38 pairs per size): 2
+# workers took a median 2.0-2.5x the in-process time at 0.5-1 MB, 1.0-1.5x
+# at 2-4 MB, 1.0-1.1x at 6-8 MB and 0.61-0.68x at 10-12 MB, so a smaller
+# input is counted in-process. Each worker gets about _RANGES_PER_WORKER
+# byte ranges.
+_SERIAL_BELOW_BYTES = 8 << 20
 _RANGES_PER_WORKER = 2
 
 
 def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
-    row's series key from the columns before the last two (date, tmax), and
-    checks the row's width. Large inputs are counted over line-aligned byte
-    ranges in worker processes (``tables.map_ranges``) and merged in range
-    order (``_merge_counts``); what they cannot settle is counted here by the
-    same loop, ``_tally``, which raises every error."""
+    row's series key from the cells before the last two (date, tmax), and
+    checks the row's width, wherever the width or those cells (as text)
+    differ from the row before. Large inputs are counted over line-aligned
+    byte ranges in worker processes (``tables.map_ranges``) and merged in
+    range order (``_merge_counts``); what they cannot settle is counted
+    here by the same loop, ``_tally``, which raises every error."""
     if not math.isfinite(threshold_c):
         raise ValueError("threshold must be finite")
     paths = list(paths)
-    # the date cache lives for this count: in this process, or in each
-    # worker, which inherits it empty and shares it across its ranges
+    # the date cache (a date text's year and day bit) lives for this
+    # count: in this process, or in each worker, which inherits it empty
+    # and shares it across its ranges
     spans = tuple((p.start_year, p.end_year) for p in periods)
     args = ({}, key_of, len(header), spans, threshold_c)
     series = map_ranges(
@@ -264,36 +269,67 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
 def _tally(records, path, series, days, key_of, width, spans, threshold_c) -> dict:
     """Count the ``(line, row)`` records of ``path`` into ``series``, which
     maps a series key to its counts per period and, per year, a bitmask of
-    the days seen. ``days`` caches a date text's year, day-of-year bit and
-    the periods (``spans`` of years, which may overlap) holding it."""
+    the days seen. ``days`` caches a date text's year and day-of-year bit.
+    A run of rows with the same key cells (as text) and the same year is
+    counted in locals: the key is made and its series looked up when the
+    cells change, and the run's day mask and hot-day count are written
+    back when the series or the year changes, and at the end
+    (``_settle``)."""
     date_col = width - 2
+    cells = state = year = None
+    mask = hot = 0
     for line, row in records:
         try:
-            key = key_of(row)
-            state = series.get(key)
-            if state is None:
-                state = series[key] = ([0] * len(spans), {})
+            # a row of the wrong width has too many or too few cells before
+            # its last two, so it reaches key_of, whose unpacking rejects it
+            head = row[:-2]
+            if head != cells:
+                key = key_of(row)
+                cells = head
+                found = series.get(key)
+                if found is None:
+                    found = series[key] = ([0] * len(spans), {})
+                if found is not state:
+                    if year is not None:
+                        _settle(state, year, mask, hot, spans)
+                    state, year = found, None
             when = row[date_col]
             day = days.get(when)
             if day is None:
                 parsed = date.fromisoformat(when)
-                hits = tuple(k for k, (lo, hi) in enumerate(spans) if lo <= parsed.year <= hi)
-                day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday, hits)
+                day = days[when] = (parsed.year, 1 << parsed.timetuple().tm_yday)
             value = float(row[date_col + 1])
         except ValueError as exc:
             raise row_error(exc, row, width, path, line) from exc
         if value - value != 0.0:  # nan or infinite, without a call per row
             raise DataError(f"tmax {row[date_col + 1]} is not finite", path=path, line=line)
-        counts, seen = state
-        year, bit, hits = day
-        mask = seen.get(year, 0)
-        if mask & bit:
+        when_year, bit = day
+        if when_year != year:
+            if year is not None:
+                _settle(state, year, mask, hot, spans)
+            year, hot = when_year, 0
+            mask = state[1].get(year, 0)
+        grown = mask | bit
+        if grown == mask:
             raise DataError(f"date {when} repeated in series {key}", path=path, line=line)
-        seen[year] = mask | bit
+        mask = grown
         if value > threshold_c:
-            for k in hits:
-                counts[k] += 1
+            hot += 1
+    if year is not None:
+        _settle(state, year, mask, hot, spans)
     return series
+
+
+def _settle(state, year, mask, hot, spans) -> None:
+    """Write one run's day mask and hot-day count back to its series, the
+    count into each period (``spans`` of years, which may overlap) holding
+    the run's year."""
+    counts, seen = state
+    seen[year] = mask
+    if hot:  # rows in any order may make runs of one row, most of them cold
+        for k, (lo, hi) in enumerate(spans):
+            if lo <= year <= hi:
+                counts[k] += hot
 
 
 def _merge_counts(parts) -> dict | None:

@@ -88,13 +88,17 @@ class RobustnessCurve:
 
     @cached_property
     def scf(self) -> tuple[float, ...]:
-        tf = self.tf
-        return tuple(f / tf for f in self.ff)
+        return _scf(self)
 
     def __getstate__(self) -> dict:
         # a copy derives its own columns, so that its fraction_removed is
         # the tuple its process shares
         return {k: v for k, v in vars(self).items() if k not in ("fraction_removed", "scf")}
+
+
+def _scf(curve: RobustnessCurve) -> tuple[float, ...]:
+    tf = curve.tf
+    return tuple(f / tf for f in curve.ff)
 
 
 @lru_cache(maxsize=4)
@@ -203,8 +207,9 @@ def collapse_point(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
-    for j, scf in enumerate(curve.scf):
-        if scf <= threshold:
+    tf = curve.tf
+    for j, ff in enumerate(curve.ff):
+        if ff / tf <= threshold:  # the step's SCF, without building the column
             return j, curve.fraction_removed[j]
     return None
 
@@ -257,7 +262,8 @@ def aggregate_curves(
         if c.n_nodes != head.n_nodes or len(c.ff) != len(head.ff):
             raise ValueError("curves have mismatched shapes")
     k = len(curves)
-    scf, scf_mean = _step_summaries(zip(*(c.scf for c in curves)), k)
+    # the SCF columns live for this call only, not cached on each curve
+    scf, scf_mean = _step_summaries(zip(*map(_scf, curves)), k)
     ton, ton_mean = _step_summaries(zip(*(c.tonnage_fraction for c in curves)), k)
     points = tuple(collapse_point(c, threshold) for c in curves)
     collapse = None if None in points else summarize([frac for _, frac in points])

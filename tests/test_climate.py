@@ -615,6 +615,67 @@ class TestGriddedCsv:
             both(count_gridded_series_csv, [path], [], TWO_PERIODS)
 
 
+class TestFaultsInsideRuns:
+    """The count keeps a series and a year in locals while consecutive rows
+    share them; a fault inside such a run is named at its row, in one
+    process and over byte ranges alike."""
+
+    @pytest.mark.parametrize(
+        "fault, got",
+        [("m1,1,2000-07-03,30.5,x", 5), ("m1,1,2000-07-03", 3)],
+        ids=["cell-too-many", "cell-too-few"],
+    )
+    @pytest.mark.parametrize("range_bytes", [16, 200])
+    def test_row_of_the_wrong_width(self, tmp_path, fault, got, range_bytes):
+        # line 4 is inside node 1's run of July 2000, its key cells unchanged
+        rows = SERIES_ROWS.splitlines(keepends=True)
+        rows[2] = fault + "\n"
+        path = tmp_path / "series.csv"
+        path.write_text(SERIES_HEADER + "".join(rows))
+        with pytest.raises(DataError, match=rf"series\.csv:4: expected 4 fields, got {got}"):
+            both(count_series_csv, [path], TWO_PERIODS, range_bytes=range_bytes)
+
+    def test_grid_row_of_the_wrong_width(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(GRID_CSV + "m1,32.0,-98.0,2000-07-02,33.0\nm1,32.0,-98.0,2000-07-03\n")
+        with pytest.raises(DataError, match=r"grid\.csv:7: expected 5 fields, got 4"):
+            both(count_gridded_series_csv, [path], [], TWO_PERIODS)
+
+    @pytest.mark.parametrize(
+        "between",
+        ["m1,2,2000-07-01,30.0", "m2,1,2000-07-01,30.0", "m1,1,2001-07-01,30.0"],
+        ids=["other-node", "other-model", "other-year"],
+    )
+    def test_date_repeated_from_an_earlier_run(self, tmp_path, between):
+        # lines 2-3 and 5-6 are two runs of one series and year
+        path = tmp_path / "series.csv"
+        path.write_text(
+            SERIES_HEADER
+            + "m1,1,2000-07-01,30.0\nm1,1,2000-07-02,30.0\n"
+            + between
+            + "\nm1,1,2000-07-03,30.0\nm1,1,2000-07-02,31.0\n"
+        )
+        message = r"series\.csv:6: date 2000-07-02 repeated in series \(.m1., 1\)"
+        with pytest.raises(DataError, match=message):
+            both(count_series_csv, [path], TWO_PERIODS)
+
+    @pytest.mark.parametrize("spelling", ["30.00", "3e1", "+30"])
+    def test_grid_cell_spelled_two_ways(self, tmp_path, spelling):
+        # the parsed key, not its text, names a series: line 5 repeats the
+        # date of line 3 in the same cell
+        path = tmp_path / "grid.csv"
+        path.write_text(
+            "model,lat,lon,date,tmax_c\n"
+            "m1,30.0,-100.0,2000-07-01,31.0\n"
+            "m1,30.0,-100.0,2000-07-02,31.0\n"
+            f"m1,{spelling},-100.0,2000-07-03,31.0\n"
+            f"m1,{spelling},-100.0,2000-07-02,31.0\n"
+        )
+        message = r"grid\.csv:5: date 2000-07-02 repeated in series \(.m1., 30.0, -100.0\)"
+        with pytest.raises(DataError, match=message):
+            both(count_gridded_series_csv, [path], [], TWO_PERIODS)
+
+
 # a few years around one leap day, periods drawn inside and around them
 YEARS = (1999, 2002)
 THRESHOLD = 30.0
@@ -646,11 +707,29 @@ def write_rows(directory: Path, header: str, rows: list[str], cut: int) -> list[
     return paths
 
 
+def draw_order(rows: list[tuple], rng, data) -> list[str]:
+    """The texts of ``rows``, ``(series, date, text)`` triples, in an order
+    drawn from three: shuffled; sorted, so that each series and year is one
+    run of rows; or sorted and cut into shuffled blocks, so that a series
+    or a year resumes after other rows."""
+    order = data.draw(st.sampled_from(["shuffled", "sorted", "blocks"]))
+    rows = sorted(rows)
+    if order == "shuffled":
+        rng.shuffle(rows)
+    elif order == "blocks":
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=8)))
+        blocks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+        rng.shuffle(blocks)
+        rows = [row for block in blocks for row in block]
+    return [text for _, _, text in rows]
+
+
 class TestCountersMatchOracle:
     """The streaming counters against ``count_hot_days`` over whole
-    in-memory series, on shuffled rows split across two files, in one
-    process and over byte ranges in two. A range of at most 20 bytes holds
-    one row, and then the workers' counts must be the ones returned."""
+    in-memory series, on rows in a drawn order (``draw_order``) split
+    across two files, in one process and over byte ranges in two. A range
+    of at most 20 bytes holds one row, and then the workers' counts must
+    be the ones returned."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -662,12 +741,15 @@ class TestCountersMatchOracle:
         data=st.data(),
     )
     def test_per_node_series(self, series, periods, rng, data):
-        rows = [
-            f"{model},{node},{day.isoformat()},{value!r}\n"
-            for (model, node), values in series.items()
-            for day, value in values
-        ]
-        rng.shuffle(rows)
+        rows = draw_order(
+            [
+                ((model, node), day, f"{model},{node},{day.isoformat()},{value!r}\n")
+                for (model, node), values in series.items()
+                for day, value in values
+            ],
+            rng,
+            data,
+        )
         cut = data.draw(st.integers(0, len(rows)))
         range_bytes = data.draw(st.integers(1, 400))
         with tempfile.TemporaryDirectory() as tmp:
@@ -691,12 +773,15 @@ class TestCountersMatchOracle:
     def test_gridded_series(self, values, periods, rng, data):
         # 2 models x a 2 x 2 grid; several nodes share each cell
         cells = [(m, lat, lon) for m in ("mA", "mB") for lat in (30.0, 32.0) for lon in (-100.0, -98.0)]
-        rows = [
-            f"{m},{lat},{lon},{day.isoformat()},{value!r}\n"
-            for (m, lat, lon), cell_values in zip(cells, values)
-            for day, value in cell_values
-        ]
-        rng.shuffle(rows)
+        rows = draw_order(
+            [
+                ((m, lat, lon), day, f"{m},{lat},{lon},{day.isoformat()},{value!r}\n")
+                for (m, lat, lon), cell_values in zip(cells, values)
+                for day, value in cell_values
+            ],
+            rng,
+            data,
+        )
         cut = data.draw(st.integers(0, len(rows)))
         range_bytes = data.draw(st.integers(1, 400))
         nodes = [

@@ -10,9 +10,9 @@ Series arrive either per node (``model,node_id,date,tmax_c``) or on a
 regular lat/lon grid (``model,lat,lon,date,tmax_c``) plus a mapping step
 that assigns each node its nearest grid cell center by great-circle
 distance. They are counted as they are read, never held as rows, and a
-run of rows of one series and one year is counted in local state. Inputs
-of 8 MB or more are counted over byte ranges in worker processes
-(``tables.map_ranges``), with one date cache per worker.
+run of rows of one series and one year is counted in local state. Large
+inputs, by the cutoff of ``tables.map_ranges``, are counted over byte
+ranges in worker processes, with one date cache per worker.
 Calendars are taken at face value: no leap-day normalization, and
 models with shortened calendars are compared via period totals.
 """
@@ -224,16 +224,6 @@ _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c"
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
 
-# Measured on a 2-CPU host, pool start and merge included, one count per
-# fresh process, in-process and pooled in turn (7-38 pairs per size): 2
-# workers took a median 2.0-2.5x the in-process time at 0.5-1 MB, 1.0-1.5x
-# at 2-4 MB, 1.0-1.1x at 6-8 MB and 0.61-0.68x at 10-12 MB, so a smaller
-# input is counted in-process. Each worker gets about _RANGES_PER_WORKER
-# byte ranges.
-_SERIAL_BELOW_BYTES = 8 << 20
-_RANGES_PER_WORKER = 2
-
-
 def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tuple[int, ...]]:
     """Hot days per period for each series in the files; ``key_of`` makes a
     row's series key from the cells before the last two (date, tmax), and
@@ -251,12 +241,7 @@ def _count_rows(paths, header, key_of, periods, threshold_c) -> dict[tuple, tupl
     spans = tuple((p.start_year, p.end_year) for p in periods)
     args = ({}, key_of, len(header), spans, threshold_c)
     series = map_ranges(
-        lambda records, path: _tally(records, path, {}, *args),
-        paths,
-        header,
-        _merge_counts,
-        _SERIAL_BELOW_BYTES,
-        _RANGES_PER_WORKER,
+        lambda records, path: _tally(records, path, {}, *args), paths, header, _merge_counts
     )
     if series is None:
         series = {}

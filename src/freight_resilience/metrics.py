@@ -17,9 +17,9 @@ column is one correctly rounded int / int division, which makes the
 remaining-tonnage column agree bit-for-bit with the closed form
 1 - removed/total.
 
-curves.csv holds one run of rows per curve. A large file is read in
-worker processes over byte ranges cut only between curves
-(``tables.map_ranges``), so each worker builds whole curves.
+curves.csv holds one run of rows per curve. A large file, by the cutoff
+of ``tables.map_ranges``, is read in worker processes over byte ranges
+cut only between curves, so each worker builds whole curves.
 """
 
 from __future__ import annotations
@@ -331,16 +331,6 @@ def write_curves_csv(curves: Iterable[RobustnessCurve], path) -> None:
     write_curve_blocks(map(render_curve, curves), path)
 
 
-# Measured on a 2-CPU host, pool start included, on files of 2,000-node
-# trials (medians of 7 runs): 2 workers took 1.6x the in-process time at
-# 2.9 MB, 1.4x at 4.5 MB, 1.1x at 6.8 and 9 MB and 0.7x at 11 and 15 MB, so
-# a smaller file is read in-process. Each worker gets about
-# _RANGES_PER_WORKER byte ranges: 4, 16, 32 and 64 took the same time
-# within the host's noise at 15 MB.
-_SERIAL_BELOW_BYTES = 10 << 20
-_RANGES_PER_WORKER = 4
-
-
 def read_curves_csv(path) -> list[RobustnessCurve]:
     """Rebuild curves from a curves CSV (rows grouped per curve, in step
     order, as written by write_curves_csv).
@@ -357,15 +347,7 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
     reads back with ``n_nodes = tf``, short of the network's node count
     when the largest component is smaller than the network.
     """
-    curves = map_ranges(
-        _read_curves,
-        [path],
-        _CURVE_HEADER,
-        _join_ranges,
-        _SERIAL_BELOW_BYTES,
-        _RANGES_PER_WORKER,
-        key_cells=3,
-    )
+    curves = map_ranges(_read_curves, [path], _CURVE_HEADER, _join_ranges, key_cells=3)
     if curves is None:
         with read_table(path, _CURVE_HEADER) as records:
             curves = _read_curves(records, path)

@@ -70,7 +70,7 @@ from .metrics import (
 )
 from .network import MODES, filter_mode, load_network, save_network
 from .svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
-from .tables import fork_map, pool_size, write_table
+from .tables import fork_map, write_table
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "freight-resilience-manifest/1"
@@ -674,8 +674,7 @@ def _replay_in_workers(
     written as it arrives. None, for the caller to replay in-process, where
     the curves have few rows, and after any fault."""
     rows = sum(len(s.order) + 1 for s in sequences)
-    workers = pool_size(rows, _REPLAY_SERIAL_BELOW_ROWS)
-    if workers < 2:
+    if rows < _REPLAY_SERIAL_BELOW_ROWS:
         return None
     step = max(1, len(sequences) * _TASK_ROWS // rows)
     slices = [(i, i + step) for i in range(0, len(sequences), step)]
@@ -695,7 +694,7 @@ def _replay_in_workers(
         write_curve_blocks(blocks(), path)
         return curves
 
-    return fork_map(task, slices, consume, workers)
+    return fork_map(task, slices, consume)
 
 
 def _plot_limits(sequences: Sequence[RemovalSequence]) -> dict[str, int]:

@@ -12,10 +12,10 @@ A long table without quoted cells can be read in pieces: ``split_table``
 cuts the records after its header into byte ranges that end at line
 ends, or only where a key of leading cells changes, and ``read_range``
 reads one of them, as ``read_rows`` would. ``fork_map`` runs pieces of
-work in worker processes forked from this one (``pool_size`` says how
-many), and it is the only place that starts processes; ``map_ranges``
-runs a reader over the ranges of tables in it, and it is the only place
-that cuts tables for it.
+work in worker processes forked from this one, as many as it finds
+CPUs and tasks for, and it is the only place that starts processes;
+``map_ranges`` runs a reader over the ranges of tables in it, and it is
+the only place that decides whether and where tables are cut for it.
 
 Output tables are UTF-8 with ``\\n`` line endings. A cell is written as
 ``csv.writer`` writes it: ``None`` as an empty cell, an int as ``str``, a
@@ -52,6 +52,17 @@ T = TypeVar("T")
 # Measured on a 2-CPU host with the climate count: 4 and 8 workers gained
 # nothing over 2, and each worker adds about 25 MB.
 _MAX_WORKERS = 2
+
+# Measured on a 2-CPU host, each read timed in a fresh process with the
+# pool's start and imports included, in-process and pooled in turn (two
+# rounds of 9 and 11 pairs per size): pooled, the curves reader of
+# 2,000-node trials took a median 1.24-1.60x the in-process time at 6 MB
+# and 0.62-0.87x at 8-12 MB, and the climate count 0.54-0.80x at 6-12 MB,
+# so tables under 8 MB in all are read in-process. 2 and 4 ranges per
+# worker took the same time within the host's noise for both readers, as
+# did 4 to 64 for the curves reader at 15 MB.
+_SERIAL_BELOW_BYTES = 8 << 20
+_RANGES_PER_WORKER = 4
 
 
 @contextmanager
@@ -163,50 +174,36 @@ def _range_blocks(fh, size: int, block: int = 1 << 18) -> Iterator[io.TextIOWrap
         yield io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline="")
 
 
-def pool_size(size: int, serial_below: int) -> int:
-    """How many workers ``fork_map`` gets for a job of ``size`` (in the
-    caller's unit): one per usable CPU, at most ``_MAX_WORKERS``, and 0 when
-    ``size`` is below the caller's cutoff ``serial_below``. Under 2, the
-    caller works in-process."""
-    if size < serial_below:
-        return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, _MAX_WORKERS)
-
-
 def map_ranges(
     read: Callable[[Rows, object], R],
     paths: Sequence,
     header: Sequence[str],
     consume: Callable[[Iterator[R]], T],
-    serial_below: int,
-    ranges_per_worker: int,
     key_cells: int = 0,
 ) -> T | None:
     """``fork_map`` over byte ranges of the tables at ``paths``:
     ``consume(results)``, where ``results`` yields ``read(records, path)`` for
     the records of each range (``read_range``) of each file, in file and
     range order. Each file is cut by ``split_table``, with ``key_cells``,
-    into ranges of about one size, about ``ranges_per_worker`` of them per
-    worker; ``serial_below`` is the caller's cutoff in bytes for
-    ``pool_size``. None, for the caller to read in-process, where the files
-    are small or missing, where one cannot be split, and wherever
+    into ranges of about one size, about ``_RANGES_PER_WORKER`` of them for
+    each of ``_MAX_WORKERS`` workers. None, for the caller to read
+    in-process, where the files are missing or under
+    ``_SERIAL_BELOW_BYTES`` in all, where one cannot be split, and wherever
     ``fork_map`` gives None."""
     try:
         sizes = [os.path.getsize(path) for path in paths]
     except OSError:
         return None
-    workers = pool_size(sum(sizes), serial_below)
-    if workers < 2:
+    if sum(sizes) < _SERIAL_BELOW_BYTES:
         return None
-    range_bytes = -(-sum(sizes) // (ranges_per_worker * workers)) or 1
+    range_bytes = -(-sum(sizes) // (_RANGES_PER_WORKER * _MAX_WORKERS)) or 1
     tasks = []
     for path, size in zip(paths, sizes):
         ranges = split_table(path, header, -(-size // range_bytes), key_cells)
         if ranges is None:
             return None
         tasks += [(path, start, end) for start, end in ranges]
-    return fork_map(partial(_read_in_range, read), tasks, consume, workers)
+    return fork_map(partial(_read_in_range, read), tasks, consume)
 
 
 def _read_in_range(read: Callable[[Rows, object], R], path, start: int, end: int) -> R:
@@ -244,22 +241,24 @@ def fork_map(
     task: Callable[..., R],
     tasks: Sequence[tuple],
     consume: Callable[[Iterator[R]], T],
-    workers: int,
 ) -> T | None:
     """``consume(results)``, where ``results`` yields ``task(*args)`` for
-    each ``args`` of ``tasks``, in order, each computed in one of ``workers``
-    processes forked from this one (the ``fork`` start method). The workers
+    each ``args`` of ``tasks``, in order, each computed in one of several
+    processes forked from this one (the ``fork`` start method): one per
+    usable CPU, at most ``_MAX_WORKERS`` and at most one per task. The workers
     inherit ``task`` and all it refers to, so only ``tasks`` and the results
     are pickled; the workers fork before ``consume`` is called, and each
     result is dropped once ``consume`` has moved past it.
 
-    None, for the caller to do the work in-process, where there are fewer
-    than two workers or tasks, where ``fork`` is not available, where the
+    None, for the caller to do the work in-process, where that makes fewer
+    than two workers, where ``fork`` is not available, where the
     pool cannot start or loses a worker, or where a task raises (a task
     must not return None): the in-process pass alone builds the errors the
     caller reports. Also what ``consume`` returns where that is None. No
     worker outlives the call."""
-    if workers < 2 or len(tasks) < 2:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, _MAX_WORKERS, len(tasks))
+    if workers < 2:
         return None
     import multiprocessing  # here, not at the top: the imports cost about 1.5 MB
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -270,7 +269,7 @@ def fork_map(
     pool = None
     try:  # a forked worker gets the initializer's arguments without pickling
         pool = ProcessPoolExecutor(
-            min(workers, len(tasks)), mp_context=fork, initializer=_set_task, initargs=(task,)
+            workers, mp_context=fork, initializer=_set_task, initargs=(task,)
         )
         return consume(_checked(pool.map(_run, tasks)))
     except (OSError, ImportError, BrokenExecutor, _TaskFailed):

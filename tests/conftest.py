@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from freight_resilience import climate, synth, tables
+from freight_resilience import synth, tables
 from freight_resilience.climate import (
     DEFAULT_THRESHOLD_C,
     PeriodSpec,
@@ -571,10 +571,11 @@ def oracle_write_series(spec: SynthSpec, out_dir) -> dict[str, Path]:
 def fork_map_returns(module, **constants):
     """Record what ``tables.fork_map`` returns to ``module`` inside the block:
     what the caller made of its workers' results, or None where it fell back
-    to one process. The replay calls ``fork_map`` itself; the climate count
-    and the curves reader reach it through ``tables.map_ranges``.
-    ``constants`` patches module constants (a cutoff of 0 pools inputs of
-    any size), and two CPUs are usable whatever the host has."""
+    to one process. The replay (``pipeline``) calls ``fork_map`` itself; the
+    climate count and the curves reader reach it through
+    ``tables.map_ranges``, so their ``module`` is ``tables``. ``constants``
+    patches module constants (a cutoff of 0 pools inputs of any size), and
+    two CPUs are usable whatever the host has."""
     fork_map, returns = tables.fork_map, []
 
     def spy(*args):
@@ -582,7 +583,7 @@ def fork_map_returns(module, **constants):
         return returns[-1]
 
     with (
-        mock.patch.object(module if hasattr(module, "fork_map") else tables, "fork_map", spy),
+        mock.patch.object(module, "fork_map", spy),
         mock.patch.multiple(module, **constants),
         mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
     ):
@@ -595,4 +596,4 @@ def counted_in_ranges(paths, range_bytes: int):
     as empty)."""
     total = sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
     ranges_per_worker = -(-total // (2 * range_bytes)) or 1
-    return fork_map_returns(climate, _SERIAL_BELOW_BYTES=0, _RANGES_PER_WORKER=ranges_per_worker)
+    return fork_map_returns(tables, _SERIAL_BELOW_BYTES=0, _RANGES_PER_WORKER=ranges_per_worker)

@@ -30,7 +30,7 @@ from conftest import (
     oracle_degree,
     star_net,
 )
-from freight_resilience import climate
+from freight_resilience import tables
 from freight_resilience.centrality import (
     betweenness_exact,
     closeness_centrality,
@@ -195,7 +195,7 @@ def test_acceptance_5_hot_day_counter(tmp_path):
         days = "".join(f"m,1,2000-01-{k:02},35.0\n" for k in range(1, 31))
         flat.write_text("model,node_id,date,tmax_c\n" + days)
         # in one process, and in two over ranges of about 64 KB that split series
-        one_process = mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf)
+        one_process = mock.patch.object(tables, "_SERIAL_BELOW_BYTES", math.inf)
         for block in (one_process, counted_in_ranges([series], 1 << 16)):
             with block:
                 for threshold in (30.0, 35.0, 40.0):

@@ -22,7 +22,7 @@ from conftest import (
     make_node,
     oracle_read_series,
 )
-from freight_resilience import climate, tables
+from freight_resilience import tables
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
@@ -56,7 +56,7 @@ def both(count, *args, range_bytes=16):
         if pooled:
             block = counted_in_ranges(args[0], range_bytes)
         else:
-            block = mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf)
+            block = mock.patch.object(tables, "_SERIAL_BELOW_BYTES", math.inf)
         with block as returns:
             try:
                 outcomes.append(list(count(*args).items()))
@@ -422,7 +422,7 @@ class TestSeriesCsv:
         tracemalloc.start()
         try:
             periods = (BASELINE, PeriodSpec("p", 2000, 2004))
-            with mock.patch.object(climate, "_SERIAL_BELOW_BYTES", math.inf):
+            with mock.patch.object(tables, "_SERIAL_BELOW_BYTES", math.inf):
                 counts = count_series_csv([path], periods, 35.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -550,7 +550,7 @@ class TestSplitCount:
         pool = mock.Mock(wraps=futures.ProcessPoolExecutor)
         with (
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(8)), create=True),
-            mock.patch.object(climate, "_SERIAL_BELOW_BYTES", 0),
+            mock.patch.object(tables, "_SERIAL_BELOW_BYTES", 0),
             mock.patch.object(futures, "ProcessPoolExecutor", pool),
         ):
             assert count_series_csv([path], TWO_PERIODS) == SERIES_COUNTS

@@ -749,13 +749,19 @@ IMPORT_OWNERS = {
     "concurrent": ["tables.py"],
 }
 
-# function -> the only top-level definitions that may name it: tables
+# name -> the only top-level definitions that may name it: tables
 # splits tables and reads their ranges for the pool in one place,
-# map_ranges, and the replay is the one other user of fork_map
+# map_ranges, and the replay is the one other user of fork_map; when to
+# fork and how to cut tables is decided in tables alone, with no size hook
+# (pool_size) for callers
 NAME_OWNERS = {
     "split_table": {"tables.py:map_ranges"},
     "read_range": {"tables.py:_read_in_range"},
     "fork_map": {"pipeline.py:_replay_in_workers", "tables.py:map_ranges"},
+    "sched_getaffinity": {"tables.py:fork_map"},
+    "_SERIAL_BELOW_BYTES": {"tables.py:<module>", "tables.py:map_ranges"},
+    "_RANGES_PER_WORKER": {"tables.py:<module>", "tables.py:map_ranges"},
+    "pool_size": set(),
 }
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import er_edges, fork_map_returns, make_net
-from freight_resilience import climate, metrics, pipeline, tables
+from freight_resilience import pipeline, tables
 from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.cli import main
 from freight_resilience.disruption import RemovalSequence, random_sequence, targeted_sequence
@@ -57,7 +57,7 @@ def count_caller(tmp_path):
     )
     path.write_text("model,node_id,date,tmax_c\n" + "".join(rows))
     periods = (PeriodSpec("a", 2000, 2000), PeriodSpec("b", 1999, 2001))
-    return lambda: count_series_csv([path], periods), climate, {"_SERIAL_BELOW_BYTES": 0}
+    return lambda: count_series_csv([path], periods), tables, {"_SERIAL_BELOW_BYTES": 0}
 
 
 def simulate_config(tmp_path, n=30, seeds=6) -> Path:
@@ -88,7 +88,7 @@ def simulate_caller(tmp_path):
 def read_caller(tmp_path):
     path = tmp_path / "curves.csv"
     write_curves_csv(seven_curves(), path)
-    return lambda: read_curves_csv(path), metrics, {"_SERIAL_BELOW_BYTES": 0}
+    return lambda: read_curves_csv(path), tables, {"_SERIAL_BELOW_BYTES": 0}
 
 
 CALLERS = {"count": count_caller, "simulate": simulate_caller, "read": read_caller}
@@ -148,6 +148,20 @@ def test_small_runs_never_import_the_pool(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("caller", ["count", "read"])
+def test_inputs_from_the_cutoff_up_are_pooled(tmp_path, caller):
+    # both range readers share tables' one cutoff, in bytes of input
+    work, module, _ = CALLERS[caller](tmp_path)
+    [path] = tmp_path.glob("*.csv")
+    size = path.stat().st_size
+    with fork_map_returns(module, _SERIAL_BELOW_BYTES=size) as returns:
+        work()
+    assert len(returns) == 1 and returns[0] is not None
+    with fork_map_returns(module, _SERIAL_BELOW_BYTES=size + 1) as returns:
+        work()
+    assert returns == []
+
+
 # ---------------------------------------------------------------------------
 # the curves reader over byte ranges
 
@@ -163,7 +177,7 @@ def read_both(path, ranges_per_worker):
             "_SERIAL_BELOW_BYTES": 0 if pooled else float("inf"),
             "_RANGES_PER_WORKER": ranges_per_worker,
         }
-        with fork_map_returns(metrics, **constants) as returns:
+        with fork_map_returns(tables, **constants) as returns:
             try:
                 outcomes.append(read_curves_csv(path))
             except DataError as exc:
@@ -237,7 +251,7 @@ def test_every_range_starts_at_a_step_0_row(tmp_path, ranges_per_worker):
     constants = {"_SERIAL_BELOW_BYTES": 0, "_RANGES_PER_WORKER": ranges_per_worker}
     with (
         mock.patch.object(tables, "split_table", record),
-        fork_map_returns(metrics, **constants) as returns,
+        fork_map_returns(tables, **constants) as returns,
     ):
         assert read_curves_csv(path) == curves
     assert returns[0] is not None
@@ -289,10 +303,55 @@ def test_faults_give_the_one_process_error(tmp_path, fault):
         read_both(path, 8)
 
 
+# cells out of place: blanks, bad and extreme numbers, and ids, steps and
+# scenario names where another curve or row has them
+DAMAGED_CELLS = [
+    "", "x", "nan", "inf", "-inf", "-0", "1e309", "0.5", "1.0", "0", "1", "-1",
+    "39", "40", "41", "99", "random", "targeted_degree", "hot_days", "mA",
+]
+# a row after the header (seven_curves' file has 256) or, for a copy, the
+# end of the file; taken modulo the rows left
+ROW = st.integers(0, 256)
+DAMAGE = st.one_of(
+    st.tuples(st.just("delete"), ROW),
+    st.tuples(st.just("duplicate"), ROW, ROW),
+    st.tuples(st.just("swap"), ROW, ROW),
+    st.tuples(st.just("set"), ROW, st.integers(0, 9), st.sampled_from(DAMAGED_CELLS)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    damage=st.lists(DAMAGE, min_size=1, max_size=3),
+    ranges_per_worker=st.sampled_from([1, 4, 16]),
+)
+def test_damaged_files_read_as_in_one_process(tmp_path_factory, damage, ranges_per_worker):
+    path = tmp_path_factory.mktemp("curves") / "curves.csv"
+    write_curves_csv(seven_curves(), path)
+    header, *rows = path.read_text().splitlines()
+    for kind, row, *rest in damage:
+        row %= len(rows)
+        if kind == "delete":
+            del rows[row]
+        elif kind == "duplicate":  # a copy of the row before another row or at the end
+            rows.insert(rest[0] % (len(rows) + 1), rows[row])
+        elif kind == "swap":
+            other = rest[0] % len(rows)
+            rows[row], rows[other] = rows[other], rows[row]
+        else:
+            column, text = rest
+            set_cell(rows, row + 1, column, text)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    try:  # read_both asserts that both reads agree
+        read_both(path, ranges_per_worker)
+    except DataError:
+        pass
+
+
 def test_missing_curves_file_exits_three(tmp_path, capsys):
     absent = tmp_path / "none.csv"
     with pytest.raises(DataError, match="file not found"):
         read_both(absent, 4)
-    with fork_map_returns(metrics, _SERIAL_BELOW_BYTES=0):
+    with fork_map_returns(tables, _SERIAL_BELOW_BYTES=0):
         assert main(["report", "--curves", str(absent), "--out", str(tmp_path / "r")]) == 3
     assert "file not found" in capsys.readouterr().err

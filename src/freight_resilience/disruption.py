@@ -38,7 +38,6 @@ class RemovalSequence:
 
     scenario: str
     order: tuple[int, ...]
-    mode: str = "static"
     model: str | None = None
     seed: int | None = None
     beyond_criterion: frozenset[int] = field(default_factory=frozenset)
@@ -46,10 +45,6 @@ class RemovalSequence:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.mode not in RANKING_MODES:
-            raise ValueError(f"unknown ranking mode {self.mode!r}")
-        if self.scenario not in TARGETED_SCENARIOS and self.mode != "static":
-            raise ValueError("ranking mode applies only to targeted scenarios")
         if len(set(self.order)) != len(self.order):
             raise ValueError("removal order contains duplicate nodes")
         if self.scenario == "random" and self.seed is None:
@@ -121,7 +116,7 @@ def targeted_sequence(
             adj[w].remove(victim)
         adj[victim] = []
         order.append(ids[victim])
-    return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order), mode=mode)
+    return RemovalSequence(scenario=f"targeted_{kind}", order=tuple(order))
 
 
 def hot_day_sequence(

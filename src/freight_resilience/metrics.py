@@ -17,9 +17,12 @@ column is one correctly rounded int / int division, which makes the
 remaining-tonnage column agree bit-for-bit with the closed form
 1 - removed/total.
 
-curves.csv holds one run of rows per curve. A large file, by the cutoff
-of ``tables.map_ranges``, is read in worker processes over byte ranges
-cut only between curves, so each worker builds whole curves.
+curves.csv holds one run of rows per curve. The replay that writes it
+runs in ``tables.fork_map`` worker processes from
+``_REPLAY_SERIAL_BELOW_ROWS`` curve rows up, each worker replaying and
+rendering slices of the sequences. A large file, by the cutoff of
+``tables.map_ranges``, is read in worker processes over byte ranges cut
+only between curves, so each worker builds whole curves.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .climate import SummaryStats, summarize
 from .disruption import RemovalSequence
 from .errors import DataError
 from .network import FreightNetwork
-from .tables import map_ranges, read_table, render_record, row_error, write_blocks
+from .tables import fork_map, map_ranges, read_table, render_record, row_error, write_blocks
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
@@ -322,13 +325,56 @@ def _ff_scf_texts(tf: int) -> tuple[str, ...]:
     return tuple(f"{f},{f / tf!r}" for f in range(tf + 1))
 
 
-def write_curve_blocks(blocks: Iterable[str], path) -> None:
-    """Write curves.csv from blocks of records made by ``render_curve``."""
-    write_blocks(path, _CURVE_HEADER, blocks)
-
-
 def write_curves_csv(curves: Iterable[RobustnessCurve], path) -> None:
-    write_curve_blocks(map(render_curve, curves), path)
+    write_blocks(path, _CURVE_HEADER, map(render_curve, curves))
+
+
+# Measured on a 2-CPU host, pool start included, replaying and rendering
+# 2,000-node random trials: 2 workers took about the in-process time at
+# 20k rows, 0.83x at 40k and 0.74x at 60k, so fewer rows are replayed
+# in-process (static-500 has 28k). Small tasks keep small what the parent
+# holds of the workers' results: 100 trials in tasks of 13, 4 and 2 trials
+# peaked at 62-65, 56-57 and 55 MB, against 46 MB in-process, so a task
+# has about _TASK_ROWS rows.
+_REPLAY_SERIAL_BELOW_ROWS = 50_000
+_TASK_ROWS = 4096
+
+
+def replay_to_csv(
+    net: FreightNetwork, sequences: Sequence[RemovalSequence], path
+) -> list[RobustnessCurve]:
+    """``replay`` of each sequence, in order, with the curves written to
+    ``path`` as ``write_curves_csv`` writes them. Contiguous slices of the
+    sequences, of about ``_TASK_ROWS`` rows each, are replayed and rendered
+    as one block per slice, and each block is written as it arrives. The
+    slices run in ``fork_map`` workers from ``_REPLAY_SERIAL_BELOW_ROWS``
+    rows up, and in-process below that or wherever ``fork_map`` gives
+    None."""
+    rows = sum(len(s.order) + 1 for s in sequences)
+    step = max(1, len(sequences) * _TASK_ROWS // (rows or 1))
+    slices = [(i, i + step) for i in range(0, len(sequences), step)]
+
+    def task(start: int, end: int) -> tuple[list[RobustnessCurve], str]:
+        curves = [replay(net, s) for s in sequences[start:end]]
+        return curves, "".join(map(render_curve, curves))
+
+    def consume(parts) -> list[RobustnessCurve]:
+        curves: list[RobustnessCurve] = []
+
+        def blocks():
+            for part, text in parts:
+                curves.extend(part)
+                yield text
+
+        write_blocks(path, _CURVE_HEADER, blocks())
+        return curves
+
+    curves = None
+    if rows >= _REPLAY_SERIAL_BELOW_ROWS:
+        curves = fork_map(task, slices, consume)
+    if curves is None:
+        curves = consume(task(*s) for s in slices)
+    return curves
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:

@@ -63,14 +63,11 @@ from .metrics import (
     RobustnessCurve,
     aggregate_curves,
     read_curves_csv,
-    render_curve,
-    replay,
-    write_curve_blocks,
-    write_curves_csv,
+    replay_to_csv,
 )
 from .network import MODES, filter_mode, load_network, save_network
 from .svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
-from .tables import fork_map, write_table
+from .tables import write_table
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "freight-resilience-manifest/1"
@@ -642,59 +639,13 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
         sequences.extend(seqs)
     write_sequences_csv(sequences, rec.path("sequences.csv"))
     rec.add("sequences.csv")
-    curves = _replay_in_workers(net, sequences, rec.path("curves.csv"))
-    if curves is None:
-        curves = [replay(net, s) for s in sequences]
-        write_curves_csv(curves, rec.path("curves.csv"))
+    curves = replay_to_csv(net, sequences, rec.path("curves.csv"))
     rec.add("curves.csv")
     by_scenario: dict[str, list[RobustnessCurve]] = {s: [] for s in config.scenarios}
     for curve in curves:
         by_scenario[curve.scenario].append(curve)
     state["sequences"] = sequences
     state["curves_by_scenario"] = by_scenario
-
-
-# Measured on a 2-CPU host, pool start included, replaying and rendering
-# 2,000-node random trials: 2 workers took about the in-process time at
-# 20k rows, 0.83x at 40k and 0.74x at 60k, so fewer rows are replayed
-# in-process (static-500 has 28k). Small tasks keep small what the parent
-# holds of the workers' results: 100 trials in tasks of 13, 4 and 2 trials
-# peaked at 62-65, 56-57 and 55 MB, against 46 MB in-process, so a task
-# has about _TASK_ROWS rows.
-_REPLAY_SERIAL_BELOW_ROWS = 50_000
-_TASK_ROWS = 4096
-
-
-def _replay_in_workers(
-    net, sequences: list[RemovalSequence], path: Path
-) -> list[RobustnessCurve] | None:
-    """``replay`` of each sequence, in order, with the curves written to
-    ``path`` as ``write_curves_csv`` writes them: ``fork_map`` workers replay
-    and render contiguous slices of ``sequences``, and each slice's block is
-    written as it arrives. None, for the caller to replay in-process, where
-    the curves have few rows, and after any fault."""
-    rows = sum(len(s.order) + 1 for s in sequences)
-    if rows < _REPLAY_SERIAL_BELOW_ROWS:
-        return None
-    step = max(1, len(sequences) * _TASK_ROWS // rows)
-    slices = [(i, i + step) for i in range(0, len(sequences), step)]
-
-    def task(start: int, end: int) -> tuple[list[RobustnessCurve], str]:
-        curves = [replay(net, s) for s in sequences[start:end]]
-        return curves, "".join(map(render_curve, curves))
-
-    def consume(parts) -> list[RobustnessCurve]:
-        curves: list[RobustnessCurve] = []
-
-        def blocks():
-            for part, text in parts:
-                curves.extend(part)
-                yield text
-
-        write_curve_blocks(blocks(), path)
-        return curves
-
-    return fork_map(task, slices, consume)
 
 
 def _plot_limits(sequences: Sequence[RemovalSequence]) -> dict[str, int]:

@@ -571,7 +571,7 @@ def oracle_write_series(spec: SynthSpec, out_dir) -> dict[str, Path]:
 def fork_map_returns(module, **constants):
     """Record what ``tables.fork_map`` returns to ``module`` inside the block:
     what the caller made of its workers' results, or None where it fell back
-    to one process. The replay (``pipeline``) calls ``fork_map`` itself; the
+    to one process. The replay (``metrics``) calls ``fork_map`` itself; the
     climate count and the curves reader reach it through
     ``tables.map_ranges``, so their ``module`` is ``tables``. ``constants``
     patches module constants (a cutoff of 0 pools inputs of any size), and

@@ -1,9 +1,17 @@
+import io
 import json
+import random
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from freight_resilience.cli import _build_parser, main
+from freight_resilience.disruption import SCENARIOS
 from freight_resilience.metrics import DEFAULT_COLLAPSE_THRESHOLD
 from freight_resilience.pipeline import MANIFEST_NAME
 
@@ -456,3 +464,181 @@ class TestSynthCommand:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "run_out" / "robustness.svg").is_file()
+
+
+# ---------------------------------------------------------------------------
+# whole runs over mutated inputs: every fault above the loaders as well as
+# in them ends in exit 2 or 3, and an exit 3 names the input at fault
+
+FUZZ_PERIODS = {"b": 2000, "f1": 2001, "f2": 2002}
+FUZZ_GRID = [f"{lat},{lon}" for lat in (25.0, 49.0) for lon in (-124.0, -67.0)]
+
+
+def write_fuzz_inputs(data: Path, form: str) -> list[str]:
+    """A 9-node synthetic network and the climate input of ``form`` for
+    models mA and mB over one-year periods b, f1 and f2: five July days a
+    year per node (series, one file per model) or grid cell (grid), or the
+    periods' hot-day counts (profiles). Returns the climate files' names."""
+    generate_synthetic(SynthSpec(n_nodes=9, avg_degree=3.0, seed=1, models=()), data)
+    rng = random.Random(7)
+    if form == "profiles":
+        rows = [
+            f"{model},{label},{node},{rng.randint(0, 40)},35.0"
+            for model in ("mA", "mB") for label in FUZZ_PERIODS for node in range(1, 10)
+        ]
+        header = "model,period_label,node_id,hot_days,threshold_c"
+        (data / "profiles.csv").write_text("\n".join([header, *rows]) + "\n")
+        return ["profiles.csv"]
+    header = SERIES_FORMS[form][0]
+    keys = FUZZ_GRID if form == "grid" else range(1, 10)
+    days = [f"{year}-07-0{d}" for year in FUZZ_PERIODS.values() for d in range(1, 6)]
+    series = {
+        model: [f"{model},{key},{day},{rng.uniform(30, 40):.2f}" for key in keys for day in days]
+        for model in ("mA", "mB")
+    }
+    if form == "grid":
+        files = {"tmax.csv": series["mA"] + series["mB"]}
+    else:
+        files = {f"tmax_{model}.csv": rows for model, rows in series.items()}
+    for name, rows in files.items():
+        (data / name).write_text("\n".join([header, *rows]) + "\n")
+    return list(files)
+
+
+def fuzz_config(form: str, climate_files: list[str]) -> dict:
+    climate = {
+        "baseline": {"label": "b", "start_year": 2000, "end_year": 2000},
+        "futures": [
+            {"label": label, "start_year": year, "end_year": year}
+            for label, year in FUZZ_PERIODS.items() if label != "b"
+        ],
+    }
+    if form == "profiles":
+        climate["profiles"] = f"data/{climate_files[0]}"
+    else:
+        climate["series" if form == "series" else "grid_series"] = [
+            f"data/{name}" for name in climate_files
+        ]
+    return {
+        "nodes": "data/nodes.csv", "edges": "data/edges.csv", "out_dir": "out",
+        "seeds": 2, "climate": climate,
+    }
+
+
+FUZZ_PERIOD = st.builds(
+    lambda label, start, span: {"label": label, "start_year": start, "end_year": start + span},
+    st.sampled_from([*FUZZ_PERIODS, "x"]), st.integers(1999, 2003), st.integers(-1, 1),
+)
+# a config field (climate ones as climate.<name>) and values to set it to
+CONFIG_EDITS = {
+    "scenarios": st.lists(st.sampled_from(SCENARIOS), max_size=3),
+    "mode": st.sampled_from(["rail", "water", "air"]),
+    "ranking": st.sampled_from(["adaptive", "sideways"]),
+    "seeds": st.integers(0, 3),
+    "base_seed": st.integers(-3, 3),
+    "column_map": st.sampled_from(
+        [{"tonnage": "name"}, {"id": "node_id"}, {"lat": "lon"}, {"mode": "kind"}]
+    ),
+    "climate.models": st.lists(st.sampled_from(["mA", "mB", "mZ"]), max_size=3),
+    "climate.sequence_period": st.sampled_from(["f1", "f2", "b", "zz"]),
+    "climate.top_k": st.integers(-1, 12),
+    "climate.threshold_c": st.sampled_from([30, 35.0, 36.5, 1e300]),
+    "climate.baseline": FUZZ_PERIOD,
+    "climate.futures": st.lists(FUZZ_PERIOD, max_size=3),
+}
+# cells out of place: blanks, numbers a parser may take or refuse, dates
+# and names of the inputs, and a cell that holds a comma
+FUZZ_TOKENS = [
+    "", " ", "x", "nan", "inf", "-inf", "1e309", "-0", "0", "1", "-1", "0.5", "2.5", "0x10",
+    "1_000", "99", "1e3", "2000-02-30", "2000-13-01", "20000101", "2001-07-01",
+    "0001-01-01", "a,b", "\u00e9", "rail", "water", "mA", "mB", "b", "f1", "35.0",
+    "-124.0", "49.0", "random", "hot_days",
+]
+# a line of a table, header included, taken modulo its lines; a cell,
+# modulo its cells
+LINE = st.integers(0, 400)
+CELL = st.integers(0, 9)
+TABLE_EDITS = st.one_of(
+    st.tuples(st.just("delete"), LINE),
+    st.tuples(st.just("duplicate"), LINE, LINE),
+    st.tuples(st.just("swap"), LINE, LINE),
+    st.tuples(st.just("shuffle-header"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("copy-cell"), LINE, LINE, CELL),
+    st.tuples(st.just("set"), LINE, CELL, st.sampled_from(FUZZ_TOKENS)),
+)
+
+
+def edit_table(path: Path, edit: tuple) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    kind, *args = edit
+    if kind == "shuffle-header":
+        cells = lines[0].split(",") if lines else []
+        random.Random(args[0]).shuffle(cells)
+        lines[:1] = [",".join(cells)]
+    elif lines:
+        line, *args = args
+        line %= len(lines)
+        if kind == "delete":
+            del lines[line]
+        elif kind == "duplicate":
+            lines.insert(args[0] % (len(lines) + 1), lines[line])
+        elif kind == "swap":
+            other = args[0] % len(lines)
+            lines[line], lines[other] = lines[other], lines[line]
+        else:
+            cells = lines[line].split(",")
+            if kind == "copy-cell":
+                source, column = lines[args[0] % len(lines)].split(","), args[1]
+                text = source[column % len(source)]
+            else:
+                column, text = args
+            cells[column % len(cells)] = text
+            lines[line] = ",".join(cells)
+    path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), form=st.sampled_from(["series", "grid", "profiles"]))
+def test_mutated_inputs_exit_two_or_three_naming_the_input(data, form):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        climate_files = write_fuzz_inputs(root / "data", form)
+        inputs = [root / "data" / name for name in ("nodes.csv", "edges.csv", *climate_files)]
+        doc = fuzz_config(form, climate_files)
+        keys = st.lists(st.sampled_from(sorted(CONFIG_EDITS)), unique=True, max_size=2)
+        for key in data.draw(keys, label="config fields"):
+            section, _, name = key.rpartition(".")
+            (doc[section] if section else doc)[name] = data.draw(CONFIG_EDITS[key], label=key)
+        edits = st.lists(st.tuples(st.integers(0, 3), TABLE_EDITS), max_size=3)
+        for which, edit in data.draw(edits, label="input edits"):
+            edit_table(inputs[which % len(inputs)], edit)
+        (root / "config.json").write_text(json.dumps(doc))
+        argv = ["run", "--config", str(root / "config.json")]
+
+        code, err = run_cli(argv)
+        event(f"{form} run exit {code}")
+        assert code in (0, 2, 3), err
+        if code == 3:
+            assert any(f"{path}:" in err for path in inputs), err
+        if code != 0:
+            return
+        manifest = (root / "out" / MANIFEST_NAME).read_bytes()
+        assert run_cli(argv) == (0, "")
+        assert (root / "out" / MANIFEST_NAME).read_bytes() == manifest
+
+        curves = root / "curves.csv"
+        shutil.copy(root / "out" / "curves.csv", curves)
+        for edit in data.draw(st.lists(TABLE_EDITS, max_size=2), label="curves edits"):
+            edit_table(curves, edit)
+        code, err = run_cli(["report", "--curves", str(curves), "--out", str(root / "report")])
+        event(f"report exit {code}")
+        assert code in (0, 2, 3), err
+        if code == 3:
+            assert f"{curves}:" in err, err

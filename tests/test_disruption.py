@@ -90,11 +90,6 @@ class TestSequenceValidation:
         with pytest.raises(ValueError, match="model"):
             RemovalSequence("hot_days", (1, 2))
 
-    def test_mode_only_for_targeted(self):
-        with pytest.raises(ValueError, match="targeted"):
-            RemovalSequence("random", (1,), mode="adaptive", seed=0)
-        RemovalSequence("targeted_degree", (1,), mode="adaptive")
-
     def test_beyond_criterion_only_for_hot_days(self):
         with pytest.raises(ValueError, match="beyond_criterion"):
             RemovalSequence("random", (1, 2), seed=0, beyond_criterion=frozenset({2}))
@@ -180,7 +175,6 @@ class TestTargetedAdaptive:
         adaptive = targeted_sequence(net, "degree", mode="adaptive")
         assert static.order == (2, 3, 4, 1, 5)
         assert adaptive.order == (2, 4, 1, 3, 5)
-        assert adaptive.mode == "adaptive"
 
     @pytest.mark.parametrize(
         "kind,oracle",

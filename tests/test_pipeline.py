@@ -751,17 +751,23 @@ IMPORT_OWNERS = {
 
 # name -> the only top-level definitions that may name it: tables
 # splits tables and reads their ranges for the pool in one place,
-# map_ranges, and the replay is the one other user of fork_map; when to
-# fork and how to cut tables is decided in tables alone, with no size hook
-# (pool_size) for callers
+# map_ranges, and the replay, metrics.replay_to_csv, is the one other user
+# of fork_map and alone knows its row cutoff and task size, so that
+# curves.csv has one writer whether pooled or not (no _replay_in_workers,
+# no write_curve_blocks); how to cut tables is decided in tables alone,
+# with no size hook (pool_size) for callers
 NAME_OWNERS = {
     "split_table": {"tables.py:map_ranges"},
     "read_range": {"tables.py:_read_in_range"},
-    "fork_map": {"pipeline.py:_replay_in_workers", "tables.py:map_ranges"},
+    "fork_map": {"metrics.py:replay_to_csv", "tables.py:map_ranges"},
     "sched_getaffinity": {"tables.py:fork_map"},
     "_SERIAL_BELOW_BYTES": {"tables.py:<module>", "tables.py:map_ranges"},
     "_RANGES_PER_WORKER": {"tables.py:<module>", "tables.py:map_ranges"},
+    "_REPLAY_SERIAL_BELOW_ROWS": {"metrics.py:<module>", "metrics.py:replay_to_csv"},
+    "_TASK_ROWS": {"metrics.py:<module>", "metrics.py:replay_to_csv"},
     "pool_size": set(),
+    "_replay_in_workers": set(),
+    "write_curve_blocks": set(),
 }
 
 
@@ -814,6 +820,13 @@ class TestReportFromCurves:
         assert (report.out_dir / "collapse.csv").read_bytes() == (
             bundle.out_dir / "collapse.csv"
         ).read_bytes()
+        # every table too, on a run with hot-day nodes beyond the criterion
+        # (the plots differ: curves.csv does not carry the flag)
+        assert ",true\n" in (bundle.out_dir / "sequences.csv").read_text()
+        tables = [name for name in report.files if name.endswith(".csv")]
+        assert len(tables) == 6
+        for name in tables:
+            assert (report.out_dir / name).read_bytes() == (bundle.out_dir / name).read_bytes()
 
     def test_deterministic(self, demo, tmp_path):
         bundle = run(load_config(demo))

@@ -1,5 +1,6 @@
 """The one fork pool (``tables.fork_map``) and its three callers: the climate
-count, the simulate stage's replay and the curves reader.
+count, the replay that writes curves.csv (``metrics.replay_to_csv``) and the
+curves reader.
 
 Pooled, each gives the results, bytes and errors of one process; on any
 pool fault it works in one process instead, and no child process outlives
@@ -22,12 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import er_edges, fork_map_returns, make_net
-from freight_resilience import pipeline, tables
+from freight_resilience import metrics, pipeline, tables
 from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.cli import main
-from freight_resilience.disruption import RemovalSequence, random_sequence, targeted_sequence
+from freight_resilience.disruption import (
+    RemovalSequence,
+    hot_day_sequence,
+    random_sequence,
+    targeted_sequence,
+)
 from freight_resilience.errors import DataError
-from freight_resilience.metrics import read_curves_csv, replay, write_curves_csv
+from freight_resilience.metrics import read_curves_csv, replay, replay_to_csv, write_curves_csv
 from freight_resilience.pipeline import load_config, run
 from freight_resilience.synth import SynthSpec, generate_synthetic
 
@@ -82,7 +88,7 @@ def simulate_caller(tmp_path):
         return {name: (bundle.out_dir / name).read_bytes() for name in bundle.files}
 
     # tasks of two or three sequences
-    return work, pipeline, {"_REPLAY_SERIAL_BELOW_ROWS": 0, "_TASK_ROWS": 64}
+    return work, metrics, {"_REPLAY_SERIAL_BELOW_ROWS": 0, "_TASK_ROWS": 64}
 
 
 def read_caller(tmp_path):
@@ -160,6 +166,61 @@ def test_inputs_from_the_cutoff_up_are_pooled(tmp_path, caller):
     with fork_map_returns(module, _SERIAL_BELOW_BYTES=size + 1) as returns:
         work()
     assert returns == []
+
+
+# ---------------------------------------------------------------------------
+# the replay's one writer, pooled or not
+
+
+@st.composite
+def removal_sequences(draw, net):
+    """Random, targeted and hot-day sequences over ``net``: whole, partial
+    or empty orders, hot-day ones with their beyond_criterion nodes."""
+    sequences = []
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "targeted", "hot_days"]))
+        if kind == "random":
+            seq = random_sequence(net, i)
+        elif kind == "targeted":
+            seq = targeted_sequence(net, draw(st.sampled_from(["degree", "betweenness"])))
+        else:
+            deltas = draw(st.lists(st.integers(-2, 3), min_size=net.node_count,
+                                   max_size=net.node_count))
+            seq = hot_day_sequence(net, dict(zip(net.node_ids, deltas)), f"m{i}")
+        cut = draw(st.one_of(st.none(), st.integers(0, net.node_count)))
+        if cut is not None:
+            order = seq.order[:cut]
+            beyond = seq.beyond_criterion & set(order)
+            seq = RemovalSequence(seq.scenario, order, seq.model, seq.seed, beyond)
+        sequences.append(seq)
+    return sequences
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.6),
+    task_rows=st.sampled_from([1, 64, 4096]),
+    pooled=st.booleans(),
+)
+def test_replay_to_csv_writes_what_replay_gives(tmp_path_factory, data, n, p, task_rows, pooled):
+    net = make_net(n, er_edges(n, p, random.Random(n)), tons={1: 5.5, 2: 0.25})
+    sequences = data.draw(removal_sequences(net))
+    expected = [replay(net, s) for s in sequences]
+    tmp = tmp_path_factory.mktemp("replay")
+    write_curves_csv(expected, tmp / "oracle.csv")
+    constants = {"_REPLAY_SERIAL_BELOW_ROWS": 0 if pooled else float("inf"), "_TASK_ROWS": task_rows}
+    with fork_map_returns(metrics, **constants) as returns:
+        curves = replay_to_csv(net, sequences, tmp / "curves.csv")
+    assert curves == expected
+    assert (tmp / "curves.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+    # one sequence per task at _TASK_ROWS 1: from two sequences up, the
+    # workers' blocks are the ones written
+    assert len(returns) == pooled
+    if pooled and task_rows == 1 and len(sequences) > 1:
+        assert returns[0] is not None
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

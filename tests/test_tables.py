@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freight_resilience import tables
-from freight_resilience.disruption import (
-    RANKING_MODES,
-    SCENARIOS,
-    TARGETED_SCENARIOS,
-    RemovalSequence,
-    write_sequences_csv,
-)
+from freight_resilience.disruption import SCENARIOS, RemovalSequence, write_sequences_csv
 from freight_resilience.metrics import (
     _CURVE_HEADER,
     RobustnessCurve,
@@ -75,8 +69,7 @@ def sequences(draw):
     beyond = frozenset()
     if scenario == "hot_days" and order:
         beyond = frozenset(draw(st.sets(st.sampled_from(order))))
-    mode = draw(st.sampled_from(RANKING_MODES)) if scenario in TARGETED_SCENARIOS else "static"
-    return RemovalSequence(scenario, order, mode, model, seed, beyond)
+    return RemovalSequence(scenario, order, model, seed, beyond)
 
 
 def curve_rows(curves):

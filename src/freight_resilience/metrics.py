@@ -7,7 +7,10 @@ the network, and the tonnage fraction carried by the largest surviving
 component. A network counts as collapsed once SCF drops to or below a
 threshold (0.10 by default).
 
-A curve holds one column per quantity, validated once when it is built.
+A curve holds one column per quantity, validated once when it is built:
+the removed ids as a tuple, the sequence's own, and the numeric columns as
+typed arrays (``array('q')`` for FF, ``array('d')`` for the fractions), so
+a step costs 8 bytes per column instead of a boxed number and a pointer.
 Replay runs backwards: start from the fully disrupted state and re-add
 nodes in reverse order under a union-find over dense node positions, so
 the whole curve costs near-linear time instead of one component sweep
@@ -20,14 +23,17 @@ remaining-tonnage column agree bit-for-bit with the closed form
 curves.csv holds one run of rows per curve. The replay that writes it
 runs in ``tables.fork_map`` worker processes from
 ``_REPLAY_SERIAL_BELOW_ROWS`` curve rows up, each worker replaying and
-rendering slices of the sequences. A large file, by the cutoff of
-``tables.map_ranges``, is read in worker processes over byte ranges cut
-only between curves, so each worker builds whole curves.
+rendering slices of the sequences; a worker sends back each curve without
+its ``order``, which the parent's curve takes from its sequence. A large
+file, by the cutoff of ``tables.map_ranges``, is read in worker processes
+over byte ranges cut only between curves, so each worker builds whole
+curves.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
@@ -42,15 +48,24 @@ from .tables import fork_map, map_ranges, read_table, render_record, row_error, 
 
 DEFAULT_COLLAPSE_THRESHOLD = 0.10
 
+# the array typecode of each numeric column a curve is given
+_COLUMN_TYPES = (("ff", "q"), ("tonnage_fraction", "d"), ("tonnage_fraction_gcc", "d"))
+
 
 @dataclass(frozen=True)
 class RobustnessCurve:
     """One replayed removal sequence over one network, held as columns.
 
-    ``order`` lists the k removed ids; ``ff``, ``tonnage_fraction`` and
-    ``tonnage_fraction_gcc`` have k + 1 entries, entry j describing the
-    state after j removals. ``fraction_removed`` (j / n_nodes) and ``scf``
-    (ff / tf) are derived from them.
+    ``order`` lists the k removed ids, as a tuple: ids are unbounded ints.
+    ``ff`` (an ``array('q')``), ``tonnage_fraction`` and
+    ``tonnage_fraction_gcc`` (``array('d')``) have k + 1 entries, entry j
+    describing the state after j removals. ``fraction_removed`` (j /
+    n_nodes, a tuple shared by the full curves of a node count) and ``scf``
+    (ff / tf, an ``array('d')``) are derived from them. Any sequences given
+    are stored in these types, so a curve built from tuples equals the
+    same curve read back; a cell that does not convert, as a float in
+    ``ff``, raises ValueError. A curve from ``replay`` holds its
+    sequence's own ``order`` tuple.
     """
 
     scenario: str
@@ -59,9 +74,9 @@ class RobustnessCurve:
     n_nodes: int
     tf: int
     order: tuple[int, ...]
-    ff: tuple[int, ...]
-    tonnage_fraction: tuple[float, ...]
-    tonnage_fraction_gcc: tuple[float, ...]
+    ff: array[int]
+    tonnage_fraction: array[float]
+    tonnage_fraction_gcc: array[float]
 
     def __post_init__(self):
         n, k, ff = self.n_nodes, len(self.order), self.ff
@@ -71,6 +86,17 @@ class RobustnessCurve:
             raise ValueError(f"{k} removals from {n} nodes")
         if not len(ff) == len(self.tonnage_fraction) == len(self.tonnage_fraction_gcc) == k + 1:
             raise ValueError("ff and the tonnage columns need one entry per step 0..k")
+        if type(self.order) is not tuple:
+            object.__setattr__(self, "order", tuple(self.order))
+        for name, code in _COLUMN_TYPES:
+            column = getattr(self, name)
+            if type(column) is not array or column.typecode != code:
+                try:
+                    column = array(code, column)
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+                object.__setattr__(self, name, column)
+        ff = self.ff  # as converted
         if ff[0] != self.tf:
             raise ValueError("step 0 must describe the intact network")
         # comparisons with NaN are false, so every check below rejects it
@@ -90,7 +116,7 @@ class RobustnessCurve:
         return _fractions(n) if steps == n + 1 else tuple(j / n for j in range(steps))
 
     @cached_property
-    def scf(self) -> tuple[float, ...]:
+    def scf(self) -> array[float]:
         return _scf(self)
 
     def __getstate__(self) -> dict:
@@ -99,9 +125,9 @@ class RobustnessCurve:
         return {k: v for k, v in vars(self).items() if k not in ("fraction_removed", "scf")}
 
 
-def _scf(curve: RobustnessCurve) -> tuple[float, ...]:
+def _scf(curve: RobustnessCurve) -> array[float]:
     tf = curve.tf
-    return tuple(f / tf for f in curve.ff)
+    return array("d", [f / tf for f in curve.ff])
 
 
 @lru_cache(maxsize=4)
@@ -178,15 +204,15 @@ def replay(net: FreightNetwork, seq: RemovalSequence) -> RobustnessCurve:
     removed = [index[v] for v in seq.order]
     tons = net.scaled_tonnages
     total = sum(tons)
-    states = _largest_components(net, removed)
-    ff, gcc_tons = zip(*states)
+    sizes, gcc_tons = zip(*_largest_components(net, removed))
+    ff = array("q", sizes)
     if total > 0:
         removed_tons = accumulate((tons[v] for v in removed), initial=0)
-        ton_frac = tuple((total - t) / total for t in removed_tons)
-        ton_frac_gcc = tuple(t / total for t in gcc_tons)
+        ton_frac = array("d", [(total - t) / total for t in removed_tons])
+        ton_frac_gcc = array("d", [t / total for t in gcc_tons])
     else:
-        ton_frac = (1.0,) * len(ff)
-        ton_frac_gcc = tuple(1.0 if f > 0 else 0.0 for f in ff)
+        ton_frac = array("d", [1.0]) * len(ff)
+        ton_frac_gcc = array("d", [1.0 if f > 0 else 0.0 for f in ff])
     return RobustnessCurve(
         scenario=seq.scenario,
         model=seq.model,
@@ -349,7 +375,7 @@ def replay_to_csv(
     as one block per slice, and each block is written as it arrives. The
     slices run in ``fork_map`` workers from ``_REPLAY_SERIAL_BELOW_ROWS``
     rows up, and in-process below that or wherever ``fork_map`` gives
-    None."""
+    None. Either way each curve holds its sequence's own ``order`` tuple."""
     rows = sum(len(s.order) + 1 for s in sequences)
     step = max(1, len(sequences) * _TASK_ROWS // (rows or 1))
     slices = [(i, i + step) for i in range(0, len(sequences), step)]
@@ -357,6 +383,16 @@ def replay_to_csv(
     def task(start: int, end: int) -> tuple[list[RobustnessCurve], str]:
         curves = [replay(net, s) for s in sequences[start:end]]
         return curves, "".join(map(render_curve, curves))
+
+    def shipped(start: int, end: int) -> tuple[list[dict], str]:
+        # a worker's curves go back as their state without ``order``, and
+        # each takes its sequence's own tuple again, not an unpickled copy
+        curves, text = task(start, end)
+        return [{k: v for k, v in c.__getstate__().items() if k != "order"} for c in curves], text
+
+    def rejoined(parts):
+        for (start, end), (states, text) in zip(slices, parts):
+            yield list(map(_with_order, states, sequences[start:end])), text
 
     def consume(parts) -> list[RobustnessCurve]:
         curves: list[RobustnessCurve] = []
@@ -371,10 +407,18 @@ def replay_to_csv(
 
     curves = None
     if rows >= _REPLAY_SERIAL_BELOW_ROWS:
-        curves = fork_map(task, slices, consume)
+        curves = fork_map(shipped, slices, lambda parts: consume(rejoined(parts)))
     if curves is None:
         curves = consume(task(*s) for s in slices)
     return curves
+
+
+def _with_order(state: dict, seq: RemovalSequence) -> RobustnessCurve:
+    # rebuilt as unpickling rebuilds a curve, from the state of one that
+    # ``replay`` built and checked from ``seq``
+    curve = object.__new__(RobustnessCurve)
+    vars(curve).update(state, order=seq.order)
+    return curve
 
 
 def read_curves_csv(path) -> list[RobustnessCurve]:
@@ -409,10 +453,11 @@ def _read_curves(records, path) -> list[RobustnessCurve]:
 def _curve_runs(records, path) -> Iterator[tuple]:
     """The runs of rows of one curve each in ``records``, each yielded once
     the next run begins or the records end, as ``(key, seed, columns)``: the
-    (scenario, model, seed) cells, the seed and the columns as read (order,
-    fraction_removed, ff, scf, tonnage_fraction, tonnage_fraction_gcc),
-    whose steps run from 0. A row fault, and a key that an earlier run had,
-    raise DataError at the row's line."""
+    (scenario, model, seed) cells, the seed and the columns as read (order
+    as a list; fraction_removed, ff, scf, tonnage_fraction and
+    tonnage_fraction_gcc as arrays of a curve's types), whose steps run
+    from 0. A row fault, and a key that an earlier run had, raise DataError
+    at the row's line."""
     seen = set()
     key = run = None
     for lineno, row in records:
@@ -428,7 +473,9 @@ def _curve_runs(records, path) -> Iterator[tuple]:
                         f"curve {scenario!r}/{model!r}/{seed!r} resumes after another curve's rows"
                     )
                 seen.add(key)
-                order, frac, ff, scf, ton, gcc = columns = ([], [], [], [], [], [])
+                order, frac, ff, scf, ton, gcc = columns = (
+                    [], array("d"), array("q"), array("d"), array("d"), array("d")
+                )
                 run = (key, int(seed) if seed else None, columns)
             step = int(step)
             if step != len(ff):
@@ -445,25 +492,25 @@ def _curve_runs(records, path) -> Iterator[tuple]:
             scf.append(float(scf_cell))
             ton.append(float(ton_cell))
             gcc.append(float(gcc_cell))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: an ff cell beyond 64 bits
             raise row_error(exc, row, len(_CURVE_HEADER), path, lineno) from exc
     if run is not None:
         yield run
 
 
 def _build_curve(run: tuple, path) -> RobustnessCurve:
-    """The curve of one whole run from ``_curve_runs``, checked against the
-    fraction_removed and scf cells as read."""
+    """The curve of one whole run from ``_curve_runs``, which keeps the
+    run's arrays, checked against the fraction_removed and scf cells as
+    read."""
     (scenario, model, seed_cell), seed, (order, frac, ff, scf, ton, gcc) = run
     try:
         if len(frac) > 1 and not frac[1] > 0.0:
             raise ValueError("step 1 fraction_removed must be positive")
         n_nodes = round(1 / frac[1]) if len(frac) > 1 else ff[0]
-        columns = map(tuple, (order, ff, ton, gcc))
-        curve = RobustnessCurve(scenario, model or None, seed, n_nodes, ff[0], *columns)
+        curve = RobustnessCurve(scenario, model or None, seed, n_nodes, ff[0], order, ff, ton, gcc)
         if tuple(frac) != curve.fraction_removed:
             raise ValueError("fraction_removed is not step/n_nodes")
-        if tuple(scf) != curve.scf:
+        if scf != _scf(curve):  # not curve.scf, which would keep the column
             raise ValueError("scf is not ff/tf")
     except (ValueError, OverflowError) as exc:  # overflow: a subnormal step-1 fraction
         raise DataError(f"curve {scenario!r}/{model!r}/{seed_cell!r}: {exc}", path=path) from exc

@@ -1,12 +1,12 @@
 """The CSV dialect of every table the package reads or writes.
 
 Input tables are UTF-8, with or without a leading byte-order mark (as
-Excel writes them). Blank rows are skipped but counted: rows are
-numbered by record from 1. A file that is not valid UTF-8 or holds a
-malformed record raises DataError naming the file and the physical line
-of the fault, which is the record number unless a quoted field spans
-lines before it. A record with a cell too many or too few raises
-DataError "expected N fields, got M" at its line (``row_error``).
+Excel writes them). Blank rows are skipped. A record is numbered by the
+physical line it ends on, counted from 1, so a quoted cell that holds a
+line end moves no later record's number. A file that is not valid UTF-8
+or holds a malformed record raises DataError naming the file and the
+physical line of the fault. A record with a cell too many or too few
+raises DataError "expected N fields, got M" at its line (``row_error``).
 
 A long table without quoted cells can be read in pieces: ``split_table``
 cuts the records after its header into byte ranges that end at line
@@ -68,14 +68,15 @@ _RANGES_PER_WORKER = 4
 @contextmanager
 def read_rows(path) -> Iterator[Rows]:
     """Open ``path`` for a ``with`` block that iterates the ``(line, row)``
-    pairs of its non-blank records, header included."""
+    pairs of its non-blank records, header included, ``line`` being the
+    physical line where the record ends."""
     p = Path(path)
     if not p.is_file():
         raise DataError("file not found", path=p)
     with p.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:  # errors raised while the with block iterates arrive at the yield
-            yield filter(itemgetter(1), enumerate(reader, start=1))
+            yield ((reader.line_num, row) for row in reader if row)
         except UnicodeDecodeError as exc:
             line = _undecodable_line(p)
             raise DataError(f"not valid UTF-8: {exc.reason}", path=p, line=line) from exc

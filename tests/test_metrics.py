@@ -4,6 +4,7 @@ import pickle
 import random
 import tempfile
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ from freight_resilience.metrics import (
     replay,
     write_curves_csv,
 )
+from freight_resilience.synth import SynthSpec, build_network
 
 
 def all_sequences_for(net, trial):
@@ -117,7 +119,7 @@ class TestReplayBasics:
     def test_zero_total_tonnage(self):
         net = make_net(3, [(1, 2)], tons={1: 0.0, 2: 0.0, 3: 0.0})
         curve = replay(net, RemovalSequence("random", (1, 2, 3), seed=0))
-        assert curve.tonnage_fraction == (1.0,) * 4
+        assert curve.tonnage_fraction == array("d", [1.0] * 4)
         assert curve.tonnage_fraction_gcc[-1] == 0.0
         assert curve.tonnage_fraction_gcc[0] == 1.0
 
@@ -214,7 +216,7 @@ class TestStepAndCurveValidation:
     def test_valid_columns_and_derived_values(self):
         curve = columns_curve()
         assert curve.fraction_removed == (0.0, 1 / 3, 2 / 3)
-        assert curve.scf == (1.0, 1 / 3, 1 / 3)
+        assert curve.scf == array("d", [1.0, 1 / 3, 1 / 3])
 
     def test_step_zero_node_id(self):
         """The intact row removes no node: ``order`` is one entry shorter
@@ -269,6 +271,27 @@ class TestStepAndCurveValidation:
                 tonnage_fraction=(1.0,) * 4,
                 tonnage_fraction_gcc=(1.0,) * 4,
             )
+
+    def test_any_sequences_are_stored_as_a_tuple_and_arrays(self):
+        curve = columns_curve(
+            order=[2, 1], ff=[3, 1, 1], tonnage_fraction=array("f", [1.0, 0.5, 0.25])
+        )
+        assert type(curve.order) is tuple
+        columns = (curve.ff, curve.tonnage_fraction, curve.tonnage_fraction_gcc, curve.scf)
+        assert [(type(c), c.typecode) for c in columns] == [(array, t) for t in "qddd"]
+        assert curve == columns_curve()
+        # an int tonnage cell is stored, and so written, as a float
+        assert repr(columns_curve(tonnage_fraction=(1, 0.5, 0.25)).tonnage_fraction[0]) == "1.0"
+
+    def test_cells_that_do_not_convert_raise_value_error(self):
+        for field, column in (
+            ("ff", (3.0, 1, 1)),
+            ("ff", (3, 1, 2**63)),
+            ("tonnage_fraction", (1.0, "0.5", 0.25)),
+            ("tonnage_fraction_gcc", (1.0, None, 0.25)),
+        ):
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                columns_curve(**{field: column})
 
     def test_column_lengths_must_match(self):
         for field in ("ff", "tonnage_fraction", "tonnage_fraction_gcc"):
@@ -388,9 +411,11 @@ class TestCurvesCsv:
         assert read_curves_csv(path) == curves
 
     def test_read_peak_close_to_what_the_curves_keep(self, tmp_path):
-        # each curve's lists are dropped as the curve is built; lists kept
-        # until every curve exists would read about 1.7 here
-        net = make_net(60, er_edges(60, 0.08, random.Random(5)))
+        # each curve keeps its run's arrays and the rest of the run is
+        # dropped as the curve is built; runs kept until every curve
+        # exists would read about 1.7 here. Curves of 300 nodes keep
+        # enough that the reader's fixed buffers read about 1.1.
+        net = make_net(300, er_edges(300, 0.015, random.Random(5)))
         path = tmp_path / "curves.csv"
         write_curves_csv([replay(net, random_sequence(net, s)) for s in range(40)], path)
         tracemalloc.start()
@@ -490,6 +515,24 @@ class TestCurvesCsv:
             assert part.fraction_removed == tuple(j / 30 for j in range(8))
 
 
+def test_replayed_curves_keep_at_most_40_bytes_a_step():
+    # ff and both tonnage columns cost 8 B a step each, and ``order`` is the
+    # sequence's own tuple; tuples of boxed numbers kept about 85 B
+    net = build_network(SynthSpec(500, 4.0, 1, models=()))
+    sequences = [random_sequence(net, s) for s in range(10)]
+    replay(net, sequences[0])  # the network's cached views are not the curves'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curves = [replay(net, s) for s in sequences]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    steps = sum(len(c.ff) for c in curves)
+    assert steps == 10 * 501
+    assert kept <= 40 * steps, f"{kept / steps:.1f} B a step"
+
+
 def write_edited_curve(path, edits):
     """Write a 4-node random curve (order 1, 2, 3; ff 4, 1, 1, 1) and
     set cells of it: ``edits`` maps (line, column name) to the new text."""
@@ -513,7 +556,24 @@ class TestCurvesCsvFaults:
 
     def test_unedited_file_reads(self, tmp_path):
         (curve,) = read_curves_csv(write_edited_curve(tmp_path / "curves.csv", {}))
-        assert curve.ff == (4, 1, 1, 1) and curve.scf == (1.0, 0.25, 0.25, 0.25)
+        assert curve.ff == array("q", [4, 1, 1, 1])
+        assert curve.scf == array("d", [1.0, 0.25, 0.25, 0.25])
+
+    def test_line_is_physical_after_a_model_cell_over_two_lines(self, tmp_path):
+        curve = RobustnessCurve(
+            "hot_days", "m\nB", None, 2, 2, (1, 2), (2, 1, 0), (1.0, 0.5, 0.0), (1.0, 0.5, 0.0)
+        )
+        path = tmp_path / "curves.csv"
+        write_curves_csv([curve], path)
+        assert read_curves_csv(path) == [curve]
+        # every record spans two lines, so the step-2 record, the fourth,
+        # ends on line 7
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[6] == 'B",,2,2,1.0,0,0.0,0.0,0.0\n'
+        lines[6] = 'B",,2,x,1.0,0,0.0,0.0,0.0\n'
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"curves\.csv:7: invalid literal"):
+            read_curves_csv(path)
 
     def test_step_gap_names_its_line(self, tmp_path):
         path = write_edited_curve(tmp_path / "curves.csv", {})
@@ -636,17 +696,17 @@ def assert_columns_match_oracle(net, seq, curve):
     """Every column of ``curve``, stored or derived, against the oracle."""
     states = oracle_curve_states(net, seq.order)
     total = sum((Fraction(rec.tonnage) for rec in net.nodes), Fraction(0))
-    ff = tuple(f for f, _, _ in states)
+    ff = array("q", [f for f, _, _ in states])
     n = net.node_count
     assert (curve.n_nodes, curve.tf, curve.order, curve.ff) == (n, ff[0], seq.order, ff)
     assert curve.fraction_removed == tuple(j / n for j in range(len(ff)))
-    assert curve.scf == tuple(f / ff[0] for f in ff)
+    assert curve.scf == array("d", [f / ff[0] for f in ff])
     if total:
-        assert curve.tonnage_fraction == tuple(float(rem / total) for _, _, rem in states)
-        assert curve.tonnage_fraction_gcc == tuple(float(g / total) for _, g, _ in states)
+        assert curve.tonnage_fraction == array("d", [float(rem / total) for _, _, rem in states])
+        assert curve.tonnage_fraction_gcc == array("d", [float(g / total) for _, g, _ in states])
     else:
-        assert curve.tonnage_fraction == (1.0,) * len(ff)
-        assert curve.tonnage_fraction_gcc == tuple(1.0 if f else 0.0 for f in ff)
+        assert curve.tonnage_fraction == array("d", [1.0] * len(ff))
+        assert curve.tonnage_fraction_gcc == array("d", [1.0 if f else 0.0 for f in ff])
 
 
 @settings(max_examples=60, deadline=None)

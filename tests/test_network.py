@@ -137,6 +137,19 @@ class TestLoadNetwork:
         with pytest.raises(DataError, match=r"n\.csv:3"):
             load_network(tmp_path / "n.csv", tmp_path / "e.csv")
 
+    def test_line_is_physical_after_a_quoted_line_end(self, tmp_path):
+        # the bad id's record is the fourth, but the first name's quoted
+        # line end puts it on line 5
+        (tmp_path / "n.csv").write_text(
+            "id,name,mode,lat,lon,tonnage\n"
+            '1,"two\nlines",rail,0,0,1\n'
+            "2,b,rail,0,0,1\n"
+            "x,c,rail,0,0,1\n"
+        )
+        write_csv(tmp_path / "e.csv", [["src", "dst"]])
+        with pytest.raises(DataError, match=r"n\.csv:5: "):
+            load_network(tmp_path / "n.csv", tmp_path / "e.csv")
+
     def test_edge_to_unknown_node_reports_line(self, tmp_path):
         write_csv(tmp_path / "n.csv", [NODES_HEADER, [1, "a", "rail", 0, 0, 1]])
         write_csv(tmp_path / "e.csv", [["src", "dst"], [1, 5]])

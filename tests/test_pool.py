@@ -214,6 +214,7 @@ def test_replay_to_csv_writes_what_replay_gives(tmp_path_factory, data, n, p, ta
     with fork_map_returns(metrics, **constants) as returns:
         curves = replay_to_csv(net, sequences, tmp / "curves.csv")
     assert curves == expected
+    assert all(c.order is s.order for c, s in zip(curves, sequences))
     assert (tmp / "curves.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
     # one sequence per task at _TASK_ROWS 1: from two sequences up, the
     # workers' blocks are the ones written
@@ -221,6 +222,21 @@ def test_replay_to_csv_writes_what_replay_gives(tmp_path_factory, data, n, p, ta
     if pooled and task_rows == 1 and len(sequences) > 1:
         assert returns[0] is not None
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_replayed_curves_hold_their_sequences_order(tmp_path, pooled):
+    # a worker's curves come back without ``order``: each curve holds its
+    # sequence's own tuple, not an unpickled copy
+    net = make_net(40, er_edges(40, 0.1, random.Random(4)))
+    sequences = [random_sequence(net, s) for s in range(6)]
+    constants = {"_REPLAY_SERIAL_BELOW_ROWS": 0 if pooled else float("inf"), "_TASK_ROWS": 41}
+    with fork_map_returns(metrics, **constants) as returns:
+        curves = replay_to_csv(net, sequences, tmp_path / "curves.csv")
+    assert [r is curves for r in returns] == ([True] if pooled else [])
+    assert len(curves) == len(sequences)
+    assert all(c.order is s.order for c, s in zip(curves, sequences))
+    assert curves == [replay(net, s) for s in sequences]
 
 
 # ---------------------------------------------------------------------------

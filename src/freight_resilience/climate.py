@@ -220,6 +220,8 @@ def map_nodes_to_grid(
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+SERIES_HEADER = ("model", "node_id", "date", "tmax_c")
+GRID_SERIES_HEADER = ("model", "lat", "lon", "date", "tmax_c")
 _PROFILE_HEADER = ("model", "period_label", "node_id", "hot_days", "threshold_c")
 _DELTA_HEADER = ("model", "node_id", "delta_hot_days")
 
@@ -361,8 +363,7 @@ def count_series_csv(
     date repeated within a series, raises DataError at its file:line.
     Large inputs are counted in worker processes, with the same results
     and errors."""
-    header = ("model", "node_id", "date", "tmax_c")
-    return _count_rows(paths, header, _node_key, periods, threshold_c)
+    return _count_rows(paths, SERIES_HEADER, _node_key, periods, threshold_c)
 
 
 def count_gridded_series_csv(
@@ -374,8 +375,7 @@ def count_gridded_series_csv(
     """``count_series_csv`` for grid-form files (``model,lat,lon,date,tmax_c``):
     each node takes, for every model, the counts of its nearest cell."""
     paths = list(paths)
-    header = ("model", "lat", "lon", "date", "tmax_c")
-    cells = _count_rows(paths, header, _cell_key, periods, threshold_c)
+    cells = _count_rows(paths, GRID_SERIES_HEADER, _cell_key, periods, threshold_c)
     files = ", ".join(map(str, paths))
     try:  # an empty or irregular grid, or a node outside it
         grid = RegularGrid(*(tuple(sorted({key[i] for key in cells})) for i in (1, 2)))

@@ -18,9 +18,10 @@ a freshly loaded canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DataError
 from .tables import read_rows, write_table
@@ -98,20 +99,12 @@ class FreightNetwork:
         edges: Iterable[tuple[int, int]],
     ) -> "FreightNetwork":
         """Construct from arbitrary node/edge order, collapsing duplicate
-        undirected edges. Raises ValueError on self-loops, duplicate node
-        ids, or edges referencing unknown ids."""
-        node_tuple = tuple(sorted(nodes, key=lambda n: n.id))
-        ids = {n.id for n in node_tuple}
-        if len(ids) != len(node_tuple):
-            raise ValueError("duplicate node id")
-        canon = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at node {a}")
-            if a not in ids or b not in ids:
-                raise ValueError(f"edge ({a}, {b}) references unknown node id")
-            canon.add((a, b) if a < b else (b, a))
-        return cls(node_tuple, tuple(sorted(canon)))
+        undirected edges. The constructor raises ValueError on self-loops,
+        duplicate node ids, or edges referencing unknown ids."""
+        return cls(
+            tuple(sorted(nodes, key=lambda n: n.id)),
+            tuple(sorted({(a, b) if a < b else (b, a) for a, b in edges})),
+        )
 
     @cached_property
     def node_ids(self) -> tuple[int, ...]:
@@ -178,26 +171,32 @@ def filter_mode(net: FreightNetwork, mode: str) -> FreightNetwork:
     return FreightNetwork(keep, edges)
 
 
-def _header_index(first, columns, column_map, path):
-    """Map canonical column names to positions in the file header.
+def _read_columns(table, columns, column_map) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, cells)`` for each record of ``table`` after its
+    header, ``cells`` holding the record's values of ``columns`` in order.
 
-    ``first`` is the file's first ``(line, row)`` record, or None for an
-    empty file. ``column_map`` renames canonical -> actual header names,
-    which lets the loader consume exports whose tonnage/coordinate
-    columns vary by tool version. Extra columns are ignored.
+    ``column_map`` renames canonical -> actual header names, which lets
+    the loader consume exports whose tonnage/coordinate columns vary by
+    tool version. Extra columns are ignored. Iterate it inside
+    ``closing`` so that the file closes when the caller raises.
     """
-    if first is None:
-        raise DataError("empty file, expected header row", path=path, line=1)
-    line, row = first
-    header = [h.strip() for h in row]
-    mapping = dict(column_map or {})
-    index = {}
-    for name in columns:
-        actual = mapping.get(name, name)
-        if actual not in header:
-            raise DataError(f"missing column {actual!r} in header {header}", path=path, line=line)
-        index[name] = header.index(actual)
-    return index, len(header)
+    with read_rows(table) as records:
+        line, row = next(records, (1, None))
+        if row is None:
+            raise DataError("empty file, expected header row", path=table, line=line)
+        header = [h.strip() for h in row]
+        index = []
+        for name in columns:
+            actual = (column_map or {}).get(name, name)
+            if actual not in header:
+                message = f"missing column {actual!r} in header {header}"
+                raise DataError(message, path=table, line=line)
+            index.append(header.index(actual))
+        for line, row in records:
+            if len(row) != len(header):
+                message = f"expected {len(header)} fields, got {len(row)}"
+                raise DataError(message, path=table, line=line)
+            yield line, [row[i] for i in index]
 
 
 def load_network(
@@ -207,62 +206,41 @@ def load_network(
 ) -> FreightNetwork:
     """Load and validate a network from nodes/edges CSV files.
 
+    Both tables go through ``_read_columns``, which applies ``column_map``.
     Duplicate undirected edges (including both orientations of the same
     link) are collapsed; row order never affects the result. Errors are
     reported as DataError with the offending file and line number.
     """
     nodes: list[NodeRecord] = []
     seen: dict[int, int] = {}
-    with read_rows(nodes_table) as records:
-        idx, width = _header_index(next(records, None), NODE_COLUMNS, column_map, nodes_table)
-        for lineno, row in records:
-            if len(row) != width:
-                raise DataError(
-                    f"expected {width} fields, got {len(row)}", path=nodes_table, line=lineno
-                )
+    with closing(_read_columns(nodes_table, NODE_COLUMNS, column_map)) as records:
+        for lineno, (nid, name, mode, lat, lon, tons) in records:
             try:
-                rec = NodeRecord(
-                    id=int(row[idx["id"]]),
-                    name=row[idx["name"]],
-                    mode=row[idx["mode"]].strip(),
-                    lat=float(row[idx["lat"]]),
-                    lon=float(row[idx["lon"]]),
-                    tonnage=float(row[idx["tonnage"]]),
-                )
+                rec = NodeRecord(int(nid), name, mode.strip(), float(lat), float(lon), float(tons))
             except ValueError as exc:
                 raise DataError(str(exc), path=nodes_table, line=lineno) from exc
             if rec.id in seen:
-                raise DataError(
-                    f"duplicate node id {rec.id} (first seen on line {seen[rec.id]})",
-                    path=nodes_table,
-                    line=lineno,
-                )
+                message = f"duplicate node id {rec.id} (first seen on line {seen[rec.id]})"
+                raise DataError(message, path=nodes_table, line=lineno)
             seen[rec.id] = lineno
             nodes.append(rec)
 
-    known = set(seen)
-    edges: set[tuple[int, int]] = set()
-    with read_rows(edges_table) as records:
-        eidx, ewidth = _header_index(next(records, None), EDGE_COLUMNS, column_map, edges_table)
-        for lineno, row in records:
-            if len(row) != ewidth:
-                raise DataError(
-                    f"expected {ewidth} fields, got {len(row)}", path=edges_table, line=lineno
-                )
+    edges: list[tuple[int, int]] = []
+    with closing(_read_columns(edges_table, EDGE_COLUMNS, column_map)) as records:
+        for lineno, (src, dst) in records:
             try:
-                a = int(row[eidx["src"]])
-                b = int(row[eidx["dst"]])
+                a, b = int(src), int(dst)
             except ValueError as exc:
                 raise DataError(str(exc), path=edges_table, line=lineno) from exc
             if a == b:
                 raise DataError(f"self-loop at node {a}", path=edges_table, line=lineno)
             for endpoint in (a, b):
-                if endpoint not in known:
+                if endpoint not in seen:
                     message = f"edge references unknown node id {endpoint}"
                     raise DataError(message, path=edges_table, line=lineno)
-            edges.add((a, b) if a < b else (b, a))
+            edges.append((a, b))
 
-    return FreightNetwork(tuple(sorted(nodes, key=lambda n: n.id)), tuple(sorted(edges)))
+    return FreightNetwork.build(nodes, edges)
 
 
 def save_network(net: FreightNetwork, nodes_path, edges_path) -> None:

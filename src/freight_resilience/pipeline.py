@@ -72,6 +72,8 @@ from .tables import write_table
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "freight-resilience-manifest/1"
 STAGES = ("ingest", "centrality", "climate", "simulate", "report")
+# the stage whose results each stage reads
+_PREREQUISITE = dict(centrality="ingest", climate="ingest", simulate="ingest", report="simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +375,18 @@ def _digest_of(doc: dict) -> str:
 
 
 class _Recorder:
-    """Collects the relative paths of every emitted file."""
+    """Declares each output: taking a file's path records its name, so a
+    failed stage's manifest lists every file the run may have begun."""
 
     def __init__(self, out: Path):
         self.out = out
         self.relpaths: list[str] = []
 
     def path(self, name: str) -> Path:
-        return self.out / name
-
-    def add(self, name: str) -> None:
         if name in self.relpaths:
             raise RuntimeError(f"output {name!r} written twice")
         self.relpaths.append(name)
-
-    def write_text(self, name: str, content: str) -> None:
-        self.path(name).write_text(content, encoding="utf-8")
-        self.add(name)
+        return self.out / name
 
 
 def _prepare_out_dir(out: Path) -> None:
@@ -445,6 +442,8 @@ def _write_manifest(
 
     files = {}
     for rel in sorted(relpaths):
+        if status != "complete" and not (out / rel).is_file():
+            continue  # declared, but the failed stage never created it
         digest, size = hashlib.sha256(), 0
         with open(out / rel, "rb") as fh:  # in blocks: an output may be large
             for block in iter(partial(fh.read, 1 << 16), b""):
@@ -497,8 +496,6 @@ def _stage_ingest(config: RunConfig, rec: _Recorder, state: dict) -> None:
     if net.node_count == 0:
         raise DataError(f"no nodes remain after filtering mode={config.mode!r}", path=config.nodes)
     save_network(net, rec.path("network_nodes.csv"), rec.path("network_edges.csv"))
-    rec.add("network_nodes.csv")
-    rec.add("network_edges.csv")
     state["net"] = net
 
 
@@ -506,15 +503,12 @@ def _stage_centrality(config: RunConfig, rec: _Recorder, state: dict) -> None:
     net = state["net"]
     score_sets, rank_keys = all_scores(net)
     write_scores_csv(score_sets, rec.path("centrality_scores.csv"))
-    rec.add("centrality_scores.csv")
 
     names = {node.id: node.name for node in net.nodes}
     static = {}  # each kind's static removal order, for the simulate stage
     for kind, keys in rank_keys.items():
-        name = f"ranking_{kind}.csv"
         order = rank_order(keys)
-        write_ranking_csv(order, keys, names, rec.path(name))
-        rec.add(name)
+        write_ranking_csv(order, keys, names, rec.path(f"ranking_{kind}.csv"))
         static[f"targeted_{kind}"] = RemovalSequence(f"targeted_{kind}", order)
     state["static_sequences"] = static
 
@@ -564,7 +558,6 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
     profiles = {key: profiles[key] for key in sorted(profiles) if key[0] in models}
 
     write_profiles_csv(list(profiles.values()), rec.path("hotday_profiles.csv"))
-    rec.add("hotday_profiles.csv")
 
     target = cc.delta_period()
     deltas: dict[str, dict[int, int]] = {}
@@ -599,11 +592,9 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
                 path=inputs,
             )
     write_delta_csv(deltas, rec.path("hotday_deltas.csv"))
-    rec.add("hotday_deltas.csv")
 
     ensemble = ensemble_stats(deltas)
     write_ensemble_csv(ensemble, len(models), rec.path("hotday_ensemble.csv"), "node_id")
-    rec.add("hotday_ensemble.csv")
 
     sequences = [hot_day_sequence(net, deltas[m], m) for m in models]
     k = min(cc.top_k, net.node_count)
@@ -613,7 +604,6 @@ def _stage_climate(config: RunConfig, rec: _Recorder, state: dict) -> None:
         ("node_id", "appearances", "k", "n_models"),
         ([node, freq[node], k, len(models)] for node in rank_order(freq)),
     )
-    rec.add("hotday_topk.csv")
 
     state["hot_day_sequences"] = sequences
     state["hotday_ensemble"] = ensemble
@@ -638,9 +628,7 @@ def _stage_simulate(config: RunConfig, rec: _Recorder, state: dict) -> None:
             seqs = state["hot_day_sequences"]
         sequences.extend(seqs)
     write_sequences_csv(sequences, rec.path("sequences.csv"))
-    rec.add("sequences.csv")
     curves = replay_to_csv(net, sequences, rec.path("curves.csv"))
-    rec.add("curves.csv")
     by_scenario: dict[str, list[RobustnessCurve]] = {s: [] for s in config.scenarios}
     for curve in curves:
         by_scenario[curve.scenario].append(curve)
@@ -694,18 +682,15 @@ def emit_report(
         ("scenario", "model", "threshold", "collapse_fraction"),
         collapse_rows,
     )
-    rec.add("collapse.csv")
     for ens in ensembles.values():
         for target, stats in (("scf", ens.scf), ("tonnage_fraction", ens.tonnage_fraction)):
-            name = f"ensemble_{target}_{ens.scenario}.csv"
-            write_ensemble_csv(stats, ens.n_curves, rec.path(name), "step")
-            rec.add(name)
+            path = rec.path(f"ensemble_{target}_{ens.scenario}.csv")
+            write_ensemble_csv(stats, ens.n_curves, path, "step")
     write_table(
         rec.path("collapse_ensemble.csv"),
         ("scenario", "threshold", "mean", "sd", "min", "max", "n_curves"),
         ensemble_rows,
     )
-    rec.add("collapse_ensemble.csv")
 
     limits = _plot_limits(sequences)
     where = f" ({mode})" if mode else ""
@@ -738,19 +723,21 @@ def emit_report(
             bands=bands,
         )
 
-    rec.write_text("robustness.svg", chart("scf", "Robustness under node disruption", "SCF"))
-    rec.write_text(
-        "tonnage.svg",
+    rec.path("robustness.svg").write_text(
+        chart("scf", "Robustness under node disruption", "SCF"), encoding="utf-8"
+    )
+    rec.path("tonnage.svg").write_text(
         chart("tonnage_fraction", "Tonnage capacity under node disruption", "tonnage fraction"),
+        encoding="utf-8",
     )
     if map_points:
-        rec.write_text(
-            "hotday_map.svg",
+        rec.path("hotday_map.svg").write_text(
             scatter_map(
                 map_points,
                 title="Projected change in hot days per year-window",
                 value_label="delta",
             ),
+            encoding="utf-8",
         )
 
 
@@ -810,13 +797,17 @@ def _emit(
 def run(config: RunConfig, stages: Sequence[str] = STAGES) -> ReportBundle:
     """Execute the pipeline and return the emitted bundle.
 
-    On a stage failure the manifest is still written, with status
-    "incomplete" and the failing stage's name, then the error is
-    re-raised wrapped as PipelineError.
+    A stage set that lacks a stage's prerequisite is refused with
+    ConfigError before ``out_dir`` is touched. On a stage failure the
+    manifest is still written, with status "incomplete" and the failing
+    stage's name, then the error is re-raised wrapped as PipelineError.
     """
     unknown = [s for s in stages if s not in _STAGE_FNS]
     if unknown:
         raise ConfigError(f"unknown stage(s) {unknown}")
+    for stage in stages:
+        if _PREREQUISITE.get(stage, stage) not in stages:
+            raise ConfigError(f"stage {stage!r} needs stage {_PREREQUISITE[stage]!r}")
     config.validate()
     state: dict = {}
     return _emit(

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
+from .climate import SERIES_HEADER
 from .disruption import _rand_below, _shuffled
 from .network import MODES, FreightNetwork, NodeRecord, save_network
 from .tables import render_record, write_blocks
@@ -184,7 +185,7 @@ def write_series_for_model(
             for iso, seasonal, trend in days
         ])
 
-    write_blocks(path, ("model", "node_id", "date", "tmax_c"), map(block, net.nodes))
+    write_blocks(path, SERIES_HEADER, map(block, net.nodes))
 
 
 def generate_synthetic(spec: SynthSpec, out_dir) -> dict[str, Path]:

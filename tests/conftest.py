@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import math
 import os
 import random
@@ -47,6 +48,16 @@ from freight_resilience.pipeline import _plot_limits
 from freight_resilience.svgplot import PALETTE, Band, LineSeries, line_chart, scatter_map
 from freight_resilience.synth import SynthSpec, generate_synthetic
 from freight_resilience.tables import write_table
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_node(

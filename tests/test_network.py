@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -155,6 +156,28 @@ class TestLoadNetwork:
         write_csv(tmp_path / "e.csv", [["src", "dst"], [1, 5]])
         with pytest.raises(DataError, match=r"e\.csv:2.*unknown node id 5"):
             load_network(tmp_path / "n.csv", tmp_path / "e.csv")
+
+    @pytest.mark.parametrize("table", ["nodes", "edges"])
+    def test_files_close_when_the_loader_raises_partway(self, tmp_path, monkeypatch, table):
+        opened = []
+        path_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            fh = path_open(self, *args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        first = [1, "a", "rail", 0, 0, 1]
+        write_csv(tmp_path / "n.csv", [NODES_HEADER, first] + [first] * (table == "nodes"))
+        write_csv(tmp_path / "e.csv", [["src", "dst"], [1, 5], [1, 1]])
+        monkeypatch.setattr(Path, "open", recording_open)
+        # the loader raises while its reader is part way through the table,
+        # and excinfo's traceback keeps the loader's frame alive
+        with pytest.raises(DataError, match="duplicate node id|unknown node id") as excinfo:
+            load_network(tmp_path / "n.csv", tmp_path / "e.csv")
+        assert excinfo.value.line == {"nodes": 3, "edges": 2}[table]
+        assert len(opened) == {"nodes": 1, "edges": 2}[table]
+        assert all(fh.closed for fh in opened)
 
     def test_duplicate_edges_collapse_regardless_of_order(self, tmp_path):
         write_csv(

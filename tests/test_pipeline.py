@@ -22,6 +22,7 @@ import freight_resilience
 from conftest import counted_in_ranges, make_node, oracle_emit_report, rail_density_net
 from freight_resilience import centrality, metrics, pipeline
 from freight_resilience.centrality import CENTRALITY_KINDS
+from freight_resilience.cli import main
 from freight_resilience.climate import (
     BASELINE,
     FUTURE_FAR,
@@ -474,6 +475,63 @@ class TestRun:
         config = load_config(demo)
         with pytest.raises(PipelineError, match="stage 'simulate'"):
             run(config, stages=("ingest", "simulate"))
+
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            ("centrality",),
+            ("climate",),
+            ("simulate",),
+            ("ingest", "report"),
+            ("ingest", "centrality", "climate", "report"),
+        ],
+    )
+    def test_stage_set_without_a_prerequisite_is_refused(self, demo, stages):
+        config = load_config(demo)
+        out = Path(config.out_dir)
+        with pytest.raises(ConfigError, match="needs stage") as excinfo:
+            run(config, stages=stages)
+        assert exit_code_for(excinfo.value) == 2
+        assert not out.exists()
+        run(config, stages=("ingest",))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ConfigError, match="needs stage"):
+            run(config, stages=stages)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_replay_fault_leaves_a_manifest_the_next_run_replaces(self, demo):
+        config = load_config(demo)
+        replay_one, calls = metrics.replay, []
+
+        def faulty(net, sequence):
+            calls.append(sequence)
+            if len(calls) == 3:
+                raise OSError("device lost")
+            return replay_one(net, sequence)
+
+        with mock.patch.object(metrics, "replay", faulty):
+            with pytest.raises(PipelineError, match="stage 'simulate'"):
+                run(config)
+        manifest = manifest_of(config.out_dir)
+        assert (manifest["status"], manifest["failed_stage"]) == ("incomplete", "simulate")
+        # curves.csv was begun, so it is listed with what it holds
+        curves = Path(config.out_dir) / "curves.csv"
+        assert manifest["files"]["curves.csv"]["sha256"] == (
+            hashlib.sha256(curves.read_bytes()).hexdigest()
+        )
+        assert main(["run", "--config", str(demo)]) == 0
+        assert manifest_of(config.out_dir)["status"] == "complete"
+
+    def test_output_declared_but_never_created_is_not_listed(self, demo):
+        config = load_config(demo)
+        with mock.patch.object(pipeline, "write_sequences_csv", side_effect=OSError("full")):
+            with pytest.raises(PipelineError, match="stage 'simulate'"):
+                run(config)
+        manifest = manifest_of(config.out_dir)
+        assert manifest["status"] == "incomplete"
+        assert "sequences.csv" not in manifest["files"]
+        assert "ranking_degree.csv" in manifest["files"]
+        assert main(["run", "--config", str(demo)]) == 0
 
     def test_collapse_table_contents(self, demo):
         config = load_config(demo)

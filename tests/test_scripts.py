@@ -1,23 +1,13 @@
 """The two scripts under ``scripts/`` run end to end on synthetic inputs."""
 
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from freight_resilience.centrality import betweenness_exact, rank_order
 from freight_resilience.network import load_network
 from freight_resilience.synth import SynthSpec, generate_synthetic
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_run_demo_prints_the_collapse_table(tmp_path, capsys):

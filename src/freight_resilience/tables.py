@@ -16,6 +16,11 @@ work in worker processes forked from this one, as many as it finds
 CPUs and tasks for, and it is the only place that starts processes;
 ``map_ranges`` runs a reader over the ranges of tables in it, and it is
 the only place that decides whether and where tables are cut for it.
+``fork_map`` has four callers, each with its own size cutoff below which
+it works in-process: through ``map_ranges`` the climate count and the
+curves reader, and directly the replay that writes curves.csv
+(``metrics.replay_to_csv``) and the writer of synthetic daily series
+(``synth.generate_synthetic``).
 
 Output tables are UTF-8 with ``\\n`` line endings. A cell is written as
 ``csv.writer`` writes it: ``None`` as an empty cell, an int as ``str``, a
@@ -35,6 +40,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import os
 from contextlib import contextmanager
 from functools import partial
@@ -63,6 +69,10 @@ _MAX_WORKERS = 2
 # did 4 to 64 for the curves reader at 15 MB.
 _SERIAL_BELOW_BYTES = 8 << 20
 _RANGES_PER_WORKER = 4
+
+# where fork_map reads this process's cgroup CPU quota, read-only
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @contextmanager
@@ -246,7 +256,9 @@ def fork_map(
     """``consume(results)``, where ``results`` yields ``task(*args)`` for
     each ``args`` of ``tasks``, in order, each computed in one of several
     processes forked from this one (the ``fork`` start method): one per
-    usable CPU, at most ``_MAX_WORKERS`` and at most one per task. The workers
+    usable CPU, at most ``_MAX_WORKERS`` and at most one per task. The CPUs
+    usable are those of the affinity mask, and at most the cgroup CPU quota
+    rounded up where one is set (``_cpu_quota``). The workers
     inherit ``task`` and all it refers to, so only ``tasks`` and the results
     are pickled; the workers fork before ``consume`` is called, and each
     result is dropped once ``consume`` has moved past it.
@@ -259,6 +271,8 @@ def fork_map(
     worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, _MAX_WORKERS, len(tasks))
+    if workers >= 2 and (quota := _cpu_quota()) is not None:
+        workers = min(workers, math.ceil(quota))
     if workers < 2:
         return None
     import multiprocessing  # here, not at the top: the imports cost about 1.5 MB
@@ -278,6 +292,33 @@ def fork_map(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _cpu_quota() -> float | None:
+    """The CPUs that this process's cgroup may use by its CPU quota: cgroup
+    v2 ``cpu.max``, or v1 ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``,
+    of the group that ``/proc/self/cgroup`` names. None where no quota is
+    set (``max``, ``-1``) or none can be read."""
+    try:
+        groups = _PROC_CGROUP.read_text(encoding="ascii").splitlines()
+    except (OSError, ValueError):
+        return None
+    for line in groups:
+        try:
+            _, controllers, group = line.split(":", 2)
+            if not controllers:  # v2: "0::<group>"
+                quota, period = (_CGROUP_ROOT / group.lstrip("/") / "cpu.max").read_text().split()
+            elif "cpu" in controllers.split(","):
+                v1 = _CGROUP_ROOT / "cpu" / group.lstrip("/")
+                quota = (v1 / "cpu.cfs_quota_us").read_text().strip()
+                period = (v1 / "cpu.cfs_period_us").read_text().strip()
+            else:
+                continue
+            if quota not in ("max", "-1"):
+                return int(quota) / int(period)
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return None
 
 
 def row_error(exc: Exception, row: list[str], width: int, path, line: int) -> DataError:

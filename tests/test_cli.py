@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -547,12 +548,16 @@ CONFIG_EDITS = {
     "climate.futures": st.lists(FUZZ_PERIOD, max_size=3),
 }
 # cells out of place: blanks, numbers a parser may take or refuse, dates
-# and names of the inputs, and a cell that holds a comma
+# and names of the inputs, a cell that holds a comma, and cells that move
+# the csv reader's records off the lines: a lone quote, quoted cells
+# holding a comma or a line end, a leading byte-order mark and a cell
+# ending in a carriage return
 FUZZ_TOKENS = [
     "", " ", "x", "nan", "inf", "-inf", "1e309", "-0", "0", "1", "-1", "0.5", "2.5", "0x10",
     "1_000", "99", "1e3", "2000-02-30", "2000-13-01", "20000101", "2001-07-01",
     "0001-01-01", "a,b", "\u00e9", "rail", "water", "mA", "mB", "b", "f1", "35.0",
     "-124.0", "49.0", "random", "hot_days",
+    '"', '"a,b"', '"mA\nmB"', "\ufeff1", "\ufeffmodel", "1\r",
 ]
 # a line of a table, header included, taken modulo its lines; a cell,
 # modulo its cells
@@ -597,6 +602,17 @@ def edit_table(path: Path, edit: tuple) -> None:
     path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
 
 
+def assert_lines_within(err: str, paths: list[Path]) -> None:
+    """Every ``path:line`` that ``err`` names is a physical line of that
+    file: lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as the csv
+    reader counts them."""
+    for path in paths:
+        with path.open(newline="", encoding="utf-8", errors="replace") as fh:
+            lines = sum(1 for _ in fh)
+        for line in re.findall(rf"{re.escape(str(path))}:(\d+)", err):
+            assert 1 <= int(line) <= lines, (path.read_bytes(), err)
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -627,6 +643,7 @@ def test_mutated_inputs_exit_two_or_three_naming_the_input(data, form):
         assert code in (0, 2, 3), err
         if code == 3:
             assert any(f"{path}:" in err for path in inputs), err
+            assert_lines_within(err, inputs)
         if code != 0:
             return
         manifest = (root / "out" / MANIFEST_NAME).read_bytes()
@@ -642,3 +659,4 @@ def test_mutated_inputs_exit_two_or_three_naming_the_input(data, form):
         assert code in (0, 2, 3), err
         if code == 3:
             assert f"{curves}:" in err, err
+            assert_lines_within(err, [curves])

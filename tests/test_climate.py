@@ -369,6 +369,19 @@ class TestSeriesCsv:
         with pytest.raises(DataError, match=r"series\.csv:3"):
             both(count_series_csv, [path], TWO_PERIODS)
 
+    def test_line_is_physical_after_a_model_cell_over_two_lines(self, tmp_path):
+        # the bad value's record is the fourth, but the first model cell's
+        # quoted line end puts it on line 5
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "model,node_id,date,tmax_c\n"
+            '"m\n1",1,2000-07-01,30.0\n'
+            "m1,1,2000-07-02,30.0\n"
+            "m1,1,2000-07-03,x\n"
+        )
+        with pytest.raises(DataError, match=r"series\.csv:5: could not convert string to float"):
+            both(count_series_csv, [path], TWO_PERIODS)
+
     def test_duplicate_date_rejected(self, tmp_path):
         # a repeat is caught in any year, after rows from other years,
         # and when the two rows spell the node id differently
@@ -599,6 +612,20 @@ class TestGriddedCsv:
         with pytest.raises(DataError, match=r"grid\.csv: node 7 at \(34.0, -100.0\) outside grid"):
             both(count_gridded_series_csv, [path], [node], TWO_PERIODS)
 
+    def test_line_is_physical_after_a_model_cell_over_two_lines(self, tmp_path):
+        # the bad latitude's record is the fourth, but the first model
+        # cell's quoted line end puts it on line 5
+        path = tmp_path / "grid.csv"
+        path.write_text(
+            "model,lat,lon,date,tmax_c\n"
+            '"m\n1",30.0,-100.0,2000-07-01,36.0\n'
+            "m1,30.0,-100.0,2000-07-01,36.0\n"
+            "m1,north,-100.0,2000-07-01,36.0\n"
+        )
+        node = make_node(7, lat=30.0, lon=-100.0)
+        with pytest.raises(DataError, match=r"grid\.csv:5: could not convert string to float"):
+            both(count_gridded_series_csv, [path], [node], TWO_PERIODS)
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -825,6 +852,19 @@ class TestProfileCsv:
         path = tmp_path / "profiles.csv"
         path.write_text("model,period_label,node_id,hot_days,threshold_c\nm,zap,1,3,35.0\n")
         with pytest.raises(DataError, match="unknown period label 'zap'"):
+            read_profiles_csv(path, {"p": PeriodSpec("p", 2000, 2000)})
+
+    def test_line_is_physical_after_a_model_cell_over_two_lines(self, tmp_path):
+        # the bad count's record is the fourth, but the first model cell's
+        # quoted line end puts it on line 5
+        path = tmp_path / "profiles.csv"
+        path.write_text(
+            "model,period_label,node_id,hot_days,threshold_c\n"
+            '"m\nA",p,1,3,35.0\n'
+            "m,p,1,3,35.0\n"
+            "m,p,2,three,35.0\n"
+        )
+        with pytest.raises(DataError, match=r"profiles\.csv:5: invalid literal for int"):
             read_profiles_csv(path, {"p": PeriodSpec("p", 2000, 2000)})
 
     @pytest.mark.parametrize("count", [-1, 367])

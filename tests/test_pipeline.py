@@ -809,20 +809,25 @@ IMPORT_OWNERS = {
 
 # name -> the only top-level definitions that may name it: tables
 # splits tables and reads their ranges for the pool in one place,
-# map_ranges, and the replay, metrics.replay_to_csv, is the one other user
-# of fork_map and alone knows its row cutoff and task size, so that
-# curves.csv has one writer whether pooled or not (no _replay_in_workers,
+# map_ranges; the replay, metrics.replay_to_csv, and the series writer,
+# synth._write_series, are the two other users of fork_map, and each alone
+# knows its row cutoff and task size, so that curves.csv and the series
+# files have one writer each whether pooled or not (no _replay_in_workers,
 # no write_curve_blocks); how to cut tables is decided in tables alone,
-# with no size hook (pool_size) for callers
+# with no size hook (pool_size) for callers, and how many CPUs the pool
+# may use in fork_map alone
 NAME_OWNERS = {
     "split_table": {"tables.py:map_ranges"},
     "read_range": {"tables.py:_read_in_range"},
-    "fork_map": {"metrics.py:replay_to_csv", "tables.py:map_ranges"},
+    "fork_map": {"metrics.py:replay_to_csv", "synth.py:_write_series", "tables.py:map_ranges"},
     "sched_getaffinity": {"tables.py:fork_map"},
+    "_cpu_quota": {"tables.py:fork_map"},
     "_SERIAL_BELOW_BYTES": {"tables.py:<module>", "tables.py:map_ranges"},
     "_RANGES_PER_WORKER": {"tables.py:<module>", "tables.py:map_ranges"},
     "_REPLAY_SERIAL_BELOW_ROWS": {"metrics.py:<module>", "metrics.py:replay_to_csv"},
     "_TASK_ROWS": {"metrics.py:<module>", "metrics.py:replay_to_csv"},
+    "_SERIES_SERIAL_BELOW_ROWS": {"synth.py:<module>", "synth.py:_write_series"},
+    "_SERIES_TASK_ROWS": {"synth.py:<module>", "synth.py:_write_series"},
     "pool_size": set(),
     "_replay_in_workers": set(),
     "write_curve_blocks": set(),

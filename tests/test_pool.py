@@ -1,6 +1,6 @@
-"""The one fork pool (``tables.fork_map``) and its three callers: the climate
-count, the replay that writes curves.csv (``metrics.replay_to_csv``) and the
-curves reader.
+"""The one fork pool (``tables.fork_map``) and its four callers: the climate
+count, the replay that writes curves.csv (``metrics.replay_to_csv``), the
+curves reader and the writer of synthetic daily series (``synth``).
 
 Pooled, each gives the results, bytes and errors of one process; on any
 pool fault it works in one process instead, and no child process outlives
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import er_edges, fork_map_returns, make_net
-from freight_resilience import metrics, pipeline, tables
+from freight_resilience import metrics, pipeline, synth, tables
 from freight_resilience.climate import PeriodSpec, count_series_csv
 from freight_resilience.cli import main
 from freight_resilience.disruption import (
@@ -52,7 +52,7 @@ def seven_curves(n=40, seed=4):
 
 
 # ---------------------------------------------------------------------------
-# the three callers, each as (work, module, constants): ``work()`` is what
+# the four callers, each as (work, module, constants): ``work()`` is what
 # is compared pooled and in one process
 
 
@@ -97,7 +97,27 @@ def read_caller(tmp_path):
     return lambda: read_curves_csv(path), tables, {"_SERIAL_BELOW_BYTES": 0}
 
 
-CALLERS = {"count": count_caller, "simulate": simulate_caller, "read": read_caller}
+# 5 nodes and 2 models over a leap year: 3,660 rows in 10 blocks of 366 rows,
+# two blocks a task, so the third task holds the last block of one model
+# and the first of the next
+SYNTH_SPEC = SynthSpec(n_nodes=5, avg_degree=2.0, seed=3, models=("m1", "m2"), end_year=2000)
+SYNTH_ROWS = 3_660
+
+
+def synth_caller(tmp_path):
+    def work():
+        paths = generate_synthetic(SYNTH_SPEC, tmp_path / "synth")
+        return {role: path.read_bytes() for role, path in paths.items()}
+
+    return work, synth, {"_SERIES_SERIAL_BELOW_ROWS": 0, "_SERIES_TASK_ROWS": 800}
+
+
+CALLERS = {
+    "count": count_caller,
+    "simulate": simulate_caller,
+    "read": read_caller,
+    "synth": synth_caller,
+}
 
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))
@@ -136,14 +156,21 @@ def test_pool_failure_works_in_one_process(tmp_path, caller, pool, task):
 def test_small_runs_never_import_the_pool(tmp_path):
     # a run of static-500's size (26,052 curve rows here, a 1.9 MB curves
     # file) stays below every cutoff: the pool's imports would cost it
-    # about 1.5 MB
+    # about 1.5 MB. So do synthetic series below synth's cutoff (3 models,
+    # 40 nodes, 2 years: 87,720 rows) and the series-free set-ups of
+    # static-500, adaptive-rail-84 and replay-2000
     config = simulate_config(tmp_path, n=500, seeds=50)
+    small = SynthSpec(n_nodes=40, avg_degree=4.0, seed=1, start_year=2000, end_year=2001)
+    assert 3 * 40 * 731 < synth._SERIES_SERIAL_BELOW_ROWS
     script = (
         "import sys\n"
         "from freight_resilience.pipeline import load_config, run\n"
         "from freight_resilience.metrics import read_curves_csv\n"
+        "from freight_resilience.synth import SynthSpec, generate_synthetic\n"
         f"bundle = run(load_config({str(config)!r}))\n"
         "read_curves_csv(bundle.out_dir / 'curves.csv')\n"
+        f"generate_synthetic({small!r}, {str(tmp_path / 'small')!r})\n"
+        f"generate_synthetic(SynthSpec(2000, 4.0, 1, models=()), {str(tmp_path / 'bare')!r})\n"
         "print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
@@ -154,18 +181,80 @@ def test_small_runs_never_import_the_pool(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("caller", ["count", "read"])
+@pytest.mark.parametrize("caller", ["count", "read", "synth"])
 def test_inputs_from_the_cutoff_up_are_pooled(tmp_path, caller):
-    # both range readers share tables' one cutoff, in bytes of input
-    work, module, _ = CALLERS[caller](tmp_path)
-    [path] = tmp_path.glob("*.csv")
-    size = path.stat().st_size
-    with fork_map_returns(module, _SERIAL_BELOW_BYTES=size) as returns:
+    # both range readers share tables' one cutoff, in bytes of input; the
+    # series writer has its own, in rows written
+    work, module, constants = CALLERS[caller](tmp_path)
+    if caller == "synth":
+        cutoff, size = "_SERIES_SERIAL_BELOW_ROWS", SYNTH_ROWS
+    else:
+        [path] = tmp_path.glob("*.csv")
+        cutoff, size = "_SERIAL_BELOW_BYTES", path.stat().st_size
+    with fork_map_returns(module, **{**constants, cutoff: size}) as returns:
         work()
     assert len(returns) == 1 and returns[0] is not None
-    with fork_map_returns(module, _SERIAL_BELOW_BYTES=size + 1) as returns:
+    with fork_map_returns(module, **{**constants, cutoff: size + 1}) as returns:
         work()
     assert returns == []
+
+
+# ---------------------------------------------------------------------------
+# the pool's size under a cgroup CPU quota
+
+
+def square(x):
+    return x * x
+
+
+# /proc/self/cgroup (None: absent), the files under the cgroup root, and
+# the workers of a pool on two usable CPUs (None: in-process)
+CGROUPS = {
+    "v1-one-cpu": (
+        "4:cpu,cpuacct:/job\n1:memory:/job\n0::/\n",
+        {"cpu/job/cpu.cfs_quota_us": "100000\n", "cpu/job/cpu.cfs_period_us": "100000\n"},
+        None,
+    ),
+    "v1-one-and-a-half": (
+        "4:cpu,cpuacct:/job\n",
+        {"cpu/job/cpu.cfs_quota_us": "150000\n", "cpu/job/cpu.cfs_period_us": "100000\n"},
+        2,
+    ),
+    "v1-no-quota": (
+        "4:cpu,cpuacct:/job\n",
+        {"cpu/job/cpu.cfs_quota_us": "-1\n", "cpu/job/cpu.cfs_period_us": "100000\n"},
+        2,
+    ),
+    "v2-half": ("0::/job\n", {"job/cpu.max": "50000 100000\n"}, None),
+    "v2-one-and-a-half": ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),
+    "v2-max": ("0::/job\n", {"job/cpu.max": "max 100000\n"}, 2),
+    "v2-unreadable": ("0::/job\n", {"job/cpu.max": "150000\n"}, 2),
+    "no-files": ("0::/job\n4:cpu:/job\n", {}, 2),
+    "no-cgroup-file": (None, {}, 2),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(CGROUPS))
+def test_workers_capped_at_the_cgroup_cpu_quota(tmp_path, tree):
+    groups, files, workers = CGROUPS[tree]
+    if groups is not None:
+        (tmp_path / "cgroup").write_text(groups)
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text)
+    pool = mock.Mock(wraps=futures.ProcessPoolExecutor)
+    with (
+        mock.patch.multiple(tables, _PROC_CGROUP=tmp_path / "cgroup", _CGROUP_ROOT=tmp_path / "fs"),
+        mock.patch.object(futures, "ProcessPoolExecutor", pool),
+        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+    ):
+        result = tables.fork_map(square, [(k,) for k in range(5)], list)
+    if workers is None:
+        assert result is None and not pool.called
+    else:
+        assert result == [0, 1, 4, 9, 16]
+        assert pool.call_args.args[0] == workers
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class HotDayProfile:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryStats:
     mean: float
     sd: float

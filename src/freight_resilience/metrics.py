@@ -27,7 +27,11 @@ rendering slices of the sequences; a worker sends back each curve without
 its ``order``, which the parent's curve takes from its sequence. A large
 file, by the cutoff of ``tables.map_ranges``, is read in worker processes
 over byte ranges cut only between curves, so each worker builds whole
-curves.
+curves. Read back, pooled or not, the curves of one file share one int
+object per node id: the in-process reader interns each id it parses in
+one dict, and a worker sends each curve's ``order`` as an ``array('q')``
+(a tuple where an id needs more than 64 bits), which the parent turns
+into a tuple through one such dict.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ class RobustnessCurve:
     are stored in these types, so a curve built from tuples equals the
     same curve read back; a cell that does not convert, as a float in
     ``ff``, raises ValueError. A curve from ``replay`` holds its
-    sequence's own ``order`` tuple.
+    sequence's own ``order`` tuple; the curves that ``read_curves_csv``
+    reads from one file share one int object per node id.
     """
 
     scenario: str
@@ -392,7 +397,8 @@ def replay_to_csv(
 
     def rejoined(parts):
         for (start, end), (states, text) in zip(slices, parts):
-            yield list(map(_with_order, states, sequences[start:end])), text
+            orders = (s.order for s in sequences[start:end])
+            yield list(map(_restored, states, orders)), text
 
     def consume(parts) -> list[RobustnessCurve]:
         curves: list[RobustnessCurve] = []
@@ -413,11 +419,11 @@ def replay_to_csv(
     return curves
 
 
-def _with_order(state: dict, seq: RemovalSequence) -> RobustnessCurve:
-    # rebuilt as unpickling rebuilds a curve, from the state of one that
-    # ``replay`` built and checked from ``seq``
+def _restored(state: dict, order: tuple[int, ...]) -> RobustnessCurve:
+    # rebuilt as unpickling rebuilds a curve, from the state of one that a
+    # worker built and checked, with ``order`` equal to that curve's own
     curve = object.__new__(RobustnessCurve)
-    vars(curve).update(state, order=seq.order)
+    vars(curve).update(state, order=order)
     return curve
 
 
@@ -430,31 +436,50 @@ def read_curves_csv(path) -> list[RobustnessCurve]:
     curve (its values disagree with each other) names the curve. Each
     curve is built as soon as its rows end, in file order. A large file is
     read in worker processes over byte ranges that each hold whole curves,
-    with the same curves and errors.
+    with the same curves and errors. Either way the curves share one int
+    object per node id.
 
     The file holds no node count: ``n_nodes`` is 1 / the step-1
     ``fraction_removed``. A curve with no removals has no step 1 and
     reads back with ``n_nodes = tf``, short of the network's node count
     when the largest component is smaller than the network.
     """
-    curves = map_ranges(_read_curves, [path], _CURVE_HEADER, _join_ranges, key_cells=3)
+    curves = map_ranges(_shipped_curves, [path], _CURVE_HEADER, _join_ranges, key_cells=3)
     if curves is None:
         with read_table(path, _CURVE_HEADER) as records:
-            curves = _read_curves(records, path)
+            curves = _read_curves(records, path, {})
     return curves
 
 
-def _read_curves(records, path) -> list[RobustnessCurve]:
+def _read_curves(records, path, ids: dict[int, int]) -> list[RobustnessCurve]:
     """The curves of ``records``, a whole curves file or, in a worker
-    process, one of its ranges, which starts at a curve's step-0 row."""
-    return [_build_curve(run, path) for run in _curve_runs(records, path)]
+    process, one of its ranges, which starts at a curve's step-0 row; each
+    node id is the one int of its value in ``ids``."""
+    return [_build_curve(run, path) for run in _curve_runs(records, path, ids)]
 
 
-def _curve_runs(records, path) -> Iterator[tuple]:
+def _shipped_curves(records, path) -> list[dict]:
+    """In a worker: the curves of one range, each as its state with
+    ``order`` as an ``array('q')``, or as the tuple where an id needs more
+    than 64 bits. The parent holds the ranges that arrive ahead of
+    ``_join_ranges``, at 8 bytes an id instead of an unpickled int each."""
+    states = []
+    for curve in _read_curves(records, path, {}):
+        state = curve.__getstate__()
+        try:
+            state["order"] = array("q", curve.order)
+        except OverflowError:
+            pass
+        states.append(state)
+    return states
+
+
+def _curve_runs(records, path, ids: dict[int, int]) -> Iterator[tuple]:
     """The runs of rows of one curve each in ``records``, each yielded once
     the next run begins or the records end, as ``(key, seed, columns)``: the
     (scenario, model, seed) cells, the seed and the columns as read (order
-    as a list; fraction_removed, ff, scf, tonnage_fraction and
+    as a list of ids taken from ``ids``, where each parsed id is added
+    once; fraction_removed, ff, scf, tonnage_fraction and
     tonnage_fraction_gcc as arrays of a curve's types), whose steps run
     from 0. A row fault, and a key that an earlier run had, raise DataError
     at the row's line."""
@@ -484,7 +509,8 @@ def _curve_runs(records, path) -> Iterator[tuple]:
             if step:
                 if not node:
                     raise ValueError(f"step {step} names no removed node_id")
-                order.append(int(node))
+                node = int(node)
+                order.append(ids.setdefault(node, node))
             elif node:
                 raise ValueError("the step-0 row must leave node_id blank")
             frac.append(float(frac_cell))
@@ -517,11 +543,17 @@ def _build_curve(run: tuple, path) -> RobustnessCurve:
     return curve
 
 
-def _join_ranges(parts: Iterator[list[RobustnessCurve]]) -> list[RobustnessCurve] | None:
-    """The curves of the ranges, in file order; None where two curves share
-    a key, as where one curve's rows resume after another's, for the
-    in-process reader to name the line."""
-    curves = [curve for part in parts for curve in part]
+def _join_ranges(parts: Iterator[list[dict]]) -> list[RobustnessCurve] | None:
+    """The curves of the ranges' ``_shipped_curves``, in file order, each
+    ``order`` a tuple of ids taken from one dict for the whole file; None
+    where two curves share a key, as where one curve's rows resume after
+    another's, for the in-process reader to name the line."""
+    ids: dict[int, int] = {}
+    curves = []
+    for part in parts:
+        for state in part:
+            order = state["order"]
+            curves.append(_restored(state, tuple(map(ids.setdefault, order, order))))
     if len({(c.scenario, c.model, c.seed) for c in curves}) < len(curves):
         return None
     return curves

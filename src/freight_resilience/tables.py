@@ -261,7 +261,9 @@ def fork_map(
     rounded up where one is set (``_cpu_quota``). The workers
     inherit ``task`` and all it refers to, so only ``tasks`` and the results
     are pickled; the workers fork before ``consume`` is called, and each
-    result is dropped once ``consume`` has moved past it.
+    result is dropped once ``consume`` has moved past it. Results that
+    finish ahead of ``consume`` are held, unpickled, in this process until
+    it reaches them, so a task should return its result in a compact form.
 
     None, for the caller to do the work in-process, where that makes fewer
     than two workers, where ``fork`` is not available, where the

@@ -563,6 +563,9 @@ FUZZ_TOKENS = [
 # modulo its cells
 LINE = st.integers(0, 400)
 CELL = st.integers(0, 9)
+QUOTE_FREE_SET = st.tuples(
+    st.just("set"), LINE, CELL, st.sampled_from([t for t in FUZZ_TOKENS if '"' not in t])
+)
 TABLE_EDITS = st.one_of(
     st.tuples(st.just("delete"), LINE),
     st.tuples(st.just("duplicate"), LINE, LINE),
@@ -613,6 +616,25 @@ def assert_lines_within(err: str, paths: list[Path]) -> None:
             assert 1 <= int(line) <= lines, (path.read_bytes(), err)
 
 
+def edited_curve_lines(lines: list[str], edits: list[tuple]) -> set[int] | None:
+    """The physical lines where an exit 3 may name the fault that ``edits``
+    of curves.csv made, ``lines`` being the file's lines before them. Only
+    for one ``set`` of a cell to a text without a quote in a file without
+    one: the edited row's line, and also the next row's where the cell is
+    a key cell of a step-0 row, since the row then starts a curve of its
+    own and the next row is a step 1 without its step 0. None otherwise."""
+    if len(edits) != 1 or edits[0][0] != "set" or not lines:
+        return None
+    _, line, column, text = edits[0]
+    if '"' in text or any('"' in row for row in lines):
+        return None
+    index = line % len(lines)
+    cells = lines[index].split(",")
+    if index and column % len(cells) < 3 and cells[3] == "0":
+        return {index + 1, index + 2}
+    return {index + 1}
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -650,13 +672,25 @@ def test_mutated_inputs_exit_two_or_three_naming_the_input(data, form):
         assert run_cli(argv) == (0, "")
         assert (root / "out" / MANIFEST_NAME).read_bytes() == manifest
 
+        # the edits drawn, and then one cell set to a text without a quote,
+        # each in a fresh copy of the run's curves.csv
         curves = root / "curves.csv"
-        shutil.copy(root / "out" / "curves.csv", curves)
-        for edit in data.draw(st.lists(TABLE_EDITS, max_size=2), label="curves edits"):
-            edit_table(curves, edit)
-        code, err = run_cli(["report", "--curves", str(curves), "--out", str(root / "report")])
-        event(f"report exit {code}")
-        assert code in (0, 2, 3), err
-        if code == 3:
-            assert f"{curves}:" in err, err
-            assert_lines_within(err, [curves])
+        drawn = data.draw(st.lists(TABLE_EDITS, max_size=2), label="curves edits")
+        cell = data.draw(QUOTE_FREE_SET, label="curves cell")
+        for leg, edits in enumerate([drawn, [cell]]):
+            shutil.copy(root / "out" / "curves.csv", curves)
+            lines = curves.read_text(encoding="utf-8").splitlines()
+            for edit in edits:
+                edit_table(curves, edit)
+            out = root / f"report{leg}"
+            code, err = run_cli(["report", "--curves", str(curves), "--out", str(out)])
+            event(f"report exit {code}")
+            assert code in (0, 2, 3), err
+            if code == 3:
+                assert f"{curves}:" in err, err
+                assert_lines_within(err, [curves])
+                named = {int(n) for n in re.findall(rf"{re.escape(str(curves))}:(\d+)", err)}
+                expected = edited_curve_lines(lines, edits)
+                if expected is not None and named:
+                    event("report exit 3 at an edited curves.csv line")
+                    assert named <= expected, err

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import errno
 import math
+import pickle
 import multiprocessing
 import os
 import random
@@ -30,6 +33,7 @@ from freight_resilience.climate import (
     HotDayProfile,
     PeriodSpec,
     RegularGrid,
+    SummaryStats,
     count_gridded_series_csv,
     count_series_csv,
     ensemble_stats,
@@ -253,6 +257,20 @@ def test_summary_brackets_mean(values):
     s = summarize(values)
     assert min(values) <= s.mean <= max(values)
     assert s.sd >= 0.0
+
+
+def test_summary_stats_keep_slots_through_copies():
+    # each step of an ensemble holds two of these, so they keep no __dict__
+    s = summarize([0.25, 0.5, 1.0])
+    assert not hasattr(s, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin == s and type(twin) is SummaryStats
+    moved = dataclasses.replace(s, max=2.0)
+    assert moved == SummaryStats(s.mean, s.sd, s.min, 2.0)
+    with pytest.raises(ValueError, match="min <= mean <= max"):
+        dataclasses.replace(s, min=0.9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.mean = 0.0
 
 
 class TestTopKFrequency:

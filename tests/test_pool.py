@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent import futures
 from pathlib import Path
 from unittest import mock
@@ -33,9 +34,15 @@ from freight_resilience.disruption import (
     targeted_sequence,
 )
 from freight_resilience.errors import DataError
-from freight_resilience.metrics import read_curves_csv, replay, replay_to_csv, write_curves_csv
+from freight_resilience.metrics import (
+    RobustnessCurve,
+    read_curves_csv,
+    replay,
+    replay_to_csv,
+    write_curves_csv,
+)
 from freight_resilience.pipeline import load_config, run
-from freight_resilience.synth import SynthSpec, generate_synthetic
+from freight_resilience.synth import SynthSpec, build_network, generate_synthetic
 
 
 def exit_in_worker(args):
@@ -335,8 +342,9 @@ def test_replayed_curves_hold_their_sequences_order(tmp_path, pooled):
 def read_both(path, ranges_per_worker):
     """``read_curves_csv(path)`` in one process and over about
     ``2 * ranges_per_worker`` byte ranges in 2 workers: the same curves, or
-    the same error, which is raised again. Returns the curves and whether
-    the workers' curves were used."""
+    the same error, which is raised again. Either way the curves share one
+    int object per node id. Returns the curves and whether the workers'
+    curves were used."""
     outcomes = []
     for pooled in (False, True):
         constants = {
@@ -354,7 +362,55 @@ def read_both(path, ranges_per_worker):
         assert str(split) == str(serial)
         raise serial
     assert split == serial
+    for curves in outcomes:
+        ids = [v for c in curves for v in c.order]
+        assert len(set(map(id, ids))) == len(set(ids))
     return serial, bool(returns) and returns[-1] is not None
+
+
+def test_ids_beyond_64_bits_read_as_in_one_process(tmp_path):
+    # a worker sends a curve's order as an array('q') where its ids fit in
+    # 64 bits and as a tuple where one does not
+    ton, gcc = (1.0, 0.75, 0.5, 0.25), (1.0, 0.25, 0.25, 0.25)
+    orders = [(2**63, 1000, -(2**63) - 1), (1000, 2**63 - 1, -(2**63)), (-(2**63) - 1, 7, 2**63)]
+    curves = [
+        RobustnessCurve("random", None, seed, 4, 4, order, (4, 1, 1, 1), ton, gcc)
+        for seed, order in enumerate(orders * 3)
+    ]
+    path = tmp_path / "curves.csv"
+    write_curves_csv(curves, path)
+    assert read_both(path, 4) == (curves, True)
+
+
+def kept_by(make):
+    """``make()`` and the bytes that its result keeps, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_read_back_curves_keep_about_what_replayed_ones_keep(tmp_path, pooled):
+    # a replayed curve keeps its sequence's order, whose ids are the
+    # network's ints; curves read back share one int per id, where one int
+    # parsed per order cell kept 1.4x in one process and 1.5x pooled here
+    net = build_network(SynthSpec(500, 4.0, 1, models=()))
+    replay(net, random_sequence(net, 10))  # the network's cached views are not the curves'
+    curves, replayed = kept_by(lambda: [replay(net, random_sequence(net, s)) for s in range(10)])
+    path = tmp_path / "curves.csv"
+    write_curves_csv(curves, path)
+    constants = {"_SERIAL_BELOW_BYTES": 0 if pooled else float("inf")}
+    with fork_map_returns(tables, **constants) as returns:
+        read_curves_csv(path)  # what the pool's first start leaves is not the curves'
+        back, kept = kept_by(lambda: read_curves_csv(path))
+    assert back == curves
+    assert (bool(returns) and returns[-1] is not None) == pooled
+    steps = sum(len(c.ff) for c in curves)
+    assert kept <= 1.15 * replayed, f"{kept / steps:.1f} B a step against {replayed / steps:.1f}"
 
 
 @settings(max_examples=40, deadline=None)
